@@ -28,7 +28,7 @@ This package turns those conventions into machine-checked invariants: a
 dependency-free static-analysis framework (:mod:`repro.analysis.core`),
 a cross-file project index with a conservative call graph
 (:mod:`repro.analysis.index`), seven project-specific checker families
-(:mod:`repro.analysis.checkers`), an incremental parallel driver with a
+(:mod:`repro.analysis.checkers`), an incremental driver with a
 content-addressed finding cache (:mod:`repro.analysis.driver` /
 :mod:`repro.analysis.cache`), and a CLI::
 

@@ -10,7 +10,6 @@ Usage::
     python -m repro.analysis --list-rules             # rule catalogue
     python -m repro.analysis --no-cache src           # force a cold run
     python -m repro.analysis --stats --check src      # timings to stderr
-    python -m repro.analysis --workers 4 src          # parallel cold pass
 
 Exit status is 0 when no *new* (non-baselined, non-suppressed) findings
 remain, 1 otherwise, 2 on usage errors.  The default baseline is
@@ -82,11 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true",
         help="print per-checker timings and cache behaviour to stderr",
     )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="analysis worker threads for the cold per-file pass "
-             "(default: up to 8, capped by CPU count)",
-    )
     return parser
 
 
@@ -114,9 +108,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cache = None if args.no_cache else AnalysisCache()
     try:
-        result = analyze(
-            paths, baseline=baseline, cache=cache, workers=args.workers,
-        )
+        result = analyze(paths, baseline=baseline, cache=cache)
     except FileNotFoundError as exc:
         print(f"repro.analysis: {exc}", file=sys.stderr)
         return 2

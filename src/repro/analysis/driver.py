@@ -1,4 +1,4 @@
-"""Analysis driver: collect, index, check -- incrementally, in parallel.
+"""Analysis driver: collect, index, check -- incrementally.
 
 The driver owns the framework-level rules:
 
@@ -17,11 +17,10 @@ set.  A warm run re-analyzes zero unchanged modules and renders
 byte-identical JSON, because suppression filtering, SUP001/SUP002, and
 baseline matching always run fresh over the (cached) raw findings.
 
-Parallelism: cold modules fan out through the runtime's work-stealing
-:class:`~repro.runtime.scheduler.JobQueue` on a small thread pool.
 Checkers are stateless (``check_file`` is a pure function of the source
-and the completed index), so per-file passes run concurrently and the
-findings merge deterministically in collection order.
+and the completed index); cold modules are checked in one plain loop in
+collection order -- per-file checking is GIL-bound pure Python, so a
+thread fan-out measured no faster than this loop.
 
 Directories named ``fixtures`` (and caches/VCS internals) are excluded
 by default: the checker test fixtures under ``tests/analysis/fixtures``
@@ -31,8 +30,6 @@ contain deliberately-bad code that must not fail the repository's own
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,10 +48,6 @@ EXCLUDED_DIR_NAMES = frozenset(
      ".analysis-cache"}
 )
 
-#: Upper bound on analysis worker threads; per-file checking is cheap
-#: enough that more threads only add scheduling overhead.
-MAX_WORKERS = 8
-
 
 @dataclass
 class AnalysisStats:
@@ -67,10 +60,8 @@ class AnalysisStats:
     modules_analyzed: int = 0
     modules_cached: int = 0
     finalize_cached: bool = False
-    workers: int = 1
-    #: Attributed seconds per checker name (summed across threads, so
-    #: totals can exceed wall time); ``check_file`` and ``finalize``
-    #: time both land on the checker that spent it.
+    #: Attributed seconds per checker name; ``check_file`` and
+    #: ``finalize`` time both land on the checker that spent it.
     checker_seconds: Dict[str, float] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
 
@@ -124,20 +115,12 @@ def collect_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
     return list(seen)
 
 
-def resolve_workers(workers: Optional[int], jobs: int) -> int:
-    """Thread count for the cold per-file pass."""
-    if workers is not None:
-        return max(1, workers)
-    return max(1, min(MAX_WORKERS, os.cpu_count() or 1, jobs))
-
-
 def analyze(
     paths: Sequence[Union[str, Path]],
     checkers: Optional[Sequence[Checker]] = None,
     root: Union[str, Path, None] = None,
     baseline: Optional[Baseline] = None,
     cache: Optional[AnalysisCache] = None,
-    workers: Optional[int] = None,
 ) -> AnalysisResult:
     """Run ``checkers`` (default: the full project set) over ``paths``.
 
@@ -196,7 +179,7 @@ def analyze(
     ruleset = ruleset_fingerprint() if cache is not None else ""
 
     file_findings = _check_files(
-        sources, index, active, cache, signature, ruleset, workers, stats,
+        sources, index, active, cache, signature, ruleset, stats,
     )
     finalize_findings = _finalize(
         index, active, cache, signature, ruleset, stats,
@@ -249,15 +232,10 @@ def _check_files(
     cache: Optional[AnalysisCache],
     signature: str,
     ruleset: str,
-    workers: Optional[int],
     stats: AnalysisStats,
 ) -> Dict[str, List[Finding]]:
-    """Per-file pass: serve warm modules from the cache, fan the cold
-    ones out through the runtime scheduler's chunked job queue."""
-    from ..runtime.scheduler import Job, JobQueue, Plan
-
+    """Per-file pass: serve warm modules from the cache, check the rest."""
     file_findings: Dict[str, List[Finding]] = {}
-    cold: List[Tuple[SourceFile, Optional[str]]] = []
     for source in sources:
         key: Optional[str] = None
         if cache is not None:
@@ -268,76 +246,19 @@ def _check_files(
                 file_findings[source.relpath] = cached
                 stats.modules_cached += 1
                 continue
-        cold.append((source, key))
-
-    stats.modules_analyzed = len(cold)
-    if not cold:
-        stats.workers = 0
-        return file_findings
-
-    worker_count = resolve_workers(workers, len(cold))
-    stats.workers = worker_count
-    jobs = [
-        Job(index=i, key=key or "", payload=(source, key))
-        for i, (source, key) in enumerate(cold)
-    ]
-    plan = Plan(manifest=False)
-    queue = JobQueue(
-        jobs,
-        chunk_size=plan.resolve_chunk_size(len(jobs), worker_count),
-        workers=worker_count,
-    )
-    queue_lock = threading.Lock()
-    merge_lock = threading.Lock()
-
-    def drain(worker: int) -> None:
-        timings: Dict[str, float] = {}
-        local: Dict[str, List[Finding]] = {}
-        while True:
-            with queue_lock:
-                chunk = queue.pull(worker)
-            if chunk is None:
-                break
+        findings: List[Finding] = []
+        for checker in active:
             # repro: allow[DET002] wall-clock stats reporting only
-            chunk_started = time.perf_counter()
-            for job in chunk.jobs:
-                source, key = job.payload
-                findings: List[Finding] = []
-                for checker in active:
-                    # repro: allow[DET002] wall-clock stats reporting only
-                    t0 = time.perf_counter()
-                    findings.extend(checker.check_file(source, index))
-                    timings[checker.name] = (
-                        timings.get(checker.name, 0.0)
-                        # repro: allow[DET002] wall-clock stats reporting only
-                        + time.perf_counter() - t0
-                    )
-                local[source.relpath] = findings
-                if cache is not None and key is not None:
-                    cache.put(key, findings)
-            with queue_lock:
-                queue.chunk_done(
-                    chunk, worker,
-                    # repro: allow[DET002] wall-clock stats reporting only
-                    time.perf_counter() - chunk_started,
-                )
-        with merge_lock:
-            file_findings.update(local)
-            stats.merge_timings(timings)
-
-    if worker_count == 1:
-        drain(0)
-    else:
-        threads = [
-            threading.Thread(
-                target=drain, args=(i,), name=f"repro-analysis-{i}",
+            t0 = time.perf_counter()
+            findings.extend(checker.check_file(source, index))
+            stats.merge_timings(
+                # repro: allow[DET002] wall-clock stats reporting only
+                {checker.name: time.perf_counter() - t0}
             )
-            for i in range(worker_count)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        file_findings[source.relpath] = findings
+        stats.modules_analyzed += 1
+        if key is not None:
+            cache.put(key, findings)
     return file_findings
 
 

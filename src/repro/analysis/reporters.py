@@ -78,7 +78,7 @@ def render_stats(result) -> str:
         f"modules: {stats.modules_analyzed} analyzed, "
         f"{stats.modules_cached} cached"
         + (", finalize cached" if stats.finalize_cached else "")
-        + f", {stats.workers} worker(s), {stats.elapsed_seconds:.2f}s"
+        + f", {stats.elapsed_seconds:.2f}s"
     ]
     for name in sorted(
         stats.checker_seconds, key=stats.checker_seconds.get, reverse=True

@@ -27,11 +27,9 @@ from .figures import (
 )
 from .sweep import (
     DEFAULT_LOADS,
-    run_with_seeds,
     SATURATION_LATENCY_MULTIPLE,
     compare_curves,
     find_saturation,
-    sweep,
 )
 from .report import delay_model_report, simulation_report
 from .ablations import (
@@ -113,8 +111,6 @@ __all__ = [
     "find_saturation",
     "render_table1_report",
     "simulation_report",
-    "run_with_seeds",
-    "sweep",
     "table1",
     "theoretical_capacity",
 ]

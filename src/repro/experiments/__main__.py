@@ -192,9 +192,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="execution backend: serial, process[:N] (chunked "
-             "work-stealing pool) or ssh[:N] (rank-style fabric sharing "
-             "the cache directory); default $REPRO_BACKEND or inferred "
+        help="execution backend: serial or process[:N] (chunked "
+             "work-stealing pool); default $REPRO_BACKEND or inferred "
              "from --workers",
     )
     parser.add_argument(
@@ -249,7 +248,7 @@ def main(argv=None) -> int:
         from .ablations import render_all
 
         print()
-        print(render_all(measurement))
+        print(render_all(measurement, experiment=experiment))
     if args.simulate or args.ablations:
         stats = experiment.stats
         if stats.points_requested:

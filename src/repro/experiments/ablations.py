@@ -51,8 +51,9 @@ def _run_variants(
 ) -> AblationResult:
     """Run every (variant, load) point as one Experiment batch.
 
-    Honors ``$REPRO_WORKERS`` / ``$REPRO_CACHE`` when no experiment is
-    passed, so the whole ablation fans out in parallel for free.
+    ``experiment`` owns the scale when passed; otherwise one is built
+    from ``measurement`` honoring ``$REPRO_WORKERS`` / ``$REPRO_CACHE``,
+    so the whole ablation fans out in parallel for free.
     """
     if experiment is None:
         experiment = Experiment.from_env(measurement)
@@ -75,6 +76,7 @@ def allocator_ablation(
     num_vcs: int = 2,
     buffers_per_vc: int = 4,
     seed: int = 1,
+    experiment: Optional[Experiment] = None,
 ) -> AblationResult:
     """Separable vs maximum-matching allocation in the spec-VC router."""
     base = SimConfig(
@@ -87,7 +89,7 @@ def allocator_ablation(
             "separable (paper)": replace(base, allocator_kind="separable"),
             "maximum matching": replace(base, allocator_kind="maximum"),
         },
-        loads, measurement,
+        loads, measurement, experiment,
     )
 
 
@@ -95,6 +97,7 @@ def arbiter_ablation(
     loads: Sequence[float] = (0.45, 0.55),
     measurement: Optional[MeasurementConfig] = None,
     seed: int = 1,
+    experiment: Optional[Experiment] = None,
 ) -> AblationResult:
     """Matrix (LRU) vs round-robin arbiters in the spec-VC router."""
     base = SimConfig(
@@ -107,7 +110,7 @@ def arbiter_ablation(
             "matrix (paper)": replace(base, arbiter_kind="matrix"),
             "round-robin": replace(base, arbiter_kind="round_robin"),
         },
-        loads, measurement,
+        loads, measurement, experiment,
     )
 
 
@@ -116,6 +119,7 @@ def buffer_depth_sweep(
     load: float = 0.55,
     measurement: Optional[MeasurementConfig] = None,
     seed: int = 1,
+    experiment: Optional[Experiment] = None,
 ) -> AblationResult:
     """Latency vs buffers/VC across the credit-loop coverage boundary.
 
@@ -133,7 +137,7 @@ def buffer_depth_sweep(
     }
     return _run_variants(
         "buffers per VC vs the 5-cycle credit loop",
-        variants, (load,), measurement,
+        variants, (load,), measurement, experiment,
     )
 
 
@@ -142,6 +146,7 @@ def traffic_pattern_study(
     load: float = 0.35,
     measurement: Optional[MeasurementConfig] = None,
     seed: int = 1,
+    experiment: Optional[Experiment] = None,
 ) -> Dict[str, AblationResult]:
     """Wormhole vs speculative VC under several traffic patterns.
 
@@ -163,7 +168,7 @@ def traffic_pattern_study(
         }
         results[pattern] = _run_variants(
             f"flow control under {pattern} traffic",
-            variants, (load,), measurement,
+            variants, (load,), measurement, experiment,
         )
     return results
 
@@ -172,6 +177,7 @@ def topology_study(
     loads: Sequence[float] = (0.05, 0.25),
     measurement: Optional[MeasurementConfig] = None,
     seed: int = 1,
+    experiment: Optional[Experiment] = None,
 ) -> AblationResult:
     """Mesh vs torus ("other topologies", the paper's conclusion).
 
@@ -191,7 +197,7 @@ def topology_study(
             "8x8 mesh (paper)": replace(base, topology="mesh"),
             "8x8 torus (dateline VCs)": replace(base, topology="torus"),
         },
-        loads, measurement,
+        loads, measurement, experiment,
     )
 
 
@@ -199,6 +205,7 @@ def o1turn_study(
     load: float = 0.40,
     measurement: Optional[MeasurementConfig] = None,
     seed: int = 2,
+    experiment: Optional[Experiment] = None,
 ) -> AblationResult:
     """Routing policies under transpose traffic (the paper's "other
     routing policies" direction).
@@ -221,7 +228,7 @@ def o1turn_study(
             "o1turn": replace(base, routing_function="o1turn"),
             "adaptive (escape VC)": replace(base, routing_function="adaptive"),
         },
-        (load,), measurement,
+        (load,), measurement, experiment,
     )
 
 
@@ -233,6 +240,7 @@ def speculation_priority_ablation(
     loads: Sequence[float] = (0.45, 0.55),
     measurement: Optional[MeasurementConfig] = None,
     seed: int = 1,
+    experiment: Optional[Experiment] = None,
 ) -> AblationResult:
     """Conservative vs equal-priority speculation (Section 3.1's claim).
 
@@ -253,7 +261,7 @@ def speculation_priority_ablation(
             ),
             "equal priority": replace(base, speculation_priority="equal"),
         },
-        loads, measurement,
+        loads, measurement, experiment,
     )
 
 
@@ -262,6 +270,7 @@ def vc_partition_sweep(
     load: float = 0.60,
     measurement: Optional[MeasurementConfig] = None,
     seed: int = 1,
+    experiment: Optional[Experiment] = None,
 ) -> AblationResult:
     """How to split a fixed 16-flit buffer budget across VCs.
 
@@ -278,7 +287,7 @@ def vc_partition_sweep(
     }
     return _run_variants(
         "partitioning 16 buffers across virtual channels",
-        variants, (load,), measurement,
+        variants, (load,), measurement, experiment,
     )
 
 
@@ -287,6 +296,7 @@ def flow_control_trio(
     buffers: int = 8,
     measurement: Optional[MeasurementConfig] = None,
     seed: int = 3,
+    experiment: Optional[Experiment] = None,
 ) -> AblationResult:
     """Wormhole vs virtual cut-through vs speculative VC.
 
@@ -312,7 +322,7 @@ def flow_control_trio(
     }
     return _run_variants(
         "wormhole vs virtual cut-through vs speculative VC",
-        variants, loads, measurement,
+        variants, loads, measurement, experiment,
     )
 
 
@@ -320,6 +330,7 @@ def burstiness_study(
     load: float = 0.30,
     measurement: Optional[MeasurementConfig] = None,
     seed: int = 6,
+    experiment: Optional[Experiment] = None,
 ) -> AblationResult:
     """Constant-rate vs bursty sources at equal average load.
 
@@ -338,7 +349,8 @@ def burstiness_study(
                 injection_process=process, seed=seed,
             )
     return _run_variants(
-        "constant vs bursty injection", variants, (load,), measurement
+        "constant vs bursty injection", variants, (load,), measurement,
+        experiment,
     )
 
 
@@ -347,6 +359,7 @@ def pipeline_depth_study(
     loads: Sequence[float] = (0.05, 0.45),
     measurement: Optional[MeasurementConfig] = None,
     seed: int = 1,
+    experiment: Optional[Experiment] = None,
 ) -> AblationResult:
     """Cost of extra allocation-pipeline stages, isolated.
 
@@ -366,7 +379,7 @@ def pipeline_depth_study(
     }
     return _run_variants(
         "extra allocation-pipeline stages (speculative VC router)",
-        variants, loads, measurement,
+        variants, loads, measurement, experiment,
     )
 
 
@@ -374,6 +387,7 @@ def many_vcs_study(
     load: float = 0.60,
     measurement: Optional[MeasurementConfig] = None,
     seed: int = 1,
+    experiment: Optional[Experiment] = None,
 ) -> AblationResult:
     """Are 16 VCs worth their fifth pipeline stage? (Figure 11 -> Section 5.)
 
@@ -400,30 +414,29 @@ def many_vcs_study(
     }
     return _run_variants(
         "many VCs vs the extra pipeline stage they cost",
-        variants, (0.05, load), measurement,
+        variants, (0.05, load), measurement, experiment,
     )
 
 
 def render_all(
     measurement: Optional[MeasurementConfig] = None,
+    experiment: Optional[Experiment] = None,
 ) -> str:
     """Run every ablation at default scale and render a combined report.
 
-    Each study batches its points through the experiment runtime, so
+    Every study batches its points through ``experiment`` (default: one
+    ``Experiment.from_env(measurement)`` shared by all of them), so
     ``REPRO_WORKERS=4 python -m repro.experiments --ablations`` runs
-    every batch in parallel.
+    every batch in parallel and one ``stats`` record covers the report.
     """
-    sections = [
-        allocator_ablation(measurement=measurement).render(),
-        arbiter_ablation(measurement=measurement).render(),
-        buffer_depth_sweep(measurement=measurement).render(),
-        topology_study(measurement=measurement).render(),
-        o1turn_study(measurement=measurement).render(),
-        speculation_priority_ablation(measurement=measurement).render(),
-        vc_partition_sweep(measurement=measurement).render(),
-        flow_control_trio(measurement=measurement).render(),
-        burstiness_study(measurement=measurement).render(),
-    ]
-    for pattern, result in traffic_pattern_study(measurement=measurement).items():
+    if experiment is None:
+        experiment = Experiment.from_env(measurement)
+    studies = (
+        allocator_ablation, arbiter_ablation, buffer_depth_sweep,
+        topology_study, o1turn_study, speculation_priority_ablation,
+        vc_partition_sweep, flow_control_trio, burstiness_study,
+    )
+    sections = [study(experiment=experiment).render() for study in studies]
+    for result in traffic_pattern_study(experiment=experiment).values():
         sections.append(result.render())
     return "\n\n".join(sections)

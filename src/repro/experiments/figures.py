@@ -13,6 +13,7 @@ choose the scale; the defaults are laptop-sized, and
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -236,11 +237,10 @@ def _run_figure(
     if experiment is None:
         experiment = Experiment.from_env(measurement)
     elif measurement is not None and measurement != experiment.measurement:
-        experiment = Experiment(
-            measurement, workers=experiment.workers, cache=experiment.cache,
-            progress=experiment.progress,
-            check_invariants=experiment.check_invariants,
-        )
+        # Same backend, plan, cache, progress, checked/telemetry modes and
+        # stats record -- only the scale differs.
+        experiment = copy.copy(experiment)
+        experiment.measurement = measurement
     sweeps = experiment.sweeps(
         [(spec.label, spec.config) for spec in specs], loads=loads
     )

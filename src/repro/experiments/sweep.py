@@ -1,32 +1,26 @@
-"""Injection-rate sweeps producing latency-throughput curves.
+"""Reading latency-throughput curves the way the paper quotes them.
 
 Each of the paper's Figures 13-15, 17 and 18 is a set of
-latency-vs-offered-load curves over the 8x8 mesh.  These module-level
-functions are **thin deprecated shims** over the unified
-:class:`repro.runtime.Experiment` façade -- :func:`sweep` is
-``Experiment.sweep`` and :func:`run_with_seeds` is
-``Experiment.aggregate``; new code should construct an ``Experiment``
-directly (it adds parallel workers and result caching).
-:func:`find_saturation` reads the saturation point off a curve the way
-the paper quotes them (the load where average latency diverges).
+latency-vs-offered-load curves over the 8x8 mesh, produced by
+:meth:`repro.runtime.Experiment.sweep` / ``sweeps``.
+:func:`find_saturation` reads the saturation point off such a curve
+(the load where average latency diverges) and :func:`compare_curves`
+renders several side by side.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import List
 
-from ..runtime.experiment import DEFAULT_LOADS, Experiment
-from ..sim.config import MeasurementConfig, SimConfig
-from ..sim.metrics import AggregateResult, SweepResult
+from ..runtime.experiment import DEFAULT_LOADS
+from ..sim.metrics import SweepResult
 
 __all__ = [
     "DEFAULT_LOADS",
     "SATURATION_LATENCY_MULTIPLE",
     "compare_curves",
     "find_saturation",
-    "run_with_seeds",
-    "sweep",
 ]
 
 #: A run is called saturated when its average latency exceeds this
@@ -34,54 +28,9 @@ __all__ = [
 SATURATION_LATENCY_MULTIPLE = 3.0
 
 
-def sweep(
-    base_config: SimConfig,
-    label: str,
-    loads: Iterable[float] = DEFAULT_LOADS,
-    measurement: Optional[MeasurementConfig] = None,
-    stop_after_saturation: bool = True,
-) -> SweepResult:
-    """Run one latency-throughput curve.
-
-    .. deprecated:: use ``Experiment(measurement).sweep(config,
-       label=...)``, which adds parallel execution and result caching.
-
-    ``stop_after_saturation`` skips the remaining (higher) loads once a
-    point saturates -- they are strictly more expensive to simulate and
-    add no information beyond "the curve is vertical here".
-    """
-    return Experiment(measurement).sweep(
-        base_config, label=label, loads=loads,
-        stop_after_saturation=stop_after_saturation,
-    )
-
-
-def run_with_seeds(
-    base_config: SimConfig,
-    load: float,
-    seeds: Sequence[int] = (1, 2, 3),
-    measurement: Optional[MeasurementConfig] = None,
-) -> AggregateResult:
-    """Run one configuration/load across several seeds and aggregate.
-
-    .. deprecated:: use ``Experiment(measurement).aggregate(config,
-       load=..., seeds=...)``.
-
-    Gives mean latency with a 95% confidence interval -- use it when a
-    comparison's margin is within a few cycles and a single-seed result
-    would be ambiguous.
-    """
-    return Experiment(measurement).aggregate(
-        base_config, load=load, seeds=seeds
-    )
-
-
 def find_saturation(
     curve: SweepResult,
     latency_multiple: float = SATURATION_LATENCY_MULTIPLE,
-    *,
-    config: Optional[SimConfig] = None,
-    calibration=None,
 ) -> float:
     """Saturation load: the highest load still on the flat part of the curve.
 
@@ -89,32 +38,11 @@ def find_saturation(
     point already saturated (no finite zero-load latency exists to
     anchor the knee), reports a saturation load of 0.0 instead of
     raising.
-
-    Surrogate-seeded mode (off unless ``config`` is passed): when the
-    measured curve is degenerate, fall back to the analytical
-    surrogate's predicted saturation for ``config`` (with
-    ``calibration`` coefficients when given) instead of reporting 0.0.
-    This is what lets ``sweep``/``capacity`` callers pre-prune
-    deeply-saturated load grids before measuring anything -- the
-    default path (no ``config``) is bit-identical to before.
     """
-    measured: Optional[float] = None
     if curve.points:
         zero_load = curve.zero_load_latency()
         if math.isfinite(zero_load):
-            measured = curve.saturation_fraction(
-                latency_multiple * zero_load
-            )
-    if measured is not None:
-        return measured
-    if config is not None:
-        from ..surrogate import DEFAULT_COEFFICIENTS, predicted_saturation
-
-        coefficients = (
-            calibration.for_config(config) if calibration is not None
-            else DEFAULT_COEFFICIENTS
-        )
-        return predicted_saturation(config, coefficients, latency_multiple)
+            return curve.saturation_fraction(latency_multiple * zero_load)
     return 0.0
 
 

@@ -8,14 +8,12 @@
     grid = exp.grid(configs, loads=(0.05, 0.25, 0.45), seeds=(1, 2, 3))
 
 :class:`Experiment` owns the measurement scale, the execution backend
-(serial, chunked work-stealing process pool, or the rank-style ssh
-fabric), the content-addressed on-disk :class:`ResultCache`, and
-progress reporting.  Its core is :meth:`Experiment.map`; ``point`` /
-``sweep`` / ``sweeps`` / ``grid`` / ``aggregate`` are thin wrappers
-over it, completed points stream into the cache as they land, and an
-interrupted sweep resumes from its manifest (see ``docs/RUNTIME.md``).
-The pre-redesign ``run_one`` / ``run_sweep`` / ``run_grid`` surface
-remains as deprecated shims.
+(serial or chunked work-stealing process pool), the content-addressed
+on-disk :class:`ResultCache`, and progress reporting.  Its core is
+:meth:`Experiment.map`; ``point`` / ``sweep`` / ``sweeps`` / ``grid`` /
+``aggregate`` are thin wrappers over it, completed points stream into
+the cache as they land, and an interrupted sweep resumes from its
+manifest (see ``docs/RUNTIME.md``).
 
 :class:`Estimator` layers the hybrid serving path on top: surrogate or
 cache answers instantly, cycle-accurate refinement in the background
@@ -29,11 +27,9 @@ from ..sim.instrumentation import (
     RunCounters,
 )
 from .backends import (
-    BackendUnavailable,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    SSHBackend,
     resolve_backend,
 )
 from .cache import (
@@ -55,7 +51,6 @@ from .experiment import (
 from .scheduler import Chunk, Job, JobQueue, Plan, SchedulerStats
 
 __all__ = [
-    "BackendUnavailable",
     "Chunk",
     "DEFAULT_LOADS",
     "EstimateAnswer",
@@ -76,7 +71,6 @@ __all__ = [
     "RunCounters",
     "SchedulerStats",
     "SerialBackend",
-    "SSHBackend",
     "SweepManifest",
     "code_fingerprint",
     "config_key",

@@ -14,26 +14,17 @@ execution substrate:
   worker takes the next *chunk* of points (one pickle/spawn round-trip
   per chunk, not per point), and the tail of the queue is split so the
   last chunks are shared instead of straggling.
-* :class:`SSHBackend` -- the rank-style multi-host fabric, modelled on
-  MPI grid fan-outs: the chunk space is sharded ``chunk_id % world``
-  across ranks which share one result-cache directory.  Without
-  configured hosts it runs every rank's shard in-process ("loopback"),
-  which exercises the sharding/merge semantics end to end; with hosts it
-  is a stub that renders the per-host command lines a deployment would
-  run (actual remote spawning is not wired up yet).
 
 Backends are selected by :class:`~repro.runtime.experiment.Experiment`
 via ``backend=`` or ``$REPRO_BACKEND`` (see :func:`resolve_backend`).
 Results are bit-identical across backends -- each point is a pure
 function of config + measurement -- and that is enforced by
-``oracle_serial_vs_parallel`` running the same sweep through every one
-of them.
+``oracle_serial_vs_parallel`` running the same sweep through both.
 """
 
 from __future__ import annotations
 
 import os
-import shlex
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
@@ -45,26 +36,18 @@ from .scheduler import Chunk, JobQueue, OnResult
 
 #: Environment variable naming the default backend.
 BACKEND_ENV = "REPRO_BACKEND"
-#: Environment variable listing ssh hosts (comma-separated).
-SSH_HOSTS_ENV = "REPRO_SSH_HOSTS"
-
-
-class BackendUnavailable(RuntimeError):
-    """The selected backend cannot execute in this environment."""
 
 
 def run_payload(
-    payload: Tuple[SimConfig, Optional[MeasurementConfig], bool, bool]
+    payload: Tuple[SimConfig, Optional[MeasurementConfig], bool]
 ) -> RunResult:
     """Worker entry point: run one point (top level so it pickles)."""
-    config, measurement, check_invariants, checked = payload
-    return Simulator(
-        config, measurement, check_invariants, checked=checked
-    ).run()
+    config, measurement, checked = payload
+    return Simulator(config, measurement, checked=checked).run()
 
 
 def run_chunk(
-    payloads: Sequence[Tuple[SimConfig, Optional[MeasurementConfig], bool, bool]]
+    payloads: Sequence[Tuple[SimConfig, Optional[MeasurementConfig], bool]]
 ) -> List[RunResult]:
     """Worker entry point: run one chunk of points in submission order.
 
@@ -179,127 +162,13 @@ class ProcessBackend:
             queue.stats.dispatch_seconds += time.perf_counter() - started
 
 
-class SSHBackend:
-    """Rank-style multi-host execution sharing one cache directory.
-
-    The scheduling model follows MPI-style grid fan-outs: rank ``r`` of
-    ``world`` executes exactly the chunks with ``chunk_id % world == r``
-    and streams its results into the *shared* content-addressed cache;
-    the coordinating process assembles the full batch from the cache.
-    Static sharding (no stealing) is deliberate -- ranks on different
-    hosts share no queue, only the filesystem.
-
-    Two modes:
-
-    * **loopback** (``hosts=None``/empty): every rank's shard runs
-      in-process, sequentially, in rank order.  Functionally complete --
-      sharding, streaming and merge semantics are all exercised -- and
-      what tests and oracles run.
-    * **hosts configured** (``hosts=[...]`` or ``$REPRO_SSH_HOSTS``):
-      a deployment stub.  :meth:`command_lines` renders the per-host
-      invocations (one ``python -m repro.experiments worker`` per rank
-      with its rank/world/cache environment); :meth:`execute` refuses
-      with :class:`BackendUnavailable` since remote spawning is not
-      wired up yet.
-    """
-
-    name = "ssh"
-
-    def __init__(self, hosts: Optional[Sequence[str]] = None,
-                 world: Optional[int] = None,
-                 python: str = "python") -> None:
-        self.hosts: Tuple[str, ...] = tuple(hosts or ())
-        if world is None:
-            world = len(self.hosts) or 2
-        if world < 1:
-            raise ValueError(f"world must be >= 1, got {world}")
-        self.world = world
-        self.python = python
-
-    @classmethod
-    def from_env(cls) -> "SSHBackend":
-        hosts = [
-            host.strip()
-            for host in os.environ.get(SSH_HOSTS_ENV, "").split(",")
-            if host.strip()
-        ]
-        return cls(hosts=hosts)
-
-    @property
-    def slots(self) -> int:
-        return self.world
-
-    def shard(self, queue_length: int, rank: int) -> List[int]:
-        """Chunk ids owned by ``rank`` (the static modulo partition)."""
-        return [
-            chunk_id for chunk_id in range(queue_length)
-            if chunk_id % self.world == rank
-        ]
-
-    def command_lines(self, cache_dir: str, label: str = "") -> List[str]:
-        """The per-host commands a real deployment would launch.
-
-        One line per rank: ``ssh HOST env REPRO_RANK=r ... python -m
-        repro.experiments worker``.  The worker process would recompute
-        the batch from the manifest named by ``label``, execute its
-        shard, and stream results into the shared ``cache_dir``.
-        """
-        if not self.hosts:
-            raise BackendUnavailable(
-                "ssh backend has no hosts configured "
-                f"(set ${SSH_HOSTS_ENV} or pass hosts=[...])"
-            )
-        lines = []
-        for rank, host in enumerate(self.hosts):
-            env = (
-                f"REPRO_RANK={rank} REPRO_WORLD={len(self.hosts)} "
-                f"REPRO_CACHE_DIR={shlex.quote(cache_dir)}"
-            )
-            label_arg = f" --label {shlex.quote(label)}" if label else ""
-            lines.append(
-                f"ssh {shlex.quote(host)} env {env} "
-                f"{self.python} -m repro.experiments worker{label_arg}"
-            )
-        return lines
-
-    def execute(self, queue: JobQueue, on_result: OnResult) -> None:
-        if self.hosts:
-            raise BackendUnavailable(
-                "ssh backend cannot spawn remote workers yet; use "
-                "command_lines() to render the per-host invocations, or "
-                "leave hosts unset for loopback execution"
-            )
-        started = time.perf_counter()
-        try:
-            # Loopback: drain the queue in chunk-id order; each chunk
-            # executes as its owning rank (chunk_id % world), which is
-            # the static modulo shard -- no stealing across ranks.
-            pulled = 0
-            while True:
-                chunk = queue.pull(pulled)
-                if chunk is None:
-                    break
-                pulled += 1
-                rank = chunk.chunk_id % self.world
-                chunk_started = time.perf_counter()
-                try:
-                    for job in chunk.jobs:
-                        on_result(job, run_payload(job.payload))
-                finally:
-                    queue.chunk_done(
-                        chunk, rank, time.perf_counter() - chunk_started
-                    )
-        finally:
-            queue.stats.dispatch_seconds += time.perf_counter() - started
-
-
 def resolve_backend(
     spec: Any = None, *, workers: int = 0
 ) -> ExecutionBackend:
     """The backend an :class:`Experiment` will execute with.
 
     ``spec`` may be an :class:`ExecutionBackend` instance, a name
-    (``"serial"``, ``"process"``, ``"ssh"``), or ``None`` -- which reads
+    (``"serial"``, ``"process"``), or ``None`` -- which reads
     ``$REPRO_BACKEND`` and otherwise infers from ``workers``: more than
     one worker selects the process backend, else serial.  A bare
     ``"process"`` uses ``workers`` (minimum 2) for its pool size;
@@ -309,7 +178,7 @@ def resolve_backend(
         spec = os.environ.get(BACKEND_ENV) or None
     if spec is None:
         return ProcessBackend(workers) if workers > 1 else SerialBackend()
-    if isinstance(spec, (SerialBackend, ProcessBackend, SSHBackend)):
+    if isinstance(spec, (SerialBackend, ProcessBackend)):
         return spec
     if not isinstance(spec, str):
         if isinstance(spec, ExecutionBackend):
@@ -324,11 +193,6 @@ def resolve_backend(
         if argument:
             return ProcessBackend(int(argument))
         return ProcessBackend(max(2, workers))
-    if name == "ssh":
-        backend = SSHBackend.from_env()
-        if argument:
-            backend = SSHBackend(hosts=backend.hosts, world=int(argument))
-        return backend
     raise ValueError(
-        f"unknown backend {spec!r} (expected serial, process[:N] or ssh[:N])"
+        f"unknown backend {spec!r} (expected serial or process[:N])"
     )

@@ -57,6 +57,7 @@ _REFINE_BATCH = 8
 LOCKED_BY = {
     "Estimator._queries": "_lock",
     "Estimator._observed_errors": "_lock",
+    "Estimator._last_refine_error": "_lock",
     "Estimator.calibration": "_lock",
     "Estimator._scheduled_keys": "_idle",
     "Estimator._inflight": "_idle",
@@ -145,7 +146,6 @@ class Estimator:
         workers: Optional[int] = None,
         calibration: Optional[Calibration] = None,
         refine: bool = True,
-        refine_batch: int = _REFINE_BATCH,
     ) -> None:
         self.measurement = measurement or MeasurementConfig()
         self.experiment = Experiment(
@@ -167,7 +167,6 @@ class Estimator:
         )
         self.calibration = calibration or Calibration()
         self.refine_enabled = refine
-        self.refine_batch = max(1, refine_batch)
         self.registry = MetricRegistry()
         self._lock = threading.Lock()
         self._pending: "queue.Queue[Optional[SimConfig]]" = queue.Queue()
@@ -179,6 +178,7 @@ class Estimator:
         self._started = time.perf_counter()
         self._queries = 0
         self._observed_errors: List[float] = []
+        self._last_refine_error: Optional[str] = None
 
     # ------------------------------------------------------------------
     # The front door.
@@ -240,12 +240,6 @@ class Estimator:
             estimate=prediction,
             refinement_scheduled=scheduled,
         )
-
-    def query_many(
-        self, configs, load: Optional[float] = None, **kwargs
-    ) -> List[EstimateAnswer]:
-        """One :meth:`query` per config, in order."""
-        return [self.query(config, load, **kwargs) for config in configs]
 
     def _measured_answer(
         self, config: SimConfig, result: RunResult, source: str
@@ -309,7 +303,7 @@ class Estimator:
                 return
             batch = [item]
             stop = False
-            while len(batch) < self.refine_batch:
+            while len(batch) < _REFINE_BATCH:
                 try:
                     extra = self._pending.get_nowait()
                 except queue.Empty:
@@ -320,10 +314,17 @@ class Estimator:
                 batch.append(extra)
             try:
                 results = self._refiner.map(batch)
-            except Exception:  # pragma: no cover - backend failure
-                results = [None] * len(batch)
-            for config, result in zip(batch, results):
-                self._record_refinement(config, result)
+            except Exception as exc:
+                # The serving loop outlives a failed batch: count it,
+                # keep the text for summary(), release the backlog below.
+                with self._lock:
+                    self.registry.counter(
+                        "estimator_refinements_failed"
+                    ).inc(len(batch))
+                    self._last_refine_error = f"{type(exc).__name__}: {exc}"
+            else:
+                for config, result in zip(batch, results):
+                    self._record_refinement(config, result)
             with self._idle:
                 self._inflight -= len(batch)
                 backlog = self._inflight
@@ -334,12 +335,12 @@ class Estimator:
                 return
 
     def _record_refinement(
-        self, config: SimConfig, result: Optional[RunResult]
+        self, config: SimConfig, result: RunResult
     ) -> None:
         """Score the surrogate against one refined (simulated) point."""
         with self._lock:
             self.registry.counter("estimator_refinements_completed").inc()
-            if result is None or result.latency is None:
+            if result.latency is None:
                 return
             coefficients = self.calibration.for_config(config)
             predicted = estimate(config, coefficients=coefficients)
@@ -442,6 +443,12 @@ class Estimator:
                 f"over {len(self._observed_errors)} refinements"
                 if self._observed_errors else "no refinements scored yet"
             )
+            failed = self.registry.get("estimator_refinements_failed")
+            if failed is not None:
+                observed += (
+                    f", {failed.value:.0f} refinements failed "
+                    f"(last: {self._last_refine_error})"
+                )
         backlog = self.backlog
         return (
             f"[estimator] {queries} queries ({rate:.1f}/s), "

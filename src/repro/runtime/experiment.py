@@ -15,26 +15,21 @@ Everything else is a thin, keyword-only convenience wrapper over it:
   shape behind every figure of Section 5.
 * :meth:`Experiment.aggregate` -- one point across seeds, with a CI.
 
-(The accreted ``run_one/run_many/run_sweep/run_sweeps/run_grid/
-run_with_seeds`` surface survives as deprecated shims over the above --
-see the migration table in ``docs/RUNTIME.md``.)
-
 Execution goes through an :class:`~repro.runtime.backends.\
-ExecutionBackend` (``serial``, chunked work-stealing ``process`` pool,
-or the rank-style ``ssh`` fabric) selected via ``backend=`` or
-``$REPRO_BACKEND``; results are bit-identical across backends since
-each point is a pure function of config + seed.  Completed points
-stream into the content-addressed :class:`~repro.runtime.cache.\
-ResultCache` *as they land*, with progress recorded in a sweep
-manifest -- so an interrupted batch keeps everything it finished and a
-re-run executes only the points still missing.
+ExecutionBackend` (``serial`` or the chunked work-stealing ``process``
+pool) selected via ``backend=`` or ``$REPRO_BACKEND``; results are
+bit-identical across backends since each point is a pure function of
+config + seed.  Completed points stream into the content-addressed
+:class:`~repro.runtime.cache.ResultCache` *as they land*, with progress
+recorded in a sweep manifest -- so an interrupted batch keeps
+everything it finished and a re-run executes only the points still
+missing.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -44,7 +39,7 @@ from ..sim.instrumentation import NullProgress, ProgressHook
 from ..sim.metrics import AggregateResult, RunResult, SweepResult
 from ..telemetry.config import TelemetryConfig
 from ..telemetry.registry import MetricRegistry
-from .backends import ExecutionBackend, SerialBackend, SSHBackend, resolve_backend
+from .backends import ExecutionBackend, SerialBackend, resolve_backend
 from .cache import ResultCache, config_key
 from .scheduler import Job, JobQueue, Plan, SchedulerStats
 
@@ -255,17 +250,6 @@ class ExperimentStats:
         return registry
 
 
-def _warn_deprecated(old: str, new: str) -> None:
-    """One :class:`DeprecationWarning` per call site (python's default
-    warning registry deduplicates on the caller's module + line)."""
-    warnings.warn(
-        f"Experiment.{old}() is deprecated; use {new} instead "
-        f"(migration table: docs/RUNTIME.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class Experiment:
     """Owns how simulation points run: scale, backend, cache, progress.
 
@@ -280,10 +264,9 @@ class Experiment:
         reads ``$REPRO_WORKERS`` (default serial).
     backend:
         Execution strategy: an :class:`ExecutionBackend` instance or a
-        name -- ``"serial"``, ``"process"``/``"process:N"`` (chunked
-        work-stealing pool), ``"ssh"`` (rank-style multi-host fabric
-        sharing the cache directory).  ``None`` reads ``$REPRO_BACKEND``
-        and otherwise infers from ``workers``.
+        name -- ``"serial"`` or ``"process"``/``"process:N"`` (chunked
+        work-stealing pool).  ``None`` reads ``$REPRO_BACKEND`` and
+        otherwise infers from ``workers``.
     plan:
         Default :class:`~repro.runtime.scheduler.Plan` for every batch
         (chunk sizing, manifest bookkeeping); per-call ``plan=`` wins.
@@ -294,8 +277,6 @@ class Experiment:
     progress:
         A :class:`~repro.sim.instrumentation.ProgressHook` observing
         point starts/finishes.
-    check_invariants:
-        Per-cycle conservation/credit checks (slow; tests only).
     checked:
         Run every point with the invariant-probe suite of
         :mod:`repro.sim.validation` attached ("checked mode"); each
@@ -323,7 +304,6 @@ class Experiment:
         plan: Optional[Plan] = None,
         cache: Union[ResultCache, str, Path, bool, None] = None,
         progress: Optional[ProgressHook] = None,
-        check_invariants: bool = False,
         checked: Optional[bool] = None,
         telemetry: Union[TelemetryConfig, bool, None] = None,
     ) -> None:
@@ -339,7 +319,6 @@ class Experiment:
         self.plan = plan or Plan()
         self.cache = self._resolve_cache(cache)
         self.progress: ProgressHook = progress or NullProgress()
-        self.check_invariants = check_invariants
         if checked is None:
             env = os.environ.get("REPRO_CHECKED", "")
             checked = bool(env) and env not in ("0", "false", "no")
@@ -360,12 +339,6 @@ class Experiment:
             )
         self.telemetry: Optional[TelemetryConfig] = telemetry
         self.stats = ExperimentStats()
-        if isinstance(self.backend, SSHBackend) and self.cache is None:
-            raise ValueError(
-                "the ssh backend coordinates ranks through a shared "
-                "result cache; pass cache=... (a directory every host "
-                "mounts) to use it"
-            )
 
     @staticmethod
     def _resolve_cache(
@@ -475,10 +448,7 @@ class Experiment:
             Job(
                 index=index,
                 key=key,
-                payload=(
-                    configs[index], self.measurement,
-                    self.check_invariants, self.checked,
-                ),
+                payload=(configs[index], self.measurement, self.checked),
             )
             for index, key in to_run
         ]
@@ -554,8 +524,6 @@ class Experiment:
         label: str,
         loads: Iterable[float] = DEFAULT_LOADS,
         stop_after_saturation: bool = True,
-        surrogate_prune: bool = False,
-        calibration=None,
         plan: Optional[Plan] = None,
     ) -> SweepResult:
         """One latency-throughput curve over ``loads``.
@@ -565,18 +533,10 @@ class Experiment:
         execution early (the points beyond are strictly more expensive
         and add no information); on batched backends all points run and
         the tail is dropped, so every backend returns identical curves.
-
-        ``surrogate_prune`` additionally drops grid loads more than one
-        step past the analytical surrogate's predicted saturation
-        before anything executes, so batched backends never pay for the
-        deep-saturation tail either.  Off by default; when off, results
-        are bit-identical to the unpruned path.
         """
         return self.sweeps(
             [(label, config)], loads=loads,
-            stop_after_saturation=stop_after_saturation,
-            surrogate_prune=surrogate_prune, calibration=calibration,
-            plan=plan,
+            stop_after_saturation=stop_after_saturation, plan=plan,
         )[0]
 
     def sweeps(
@@ -585,52 +545,38 @@ class Experiment:
         *,
         loads: Iterable[float] = DEFAULT_LOADS,
         stop_after_saturation: bool = True,
-        surrogate_prune: bool = False,
-        calibration=None,
         plan: Optional[Plan] = None,
     ) -> List[SweepResult]:
         """Several curves over a shared load grid, batched together.
 
         This is the figure-reproduction shape: with a parallel backend
         attached, every point of every curve fans out as one batch.
-        ``surrogate_prune`` pre-prunes each curve's grid at the
-        surrogate's predicted saturation (see :meth:`sweep`), using
-        ``calibration`` coefficients when given.
         """
         load_grid = sorted(loads)
-        grids = {
-            index: (
-                _surrogate_pruned_loads(load_grid, config, calibration)
-                if surrogate_prune else load_grid
-            )
-            for index, (_, config) in enumerate(labeled_configs)
-        }
         serial = isinstance(self.backend, SerialBackend)
         if not serial or not stop_after_saturation:
             flat = [
                 replace(config, injection_fraction=load)
-                for index, (_, config) in enumerate(labeled_configs)
-                for load in grids[index]
+                for _, config in labeled_configs
+                for load in load_grid
             ]
             flat_results = self.map(flat, plan=plan)
-            result = []
-            start = 0
-            for index, (label, _) in enumerate(labeled_configs):
-                count = len(grids[index])
-                points = flat_results[start:start + count]
-                start += count
-                result.append(SweepResult(
+            count = len(load_grid)
+            return [
+                SweepResult(
                     label=label,
                     points=_truncate_after_saturation(
-                        points, stop_after_saturation
+                        flat_results[index * count:(index + 1) * count],
+                        stop_after_saturation,
                     ),
-                ))
-            return result
+                )
+                for index, (label, _) in enumerate(labeled_configs)
+            ]
 
         result = []
-        for index, (label, config) in enumerate(labeled_configs):
+        for label, config in labeled_configs:
             curve = SweepResult(label=label)
-            for load in grids[index]:
+            for load in load_grid:
                 point = self.map(
                     [replace(config, injection_fraction=load)], plan=plan
                 )[0]
@@ -689,76 +635,6 @@ class Experiment:
         )
         return AggregateResult(injection_fraction=load, runs=grid.results)
 
-    # ------------------------------------------------------------------
-    # Deprecated entry points (the pre-redesign accreted surface).
-    # Each forwards to its replacement and warns once per call site.
-    # ------------------------------------------------------------------
-
-    def run_many(self, configs: Sequence[SimConfig]) -> List[RunResult]:
-        """.. deprecated:: use :meth:`map`."""
-        _warn_deprecated("run_many", "Experiment.map(configs)")
-        return self.map(configs)
-
-    def run_one(self, config: SimConfig) -> RunResult:
-        """.. deprecated:: use :meth:`point`."""
-        _warn_deprecated("run_one", "Experiment.point(config)")
-        return self.point(config)
-
-    def run_sweep(
-        self,
-        config: SimConfig,
-        label: str,
-        loads: Iterable[float] = DEFAULT_LOADS,
-        stop_after_saturation: bool = True,
-    ) -> SweepResult:
-        """.. deprecated:: use :meth:`sweep` (keyword-only)."""
-        _warn_deprecated(
-            "run_sweep", "Experiment.sweep(config, label=..., loads=...)"
-        )
-        return self.sweep(
-            config, label=label, loads=loads,
-            stop_after_saturation=stop_after_saturation,
-        )
-
-    def run_sweeps(
-        self,
-        labeled_configs: Sequence[Tuple[str, SimConfig]],
-        loads: Iterable[float] = DEFAULT_LOADS,
-        stop_after_saturation: bool = True,
-    ) -> List[SweepResult]:
-        """.. deprecated:: use :meth:`sweeps` (keyword-only)."""
-        _warn_deprecated(
-            "run_sweeps", "Experiment.sweeps(labeled_configs, loads=...)"
-        )
-        return self.sweeps(
-            labeled_configs, loads=loads,
-            stop_after_saturation=stop_after_saturation,
-        )
-
-    def run_grid(
-        self,
-        configs: Union[SimConfig, Sequence[SimConfig]],
-        loads: Optional[Iterable[float]] = None,
-        seeds: Optional[Sequence[int]] = None,
-    ) -> GridResult:
-        """.. deprecated:: use :meth:`grid` (keyword-only)."""
-        _warn_deprecated(
-            "run_grid", "Experiment.grid(configs, loads=..., seeds=...)"
-        )
-        return self.grid(configs, loads=loads, seeds=seeds)
-
-    def run_with_seeds(
-        self,
-        config: SimConfig,
-        load: float,
-        seeds: Sequence[int] = (1, 2, 3),
-    ) -> AggregateResult:
-        """.. deprecated:: use :meth:`aggregate` (keyword-only)."""
-        _warn_deprecated(
-            "run_with_seeds", "Experiment.aggregate(config, load=..., seeds=...)"
-        )
-        return self.aggregate(config, load=load, seeds=seeds)
-
 
 def _truncate_after_saturation(
     points: List[RunResult], stop_after_saturation: bool
@@ -772,29 +648,3 @@ def _truncate_after_saturation(
         if point.saturated:
             break
     return kept
-
-
-def _surrogate_pruned_loads(
-    load_grid: List[float], config: SimConfig, calibration
-) -> List[float]:
-    """Drop grid loads more than one step past the surrogate's knee.
-
-    Keeps every load up to the analytical predicted saturation plus the
-    first grid point beyond it (so the measured curve still shows the
-    turn), and drops the deep-saturation tail -- the points that cost
-    the most wall-clock and contribute nothing but ``inf`` latencies.
-    The whole grid survives when the knee sits at or past its top.
-    """
-    from ..surrogate import DEFAULT_COEFFICIENTS, predicted_saturation
-
-    coefficients = (
-        calibration.for_config(config) if calibration is not None
-        else DEFAULT_COEFFICIENTS
-    )
-    knee = predicted_saturation(config, coefficients)
-    pruned: List[float] = []
-    for load in load_grid:
-        pruned.append(load)
-        if load > knee:
-            break
-    return pruned

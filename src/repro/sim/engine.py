@@ -29,9 +29,7 @@ class Simulator:
     for the config every cycle, or pass a configured
     :class:`~repro.sim.validation.ValidationSuite`.  With validation
     disabled (the default) the probes cost nothing: the per-step hook is
-    a single attribute test.  ``check_invariants`` is the legacy
-    coarse-grained flag (network-wide conservation + credit ranges);
-    prefer ``checked``.
+    a single attribute test.
 
     ``telemetry`` enables the observability layer of
     :mod:`repro.telemetry` the same way: ``True`` (or a
@@ -46,13 +44,11 @@ class Simulator:
         self,
         config: SimConfig,
         measurement: Optional[MeasurementConfig] = None,
-        check_invariants: bool = False,
         checked: Union[ValidationSuite, bool, None] = None,
         telemetry: Union[TelemetrySession, TelemetryConfig, bool, None] = None,
     ) -> None:
         self.config = config
         self.measurement = measurement or MeasurementConfig()
-        self.check_invariants = check_invariants
         self.network = Network(config)
         self.validation = resolve_checked(checked, config)
         if self.validation is not None:
@@ -158,9 +154,6 @@ class Simulator:
 
     def _step(self) -> None:
         self.network.step()
-        if self.check_invariants:
-            self.network.check_conservation()
-            self.network.check_credit_invariants()
         if self.validation is not None:
             self.validation.after_cycle(self.network)
         if self.telemetry is not None:
@@ -185,17 +178,13 @@ class Simulator:
 def simulate(
     config: SimConfig,
     measurement: Optional[MeasurementConfig] = None,
-    check_invariants: bool = False,
     checked: Union[ValidationSuite, bool, None] = None,
     telemetry: Union[TelemetrySession, TelemetryConfig, bool, None] = None,
 ) -> RunResult:
-    """Convenience wrapper: build a :class:`Simulator` and run it.
+    """The direct-engine one-liner: build a :class:`Simulator` and run it.
 
-    .. deprecated:: kept as a thin shim; prefer
-       :meth:`repro.runtime.Experiment.point`, which validates the
-       config, can serve the result from cache, and batches with other
-       points across worker processes.
+    Bypasses the runtime on purpose (no validation pass, cache or
+    batching) -- it is what the validation oracles compare
+    :meth:`repro.runtime.Experiment.point` against.
     """
-    return Simulator(
-        config, measurement, check_invariants, checked, telemetry
-    ).run()
+    return Simulator(config, measurement, checked, telemetry).run()

@@ -11,9 +11,9 @@ found:
   (the speculative router's shallower pipeline means lower latency; only
   it issues speculative grants).
 * :func:`oracle_serial_vs_parallel` -- the same sweep through the
-  serial backend and every parallel backend (chunked work-stealing
-  process pool, rank-style ssh loopback) must produce bit-identical
-  curves (each point is a pure function of config + seed).
+  serial backend and the chunked work-stealing process pool must
+  produce bit-identical curves (each point is a pure function of
+  config + seed).
 * :func:`oracle_cached_vs_uncached` -- a point served from the result
   cache must equal the freshly executed one, whichever backend wrote
   the entry.
@@ -210,45 +210,31 @@ def oracle_serial_vs_parallel(
     config: Optional[SimConfig] = None,
     loads=(0.1, 0.2, 0.3),
 ) -> OracleReport:
-    """``Experiment.sweep`` on the serial backend vs every other backend.
+    """``Experiment.sweep`` on the serial backend vs the process pool.
 
     Each point is a pure function of config + seed, so the chunked
-    work-stealing process pool and the rank-style ssh fabric (loopback
-    mode, coordinating through a throwaway shared cache directory) must
-    both reproduce the serial curve bit for bit.
+    work-stealing process pool must reproduce the serial curve bit for
+    bit.
     """
-    from ...runtime.backends import ProcessBackend, SSHBackend
+    from ...runtime.backends import ProcessBackend
     from ...runtime.experiment import Experiment
 
     measurement = measurement or ORACLE_MEASUREMENT
     config = config or _tiny_config(RouterKind.SPECULATIVE_VC)
     report = OracleReport(
-        "serial_vs_parallel", "backend=serial", "backend=process/ssh"
+        "serial_vs_parallel", "backend=serial", "backend=process"
     )
     serial = Experiment(measurement, backend="serial").sweep(
         config, label="serial", loads=loads
     )
-
-    def compare_backend(name: str, parallel) -> None:
-        report.compare(
-            f"{name} point count", len(serial.points), len(parallel.points)
-        )
-        for i, (lhs, rhs) in enumerate(zip(serial.points, parallel.points)):
-            diff_run_results(report, lhs, rhs, label=f"{name} point[{i}]")
-
-    compare_backend(
-        "process",
-        Experiment(measurement, backend=ProcessBackend(2)).sweep(
-            config, label="process", loads=loads
-        ),
+    parallel = Experiment(measurement, backend=ProcessBackend(2)).sweep(
+        config, label="process", loads=loads
     )
-    with tempfile.TemporaryDirectory(prefix="repro-oracle-ssh-") as shared:
-        compare_backend(
-            "ssh",
-            Experiment(
-                measurement, backend=SSHBackend(world=2), cache=shared
-            ).sweep(config, label="ssh", loads=loads),
-        )
+    report.compare(
+        "process point count", len(serial.points), len(parallel.points)
+    )
+    for i, (lhs, rhs) in enumerate(zip(serial.points, parallel.points)):
+        diff_run_results(report, lhs, rhs, label=f"process point[{i}]")
     return report
 
 
@@ -261,13 +247,12 @@ def oracle_cached_vs_uncached(
     """A cache-served result must equal the freshly executed one.
 
     Runs the fresh-then-cached round trip once per execution backend
-    (serial, chunked process pool, rank-style ssh loopback): every
-    backend streams results into the same content-addressed store, so a
-    cache entry written by any of them must be served back bit-identical
-    to a fresh execution.  ``cache_dir=None`` uses throwaway temporary
-    directories (one per backend).
+    (serial, chunked process pool): both stream results into the same
+    content-addressed store, so a cache entry written by either must be
+    served back bit-identical to a fresh execution.  ``cache_dir=None``
+    uses throwaway temporary directories (one per backend).
     """
-    from ...runtime.backends import ProcessBackend, SSHBackend
+    from ...runtime.backends import ProcessBackend
     from ...runtime.experiment import Experiment
 
     measurement = measurement or ORACLE_MEASUREMENT
@@ -276,7 +261,6 @@ def oracle_cached_vs_uncached(
     backends = (
         ("serial", lambda: "serial"),
         ("process", lambda: ProcessBackend(2)),
-        ("ssh", lambda: SSHBackend(world=2)),
     )
 
     def _run(name: str, make_backend, directory: Union[str, Path]) -> None:

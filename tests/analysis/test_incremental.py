@@ -117,15 +117,3 @@ def test_findings_identical_with_and_without_cache(tmp_path):
     warm = analyze([src], root=tmp_path, cache=cache)
     cold = analyze([src], root=tmp_path)
     assert warm.new_findings == cold.new_findings
-
-
-def test_parallel_workers_match_serial(tmp_path):
-    src = tmp_path / "pkg"
-    src.mkdir()
-    for i in range(12):
-        (src / f"mod{i:02d}.py").write_text(BAD)
-    serial = analyze([src], root=tmp_path, workers=1)
-    threaded = analyze([src], root=tmp_path, workers=4)
-    assert serial.new_findings == threaded.new_findings
-    assert threaded.stats.workers == 4
-    assert len(serial.new_findings) == 12

@@ -134,8 +134,7 @@ def test_experiments_analyze_alias_stays_in_sync(monkeypatch, tmp_path,
         for opt in action.option_strings
     }
     for flag in ("--check", "--json", "--baseline", "--write-baseline",
-                 "--list-rules", "--no-cache", "--stats", "--workers",
-                 "--verbose"):
+                 "--list-rules", "--no-cache", "--stats", "--verbose"):
         assert flag in options, f"{flag} missing from repro.analysis CLI"
 
     # Behavioural parity: the alias and the direct CLI agree bytewise.

@@ -6,8 +6,10 @@ from repro.experiments.ablations import (
     allocator_ablation,
     arbiter_ablation,
     buffer_depth_sweep,
+    render_all,
     traffic_pattern_study,
 )
+from repro.runtime import Experiment
 from repro.sim.config import MeasurementConfig
 
 pytestmark = pytest.mark.sim
@@ -74,3 +76,21 @@ class TestTrafficPatterns:
             wormhole = result.runs["wormhole (8 bufs)"][0].average_latency
             spec = result.runs["specVC (2vcsX4bufs)"][0].average_latency
             assert spec <= wormhole * 1.05, pattern
+
+
+class TestSharedExperiment:
+    def test_studies_run_on_the_passed_experiment(self):
+        experiment = Experiment(FAST)
+        allocator_ablation(loads=(0.3,), experiment=experiment)
+        assert experiment.stats.points_executed == 2
+
+    def test_render_all_reports_through_the_passed_experiment(self):
+        tiny = MeasurementConfig(
+            warmup_cycles=20, sample_packets=20, max_cycles=600,
+            drain_cycles=200,
+        )
+        experiment = Experiment(tiny)
+        text = render_all(experiment=experiment)
+        assert text.count("Ablation: ") == 12
+        # Every section's points ran through the one passed experiment.
+        assert experiment.stats.points_executed >= 12

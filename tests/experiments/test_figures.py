@@ -112,6 +112,34 @@ class TestSimFiguresSmoke:
         assert len(result.curves) == 2
         assert "credit" in result.render()
 
+    def test_rescaled_experiment_keeps_its_backend_and_modes(self):
+        """A ``measurement=`` that differs from the passed experiment's
+        changes the scale only: the points still run on its backend,
+        checked, with telemetry, and land in its stats."""
+        from repro.runtime import Experiment, Plan, SerialBackend
+
+        class Recording(SerialBackend):
+            batches = 0
+
+            def execute(self, queue, on_result):
+                self.batches += 1
+                super().execute(queue, on_result)
+
+        experiment = Experiment(
+            backend=Recording(), plan=Plan(chunk_size=1), checked=True,
+            telemetry=True,
+        )
+        result = figures.fig13(
+            measurement=TINY, loads=(0.05,), experiment=experiment
+        )
+        points = [p for _, curve in result.curves for p in curve.points]
+        assert experiment.backend.batches > 0
+        assert experiment.stats.points_executed == 3
+        assert experiment.stats.scheduler.chunks_completed == 3
+        assert all(p.validation["ok"] for p in points)
+        assert all(p.telemetry is not None for p in points)
+        assert all(p.sample_packets < 2 * TINY.sample_packets for p in points)
+
     def test_paper_references_attached(self):
         result = figures.fig14(measurement=TINY, loads=(0.05,))
         references = [spec.paper_saturation for spec, _ in result.curves]

@@ -48,21 +48,25 @@ class TestPipelineDepthStudy:
         assert deep_spec == pytest.approx(nonspec, abs=1.0)
 
 
+@pytest.fixture(scope="module")
+def many_vcs():
+    # ~40 s of simulation: computed once for every test that reads it.
+    return many_vcs_study(load=0.60, measurement=FAST)
+
+
 class TestManyVCsStudy:
-    def test_sixteen_vcs_do_not_beat_two(self):
+    def test_sixteen_vcs_do_not_beat_two(self, many_vcs):
         """Figure 11 -> Section 5 closed loop: the 5th pipeline stage a
         16-VC allocator costs is not bought back by throughput at these
         loads, vindicating the paper's small-VC focus."""
-        result = many_vcs_study(load=0.60, measurement=FAST)
-        two = result.runs["2 VCs x 8 bufs (4-stage)"]
-        sixteen = result.runs["16 VCs x 4 bufs (5-stage)"]
+        two = many_vcs.runs["2 VCs x 8 bufs (4-stage)"]
+        sixteen = many_vcs.runs["16 VCs x 4 bufs (5-stage)"]
         # worse at zero load (extra stage)...
         assert sixteen[0].average_latency > two[0].average_latency + 4.0
         # ...and no better under load.
         assert sixteen[1].average_latency > two[1].average_latency * 0.95
 
-    def test_starved_vcs_worst_of_all(self):
-        result = many_vcs_study(load=0.60, measurement=FAST)
-        starved = result.runs["16 VCs x 1 buf (5-stage)"]
-        plump = result.runs["16 VCs x 4 bufs (5-stage)"]
+    def test_starved_vcs_worst_of_all(self, many_vcs):
+        starved = many_vcs.runs["16 VCs x 1 buf (5-stage)"]
+        plump = many_vcs.runs["16 VCs x 4 bufs (5-stage)"]
         assert starved[0].average_latency > plump[0].average_latency

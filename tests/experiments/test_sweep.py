@@ -1,8 +1,9 @@
-"""Tests for the sweep driver."""
+"""Tests for sweeps and reading saturation off their curves."""
 
 import pytest
 
-from repro.experiments.sweep import compare_curves, find_saturation, sweep
+from repro.experiments.sweep import compare_curves, find_saturation
+from repro.runtime import Experiment
 from repro.sim.config import MeasurementConfig, RouterKind, SimConfig
 
 pytestmark = pytest.mark.sim
@@ -21,13 +22,15 @@ def base_config():
 
 class TestSweep:
     def test_points_cover_loads(self):
-        curve = sweep(base_config(), "wh", loads=(0.05, 0.2), measurement=FAST)
+        curve = Experiment(FAST).sweep(
+            base_config(), label="wh", loads=(0.05, 0.2)
+        )
         assert [p.injection_fraction for p in curve.points] == [0.05, 0.2]
         assert curve.label == "wh"
 
     def test_latency_monotone_in_load(self):
-        curve = sweep(
-            base_config(), "wh", loads=(0.05, 0.3, 0.5), measurement=FAST
+        curve = Experiment(FAST).sweep(
+            base_config(), label="wh", loads=(0.05, 0.3, 0.5)
         )
         latencies = [p.average_latency for p in curve.points]
         assert latencies == sorted(latencies)
@@ -37,23 +40,24 @@ class TestSweep:
             warmup_cycles=200, sample_packets=2_000, max_cycles=1_500,
             drain_cycles=100,
         )
-        curve = sweep(
-            base_config(), "wh", loads=(0.9, 0.95, 1.0),
-            measurement=saturating,
+        curve = Experiment(saturating).sweep(
+            base_config(), label="wh", loads=(0.9, 0.95, 1.0)
         )
         # the first saturated point ends the sweep
         assert len(curve.points) == 1
         assert curve.points[0].saturated
 
     def test_find_saturation_bounds(self):
-        curve = sweep(
-            base_config(), "wh", loads=(0.05, 0.3), measurement=FAST
+        curve = Experiment(FAST).sweep(
+            base_config(), label="wh", loads=(0.05, 0.3)
         )
         saturation = find_saturation(curve)
         assert saturation >= 0.3  # both points well below saturation
 
     def test_compare_curves_renders(self):
-        curve = sweep(base_config(), "wh", loads=(0.05,), measurement=FAST)
+        curve = Experiment(FAST).sweep(
+            base_config(), label="wh", loads=(0.05,)
+        )
         text = compare_curves([curve])
         assert "zero-load latency" in text
         assert "saturation" in text
@@ -61,10 +65,8 @@ class TestSweep:
 
 class TestRunWithSeeds:
     def test_aggregates_across_seeds(self):
-        from repro.experiments.sweep import run_with_seeds
-
-        aggregate = run_with_seeds(
-            base_config(), load=0.2, seeds=(1, 2, 3), measurement=FAST
+        aggregate = Experiment(FAST).aggregate(
+            base_config(), load=0.2, seeds=(1, 2, 3)
         )
         assert len(aggregate.runs) == 3
         assert aggregate.latency_ci95 >= 0.0
@@ -72,18 +74,14 @@ class TestRunWithSeeds:
         assert "seeds" in aggregate.describe()
 
     def test_seed_variation_is_small_below_saturation(self):
-        from repro.experiments.sweep import run_with_seeds
-
-        aggregate = run_with_seeds(
-            base_config(), load=0.1, seeds=(1, 2, 3, 4), measurement=FAST
+        aggregate = Experiment(FAST).aggregate(
+            base_config(), load=0.1, seeds=(1, 2, 3, 4)
         )
         assert aggregate.latency_std < 0.05 * aggregate.mean_latency
 
     def test_empty_seeds_rejected(self):
-        from repro.experiments.sweep import run_with_seeds
-
         with pytest.raises(ValueError):
-            run_with_seeds(base_config(), load=0.2, seeds=())
+            Experiment(FAST).aggregate(base_config(), load=0.2, seeds=())
 
 
 class TestFindSaturationDegenerate:
@@ -113,134 +111,10 @@ class TestFindSaturationDegenerate:
             warmup_cycles=200, sample_packets=2_000, max_cycles=1_500,
             drain_cycles=100,
         )
-        curve = sweep(
-            base_config(), "wh", loads=(0.9, 1.0), measurement=saturating
+        curve = Experiment(saturating).sweep(
+            base_config(), label="wh", loads=(0.9, 1.0)
         )
         assert curve.points[0].saturated
         assert find_saturation(curve) == 0.0
         # compare_curves must render, not raise, on such a curve
         assert "saturation ~0%" in compare_curves([curve])
-
-
-class TestFindSaturationSurrogateSeeded:
-    """The surrogate-seeded fallback for degenerate measured curves."""
-
-    def saturated_point(self):
-        from repro.sim.metrics import RunResult
-
-        return RunResult(
-            injection_fraction=0.9, latency=None, accepted_fraction=0.4,
-            saturated=True, cycles_simulated=1_500, sample_packets=10,
-        )
-
-    def test_degenerate_curve_falls_back_to_surrogate(self):
-        from repro.sim.metrics import SweepResult
-        from repro.surrogate import predicted_saturation
-
-        curve = SweepResult(label="sat", points=[self.saturated_point()])
-        seeded = find_saturation(curve, config=base_config())
-        assert seeded == pytest.approx(
-            predicted_saturation(base_config())
-        )
-        assert seeded > 0.0
-
-    def test_empty_curve_falls_back_too(self):
-        from repro.sim.metrics import SweepResult
-
-        seeded = find_saturation(
-            SweepResult(label="empty"), config=base_config()
-        )
-        assert seeded > 0.0
-
-    def test_measured_curve_wins_over_surrogate(self):
-        # A usable measured curve is never overridden by the model.
-        curve = sweep(
-            base_config(), "wh", loads=(0.05, 0.3), measurement=FAST
-        )
-        assert find_saturation(curve, config=base_config()) == \
-            find_saturation(curve)
-
-    def test_default_path_bit_identical(self):
-        # Without config= the fallback never engages: same answer as
-        # before the flag existed.
-        from repro.sim.metrics import SweepResult
-
-        assert find_saturation(SweepResult(label="empty")) == 0.0
-        curve = SweepResult(label="sat", points=[self.saturated_point()])
-        assert find_saturation(curve) == 0.0
-
-    def test_calibrated_coefficients_steer_the_fallback(self):
-        from repro.sim.metrics import SweepResult
-        from repro.surrogate import (
-            Observation, SurrogateCoefficients, calibrate, estimate,
-        )
-
-        truth = SurrogateCoefficients(
-            contention_scale=1.2, saturation_load=0.3
-        )
-        observations = [
-            Observation(
-                config=base_config(), load=load,
-                latency_cycles=estimate(
-                    base_config(), load, truth
-                ).latency_cycles,
-            )
-            for load in (0.05, 0.12, 0.2)
-        ]
-        calibration = calibrate(observations)
-        seeded = find_saturation(
-            SweepResult(label="empty"), config=base_config(),
-            calibration=calibration,
-        )
-        uncalibrated = find_saturation(
-            SweepResult(label="empty"), config=base_config()
-        )
-        assert seeded != uncalibrated
-        assert seeded < 0.3  # knee sits below the hard saturation bound
-
-
-class TestSurrogatePrunedSweeps:
-    """Experiment.sweeps(surrogate_prune=True) drops deep-saturation loads."""
-
-    def test_off_is_bit_identical(self):
-        from repro.runtime import Experiment
-
-        loads = (0.05, 0.2, 0.35)
-        plain = Experiment(FAST).sweep(
-            base_config(), label="wh", loads=loads
-        )
-        unpruned = Experiment(FAST).sweep(
-            base_config(), label="wh", loads=loads, surrogate_prune=False
-        )
-        assert [p.injection_fraction for p in plain.points] == \
-            [p.injection_fraction for p in unpruned.points]
-        assert plain.points == unpruned.points
-
-    def test_prune_drops_loads_past_predicted_saturation(self):
-        from repro.runtime import Experiment
-        from repro.surrogate import predicted_saturation
-
-        knee = predicted_saturation(base_config())
-        loads = (0.05, 0.2, knee + 0.05, knee + 0.2, knee + 0.4)
-        experiment = Experiment(FAST)
-        curve = experiment.sweep(
-            base_config(), label="wh", loads=loads, surrogate_prune=True,
-            stop_after_saturation=False,
-        )
-        swept = [p.injection_fraction for p in curve.points]
-        # Keeps everything through the first load past the knee, drops
-        # the deep-saturation tail.
-        assert swept == sorted(loads)[:3]
-        assert experiment.stats.points_requested == 3
-
-    def test_prune_keeps_whole_grid_below_knee(self):
-        from repro.runtime import Experiment
-
-        loads = (0.05, 0.15, 0.25)
-        pruned = Experiment(FAST).sweep(
-            base_config(), label="wh", loads=loads, surrogate_prune=True
-        )
-        plain = Experiment(FAST).sweep(
-            base_config(), label="wh", loads=loads
-        )
-        assert pruned.points == plain.points

@@ -1,4 +1,4 @@
-"""The redesigned surface: map + wrappers, deprecated shims, stats export."""
+"""The redesigned surface: map + wrappers, no deprecated shims, stats export."""
 
 import warnings
 
@@ -61,40 +61,12 @@ class TestKeywordOnlyWrappers:
 
 
 class TestDeprecatedShims:
-    def test_run_one_forwards_to_point(self):
-        with pytest.warns(DeprecationWarning, match="run_one"):
-            old = Experiment(FAST).run_one(config())
-        assert old == Experiment(FAST).point(config())
+    """The pre-redesign ``run_*`` surface is gone and stays gone."""
 
-    def test_run_many_forwards_to_map(self):
-        configs = [config(0.05), config(0.1)]
-        with pytest.warns(DeprecationWarning, match="run_many"):
-            old = Experiment(FAST).run_many(configs)
-        assert old == Experiment(FAST).map(configs)
-
-    def test_run_sweep_forwards_to_sweep(self):
-        with pytest.warns(DeprecationWarning, match="run_sweep"):
-            old = Experiment(FAST).run_sweep(config(), "wh", loads=(0.05,))
-        new = Experiment(FAST).sweep(config(), label="wh", loads=(0.05,))
-        assert old.points == new.points
-
-    def test_run_grid_forwards_to_grid(self):
-        with pytest.warns(DeprecationWarning, match="run_grid"):
-            old = Experiment(FAST).run_grid(config(), loads=(0.05, 0.1))
-        new = Experiment(FAST).grid(config(), loads=(0.05, 0.1))
-        assert old.results == new.results
-
-    def test_run_with_seeds_forwards_to_aggregate(self):
-        with pytest.warns(DeprecationWarning, match="run_with_seeds"):
-            old = Experiment(FAST).run_with_seeds(
-                config(), 0.1, seeds=(1, 2)
-            )
-        new = Experiment(FAST).aggregate(config(), load=0.1, seeds=(1, 2))
-        assert old.runs == new.runs
-
-    def test_warning_names_the_migration_table(self):
-        with pytest.warns(DeprecationWarning, match="docs/RUNTIME.md"):
-            Experiment(FAST).run_one(config())
+    def test_removed_surface_is_absent(self):
+        for name in ("run_one", "run_many", "run_sweep", "run_sweeps",
+                     "run_grid", "run_with_seeds"):
+            assert not hasattr(Experiment, name), name
 
     def test_new_surface_is_warning_clean(self):
         with warnings.catch_warnings():

@@ -1,17 +1,14 @@
-"""Backend selection and semantics: serial, process pool, ssh fabric."""
+"""Backend selection and semantics: serial and process pool."""
 
 import pytest
 
 from repro.runtime import (
-    BackendUnavailable,
     Experiment,
     ProcessBackend,
-    ResultCache,
     SerialBackend,
-    SSHBackend,
     resolve_backend,
 )
-from repro.runtime.backends import BACKEND_ENV, SSH_HOSTS_ENV
+from repro.runtime.backends import BACKEND_ENV
 from repro.sim.config import MeasurementConfig, RouterKind, SimConfig
 
 FAST = MeasurementConfig(
@@ -43,7 +40,6 @@ class TestResolveBackend:
     def test_name_strings(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
         assert resolve_backend("process:5").slots == 5
-        assert resolve_backend("ssh:3").world == 3
 
     def test_bare_process_defaults_to_two_workers(self):
         assert resolve_backend("process", workers=0).slots == 2
@@ -62,6 +58,9 @@ class TestResolveBackend:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("gpu")
+        # The removed ssh stub is just another unknown name now.
+        with pytest.raises(ValueError, match="unknown backend"):
+            Experiment(FAST, backend="ssh")
 
     def test_non_string_non_backend_rejected(self):
         with pytest.raises(TypeError, match="backend"):
@@ -72,65 +71,14 @@ class TestResolveBackend:
             ProcessBackend(0)
 
 
-class TestSSHBackend:
-    def test_shard_is_modulo_partition(self):
-        backend = SSHBackend(world=3)
-        shards = [backend.shard(8, rank) for rank in range(3)]
-        assert shards == [[0, 3, 6], [1, 4, 7], [2, 5]]
-        # Every chunk owned exactly once.
-        assert sorted(sum(shards, [])) == list(range(8))
-
-    def test_world_defaults_to_host_count(self):
-        assert SSHBackend(hosts=["a", "b", "c"]).world == 3
-        assert SSHBackend().world == 2  # loopback default
-
-    def test_from_env_reads_host_list(self, monkeypatch):
-        monkeypatch.setenv(SSH_HOSTS_ENV, "node1, node2 ,node3")
-        backend = SSHBackend.from_env()
-        assert backend.hosts == ("node1", "node2", "node3")
-
-    def test_command_lines_render_rank_environment(self):
-        backend = SSHBackend(hosts=["node1", "node2"])
-        lines = backend.command_lines("/shared/cache", label="fig13")
-        assert len(lines) == 2
-        assert "REPRO_RANK=0" in lines[0]
-        assert "REPRO_RANK=1" in lines[1]
-        assert all("REPRO_WORLD=2" in line for line in lines)
-        assert all("REPRO_CACHE_DIR=/shared/cache" in line for line in lines)
-        assert all("--label fig13" in line for line in lines)
-
-    def test_command_lines_need_hosts(self):
-        with pytest.raises(BackendUnavailable, match="hosts"):
-            SSHBackend(world=2).command_lines("/tmp/cache")
-
-    def test_execute_with_hosts_is_a_stub(self, tmp_path):
-        backend = SSHBackend(hosts=["node1"])
-        exp = Experiment(FAST, backend=backend, cache=tmp_path)
-        with pytest.raises(BackendUnavailable, match="remote"):
-            exp.point(config())
-
-    def test_requires_a_shared_cache(self):
-        with pytest.raises(ValueError, match="cache"):
-            Experiment(FAST, backend=SSHBackend(world=2))
-
-    def test_loopback_streams_into_the_shared_cache(self, tmp_path):
-        exp = Experiment(FAST, backend="ssh", cache=tmp_path)
-        exp.map([config(0.05), config(0.1), config(0.15)])
-        assert len(ResultCache(tmp_path)) == 3
-
-
 class TestBackendEquivalence:
-    def test_all_backends_bit_identical(self, tmp_path):
+    def test_all_backends_bit_identical(self):
         configs = [config(load) for load in (0.05, 0.1, 0.15, 0.2)]
         baseline = Experiment(FAST, backend="serial").map(configs)
         by_process = Experiment(
             FAST, backend=ProcessBackend(2)
         ).map(configs)
-        by_ssh = Experiment(
-            FAST, backend=SSHBackend(world=2), cache=tmp_path
-        ).map(configs)
         assert by_process == baseline
-        assert by_ssh == baseline
 
     def test_process_backend_reports_chunks(self):
         configs = [config(load) for load in (0.05, 0.1, 0.15, 0.2)]

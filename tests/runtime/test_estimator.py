@@ -107,6 +107,26 @@ class TestRefinement:
         assert counters["estimator_refinements_completed"] == 1
         assert "estimator_observed_max_rel_error" in counters
 
+    def test_failed_refinement_is_counted_and_drains(self, tmp_path):
+        class Unplugged:
+            name = "unplugged"
+            slots = 1
+
+            def execute(self, queue, on_result):
+                raise OSError("worker host unplugged")
+
+        with Estimator(
+            FAST, cache=tmp_path / "cache", backend=Unplugged()
+        ) as instance:
+            assert instance.query(config()).refinement_scheduled
+            assert instance.drain(timeout=60)
+            assert instance.backlog == 0
+            counters = instance.counters()
+            assert counters["estimator_refinements_failed"] == 1
+            assert "estimator_refinements_completed" not in counters
+            assert "1 refinements failed" in instance.summary()
+            assert "OSError: worker host unplugged" in instance.summary()
+
     def test_close_is_idempotent(self, estimator):
         estimator.query(config())
         estimator.close()

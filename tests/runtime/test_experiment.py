@@ -24,13 +24,13 @@ def config(load=0.1, seed=3, **overrides):
 
 class TestRunOne:
     def test_matches_legacy_simulate(self):
-        assert Experiment(FAST).run_one(config()) == simulate(config(), FAST)
+        assert Experiment(FAST).point(config()) == simulate(config(), FAST)
 
     def test_validates_at_entry(self):
         bad = config()
         bad.injection_fraction = 1.5  # mutate past construction checks
         with pytest.raises(ValueError, match="injection_fraction"):
-            Experiment(FAST).run_one(bad)
+            Experiment(FAST).point(bad)
 
     def test_rejects_negative_workers(self):
         with pytest.raises(ValueError, match="workers"):
@@ -71,33 +71,33 @@ class TestValidate:
 class TestCaching:
     def test_second_call_hits_cache(self, tmp_path):
         exp = Experiment(FAST, cache=tmp_path)
-        first = exp.run_one(config())
-        second = exp.run_one(config())
+        first = exp.point(config())
+        second = exp.point(config())
         assert first == second
         assert exp.cache.hits == 1
         assert exp.stats.points_executed == 1
         assert exp.stats.cache_hits == 1
 
     def test_cache_shared_across_experiments(self, tmp_path):
-        Experiment(FAST, cache=tmp_path).run_one(config())
+        Experiment(FAST, cache=tmp_path).point(config())
         exp = Experiment(FAST, cache=tmp_path)
-        exp.run_one(config())
+        exp.point(config())
         assert exp.stats.points_executed == 0
         assert exp.stats.cache_hits == 1
 
     def test_different_measurement_misses(self, tmp_path):
-        Experiment(FAST, cache=tmp_path).run_one(config())
+        Experiment(FAST, cache=tmp_path).point(config())
         other = MeasurementConfig(
             warmup_cycles=60, sample_packets=60, max_cycles=3_000,
             drain_cycles=1_000,
         )
         exp = Experiment(other, cache=tmp_path)
-        exp.run_one(config())
+        exp.point(config())
         assert exp.stats.points_executed == 1
 
     def test_duplicate_points_execute_once(self, tmp_path):
         exp = Experiment(FAST, cache=tmp_path)
-        results = exp.run_many([config(), config(), config(0.2)])
+        results = exp.map([config(), config(), config(0.2)])
         assert results[0] == results[1]
         assert exp.stats.points_executed == 2
         assert exp.stats.deduplicated == 1
@@ -111,7 +111,7 @@ class TestCaching:
 class TestSpecializationStats:
     def test_envelope_aggregates_over_executed_points(self):
         exp = Experiment(FAST)
-        exp.run_many([config(), config(0.2)])
+        exp.map([config(), config(0.2)])
         # Two 4x4-mesh points, every router on the compiled fast path.
         assert exp.stats.routers_specialized == 32
         assert exp.stats.routers_generic == 0
@@ -120,7 +120,7 @@ class TestSpecializationStats:
 
     def test_checked_points_report_their_fallback_reason(self):
         exp = Experiment(FAST, checked=True)
-        exp.run_one(config())
+        exp.point(config())
         assert exp.stats.routers_specialized == 0
         assert exp.stats.routers_generic == 16
         assert exp.stats.generic_step_reasons == {"checked": 1}
@@ -130,22 +130,13 @@ class TestSpecializationStats:
 
 
 class TestSweep:
-    def test_matches_legacy_sweep_shim(self):
-        from repro.experiments.sweep import sweep
-
-        direct = Experiment(FAST).run_sweep(
-            config(), "wh", loads=(0.05, 0.2)
-        )
-        shim = sweep(config(), "wh", loads=(0.05, 0.2), measurement=FAST)
-        assert direct.points == shim.points
-
     def test_stops_after_saturation_serial(self):
         saturating = MeasurementConfig(
             warmup_cycles=100, sample_packets=2_000, max_cycles=1_000,
             drain_cycles=100,
         )
-        curve = Experiment(saturating).run_sweep(
-            config(), "wh", loads=(0.9, 0.95, 1.0)
+        curve = Experiment(saturating).sweep(
+            config(), label="wh", loads=(0.9, 0.95, 1.0)
         )
         assert len(curve.points) == 1
         assert curve.points[0].saturated
@@ -155,14 +146,14 @@ class TestSweep:
             warmup_cycles=100, sample_packets=2_000, max_cycles=1_000,
             drain_cycles=100,
         )
-        curve = Experiment(saturating, workers=2).run_sweep(
-            config(), "wh", loads=(0.9, 0.95, 1.0)
+        curve = Experiment(saturating, workers=2).sweep(
+            config(), label="wh", loads=(0.9, 0.95, 1.0)
         )
         assert len(curve.points) == 1
         assert curve.points[0].saturated
 
     def test_run_sweeps_batches_curves(self):
-        curves = Experiment(FAST).run_sweeps(
+        curves = Experiment(FAST).sweeps(
             [("a", config(seed=1)), ("b", config(seed=2))],
             loads=(0.05, 0.2),
         )
@@ -172,7 +163,7 @@ class TestSweep:
 
 class TestGrid:
     def test_grid_shape_and_order(self):
-        grid = Experiment(FAST).run_grid(
+        grid = Experiment(FAST).grid(
             config(), loads=(0.2, 0.05), seeds=(1, 2)
         )
         axes = [
@@ -183,10 +174,10 @@ class TestGrid:
     def test_parallel_grid_bit_identical_to_serial(self):
         loads = (0.05, 0.15, 0.25)
         seeds = (1, 2)
-        serial = Experiment(FAST, workers=0).run_grid(
+        serial = Experiment(FAST, workers=0).grid(
             config(), loads=loads, seeds=seeds
         )
-        parallel = Experiment(FAST, workers=2).run_grid(
+        parallel = Experiment(FAST, workers=2).grid(
             config(), loads=loads, seeds=seeds
         )
         assert serial.results == parallel.results
@@ -195,19 +186,19 @@ class TestGrid:
             assert a.average_latency == b.average_latency
 
     def test_grid_defaults_keep_config_axes(self):
-        grid = Experiment(FAST).run_grid(config(load=0.15, seed=7))
+        grid = Experiment(FAST).grid(config(load=0.15, seed=7))
         assert len(grid) == 1
         assert grid.points[0].config.injection_fraction == 0.15
         assert grid.points[0].config.seed == 7
 
     def test_grid_curve_extraction(self):
-        grid = Experiment(FAST).run_grid(config(), loads=(0.05, 0.2))
+        grid = Experiment(FAST).grid(config(), loads=(0.05, 0.2))
         curve = grid.curve("wh")
         assert len(curve.points) == 2
         assert math.isfinite(curve.zero_load_latency())
 
     def test_run_with_seeds_aggregates(self):
-        aggregate = Experiment(FAST).run_with_seeds(
+        aggregate = Experiment(FAST).aggregate(
             config(), load=0.1, seeds=(1, 2)
         )
         assert len(aggregate.runs) == 2
@@ -229,8 +220,8 @@ class TestProgress:
                 events.append(("end", total))
 
         exp = Experiment(FAST, cache=tmp_path, progress=Recorder())
-        exp.run_many([config(), config(0.2)])
-        exp.run_many([config(), config(0.2)])
+        exp.map([config(), config(0.2)])
+        exp.map([config(), config(0.2)])
 
         starts = [e for e in events if e[0] == "start"]
         dones = [e for e in events if e[0] == "done"]

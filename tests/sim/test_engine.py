@@ -67,10 +67,11 @@ class TestSimulate:
         assert a.average_latency != b.average_latency
 
     def test_invariants_mode(self):
-        # Full conservation + credit checks every cycle.
-        simulator = Simulator(config(0.3), FAST, check_invariants=True)
+        # The full invariant-probe suite every cycle.
+        simulator = Simulator(config(0.3), FAST, checked=True)
         result = simulator.run()
         assert result.latency is not None
+        assert result.validation["ok"]
 
     def test_spec_counters_populated(self):
         result = simulate(

@@ -19,19 +19,19 @@ CONFIG = SimConfig(
 
 class TestExperimentChecked:
     def test_run_one_carries_validation_summary(self):
-        result = Experiment(MEAS, checked=True).run_one(CONFIG)
+        result = Experiment(MEAS, checked=True).point(CONFIG)
         assert result.validation is not None
         assert result.validation["ok"]
 
     def test_unchecked_by_default(self):
-        assert Experiment(MEAS).run_one(CONFIG).validation is None
+        assert Experiment(MEAS).point(CONFIG).validation is None
 
     def test_parallel_checked_matches_serial(self):
-        serial = Experiment(MEAS, workers=0, checked=True).run_sweep(
-            CONFIG, "serial", loads=(0.1, 0.2)
+        serial = Experiment(MEAS, workers=0, checked=True).sweep(
+            CONFIG, label="serial", loads=(0.1, 0.2)
         )
-        parallel = Experiment(MEAS, workers=2, checked=True).run_sweep(
-            CONFIG, "parallel", loads=(0.1, 0.2)
+        parallel = Experiment(MEAS, workers=2, checked=True).sweep(
+            CONFIG, label="parallel", loads=(0.1, 0.2)
         )
         assert serial.points == parallel.points
         assert all(p.validation["ok"] for p in parallel.points)
@@ -39,15 +39,15 @@ class TestExperimentChecked:
     def test_checked_runs_bypass_the_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
         checked = Experiment(MEAS, cache=cache_dir, checked=True)
-        checked.run_one(CONFIG)
-        checked.run_one(CONFIG)
+        checked.point(CONFIG)
+        checked.point(CONFIG)
         # Neither read nor wrote: the next unchecked experiment misses.
         assert checked.stats.cache_hits == 0
         unchecked = Experiment(MEAS, cache=cache_dir)
-        unchecked.run_one(CONFIG)
+        unchecked.point(CONFIG)
         assert unchecked.stats.cache_hits == 0
         again = Experiment(MEAS, cache=cache_dir)
-        result = again.run_one(CONFIG)
+        result = again.point(CONFIG)
         assert again.stats.cache_hits == 1
         assert result.validation is None
 
