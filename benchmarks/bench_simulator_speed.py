@@ -48,16 +48,19 @@ SPEEDUP_FLOOR = 1.5
 SPEEDUP_FLOOR_LOAD = 0.42
 
 #: Specialization-envelope variants benched at the near-saturation
-#: load: the batched maximum-matching allocator and memoized o1turn
-#: routing.  Their closures share less machinery with the default
-#: separable/xy fast path, so each carries its own absolute floor
-#: (lower than the default path's: maximum matching does strictly more
-#: work per cycle in both steppers).
+#: load: the batched maximum-matching allocator, memoized o1turn
+#: routing and the equal-priority speculation ablation.  Their closures
+#: share less machinery with the default separable/xy fast path, so
+#: each carries its own absolute floor (lower than the default path's:
+#: maximum matching does strictly more work per cycle in both
+#: steppers).  Default + maximum + equal are the three speculative
+#: allocation kernels the compiled step keeps; each has a gated number.
 ENVELOPE_LOAD = 0.42
 ENVELOPE_SPEEDUP_FLOOR = 1.3
 ENVELOPE_VARIANTS = (
     ("maximum", dict(allocator_kind="maximum")),
     ("o1turn", dict(routing_function="o1turn")),
+    ("equal", dict(speculation_priority="equal")),
 )
 
 
@@ -230,8 +233,9 @@ def main(argv=None):
             "benchmark": "8x8 speculative-VC mesh, 2 VCs, seed 1, "
                          "steady-state cycles/sec (best of 12 x 600 cycles, "
                          "fast/reference rounds interleaved); variant points "
-                         "swap in the maximum-matching allocator or o1turn "
-                         "routing at the near-saturation load",
+                         "swap in the maximum-matching allocator, o1turn "
+                         "routing or equal-priority speculation at the "
+                         "near-saturation load",
             "points": points,
         }
         # The seed-baseline section is frozen evidence measured once

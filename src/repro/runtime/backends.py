@@ -187,12 +187,12 @@ def resolve_backend(
             f"backend must be a name or an ExecutionBackend, got {spec!r}"
         )
     name, _, argument = spec.partition(":")
-    if name == "serial":
+    if name == "serial" and not argument:
         return SerialBackend()
-    if name == "process":
-        if argument:
-            return ProcessBackend(int(argument))
+    if name == "process" and not argument:
         return ProcessBackend(max(2, workers))
+    if name == "process" and argument.isdigit():
+        return ProcessBackend(int(argument))
     raise ValueError(
         f"unknown backend {spec!r} (expected serial or process[:N])"
     )

@@ -201,15 +201,20 @@ class ResultCache:
         return self.directory / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[RunResult]:
-        """The cached result for ``key``, or None (a recorded miss)."""
+        """The cached result for ``key``, or None (a recorded miss).
+
+        A missing, torn or wrong-shaped entry is a miss all the same:
+        the point re-simulates and the atomic :meth:`put` overwrites it.
+        """
         path = self._path(key)
         try:
             data = json.loads(path.read_text())
-        except (OSError, ValueError):
+            result = RunResult.from_dict(data["result"])
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
             self.misses += 1
             return None
         self.hits += 1
-        return RunResult.from_dict(data["result"])
+        return result
 
     def put(self, key: str, result: RunResult,
             metadata: Optional[Dict[str, Any]] = None) -> Path:

@@ -13,6 +13,15 @@ stages:
 Separability trades a little matching efficiency for a fast, simple
 circuit -- we reproduce that behaviour exactly (including the lost
 matches), since it affects saturation throughput.
+
+Two entry points share the arbiter state: ``allocate`` (``Request``
+tuples plus an optional ``busy_resources`` mask) is the executable spec
+every generic router phase calls; ``allocate_grouped`` is the batched
+form the compiled steps feed with pre-grouped lists.
+:class:`SpeculativeSwitchAllocator` has only the ``Request`` path: the
+compiled speculative steps arbitrate on its two sub-allocators directly
+(``sim/routers/specialized.py``), which measured faster than any batched
+form of the combine (docs/PERFORMANCE.md, "Which fusions pay").
 """
 
 from __future__ import annotations
@@ -184,7 +193,6 @@ class SeparableAllocator:
         groups: Sequence[int],
         members_lists: Sequence[Sequence[int]],
         resources_lists: Sequence[Sequence[int]],
-        busy_resources: Sequence[int] = (),
     ) -> List[Grant]:
         """Batched :meth:`allocate` for pre-grouped requests.
 
@@ -198,33 +206,10 @@ class SeparableAllocator:
         regrouping dict churn, which dominate allocation cost under
         load.  Callers must submit each member at most once per group
         (true of every router flow: one request per input VC per
-        candidate resource).  Used by the config-specialized steppers;
-        the generic phases keep the ``Request`` path as the executable
-        spec.
+        candidate resource); there is no ``busy_resources`` mask here.
+        Used by the config-specialized steppers; the generic phases
+        keep the ``Request`` path as the executable spec.
         """
-        if busy_resources:
-            busy = set(busy_resources)
-            kept_groups: List[int] = []
-            kept_members: List[List[int]] = []
-            kept_resources: List[List[int]] = []
-            for group, members, resources in zip(
-                groups, members_lists, resources_lists
-            ):
-                # repro: hot-ok[bounded same-cycle scratch in the reference allocator]
-                live_members: List[int] = []
-                # repro: hot-ok[bounded same-cycle scratch in the reference allocator]
-                live_resources: List[int] = []
-                for member, resource in zip(members, resources):
-                    if resource not in busy:
-                        live_members.append(member)
-                        live_resources.append(resource)
-                if live_members:
-                    kept_groups.append(group)
-                    kept_members.append(live_members)
-                    kept_resources.append(live_resources)
-            groups = kept_groups
-            members_lists = kept_members
-            resources_lists = kept_resources
         if not groups:
             return []
         stage1 = self._stage1
@@ -368,54 +353,6 @@ class SpeculativeSwitchAllocator:
         surviving = [g for g in spec_grants if g.group not in taken_inputs]
         return nonspec_grants, surviving
 
-    def allocate_grouped(
-        self,
-        nonspec_groups: Sequence[int],
-        nonspec_members: Sequence[Sequence[int]],
-        nonspec_resources: Sequence[Sequence[int]],
-        spec_groups: Sequence[int],
-        spec_members: Sequence[Sequence[int]],
-        spec_resources: Sequence[Sequence[int]],
-    ) -> Tuple[List[Grant], List[Grant]]:
-        """Batched :meth:`allocate`, both priorities.
-
-        Same contract as ``SeparableAllocator.allocate_grouped``.  The
-        ``"equal"`` ablation merges both request streams into one
-        grouped call on the primary allocator (groups in
-        first-appearance order over the nonspec-then-spec
-        concatenation, each group's members nonspec first), exactly
-        mirroring :meth:`_allocate_equal`'s concatenated ``Request``
-        list; grants are classified back by (group, member, resource)
-        key -- an input VC is in exactly one state per cycle, so the
-        key sets are disjoint.
-        """
-        if self.priority == "equal":
-            return self._allocate_equal_grouped(
-                nonspec_groups, nonspec_members, nonspec_resources,
-                spec_groups, spec_members, spec_resources,
-            )
-        if nonspec_groups:
-            nonspec_grants = self._nonspec.allocate_grouped(
-                nonspec_groups, nonspec_members, nonspec_resources
-            )
-        else:
-            nonspec_grants = []
-        if not spec_groups:
-            return nonspec_grants, []
-        # repro: hot-ok[bounded same-cycle scratch in the reference allocator]
-        taken_outputs = {g.resource for g in nonspec_grants}
-        # repro: hot-ok[bounded same-cycle scratch in the reference allocator]
-        taken_inputs = {g.group for g in nonspec_grants}
-        spec_grants = self._spec.allocate_grouped(
-            spec_groups,
-            spec_members,
-            spec_resources,
-            busy_resources=sorted(taken_outputs),
-        )
-        # repro: hot-ok[bounded same-cycle scratch in the reference allocator]
-        surviving = [g for g in spec_grants if g.group not in taken_inputs]
-        return nonspec_grants, surviving
-
     def _allocate_equal(
         self,
         nonspec_requests: Sequence[Request],
@@ -426,59 +363,6 @@ class SpeculativeSwitchAllocator:
         spec_keys = {(r.group, r.member, r.resource) for r in spec_requests}
         grants = self._nonspec.allocate(
             list(nonspec_requests) + list(spec_requests)
-        )
-        # repro: hot-ok[bounded same-cycle scratch in the reference allocator]
-        nonspec_grants = [
-            g for g in grants
-            if (g.group, g.member, g.resource) not in spec_keys
-        ]
-        # repro: hot-ok[bounded same-cycle scratch in the reference allocator]
-        spec_grants = [
-            g for g in grants
-            if (g.group, g.member, g.resource) in spec_keys
-        ]
-        return nonspec_grants, spec_grants
-
-    def _allocate_equal_grouped(
-        self,
-        nonspec_groups: Sequence[int],
-        nonspec_members: Sequence[Sequence[int]],
-        nonspec_resources: Sequence[Sequence[int]],
-        spec_groups: Sequence[int],
-        spec_members: Sequence[Sequence[int]],
-        spec_resources: Sequence[Sequence[int]],
-    ) -> Tuple[List[Grant], List[Grant]]:
-        """Grouped form of :meth:`_allocate_equal`: one merged call."""
-        merged_groups: List[int] = []
-        merged_members: List[List[int]] = []
-        merged_resources: List[List[int]] = []
-        index_of: Dict[int, int] = {}
-        for group, members, resources in zip(
-            nonspec_groups, nonspec_members, nonspec_resources
-        ):
-            index_of[group] = len(merged_groups)
-            merged_groups.append(group)
-            merged_members.append(list(members))
-            merged_resources.append(list(resources))
-        spec_keys = set()
-        for group, members, resources in zip(
-            spec_groups, spec_members, spec_resources
-        ):
-            index = index_of.get(group)
-            if index is None:
-                index_of[group] = len(merged_groups)
-                merged_groups.append(group)
-                merged_members.append(list(members))
-                merged_resources.append(list(resources))
-            else:
-                merged_members[index].extend(members)
-                merged_resources[index].extend(resources)
-            for member, resource in zip(members, resources):
-                spec_keys.add((group, member, resource))
-        if not merged_groups:
-            return [], []
-        grants = self._nonspec.allocate_grouped(
-            merged_groups, merged_members, merged_resources
         )
         # repro: hot-ok[bounded same-cycle scratch in the reference allocator]
         nonspec_grants = [

@@ -13,13 +13,16 @@ considered in a rotating order so no group or member is starved.
 The augmenting-path search runs over int bitmasks: each group's
 adjacency is one int (bit ``r`` set iff the group may use resource
 ``r``), and the visited set of a search is a single int, so the inner
-loop is bit arithmetic instead of set/dict churn.  Both entry points --
+loop is bit arithmetic instead of set/dict churn.  Three callers --
 :meth:`MaximumMatchingAllocator.allocate` (the ``Request``-object
-executable spec) and :meth:`MaximumMatchingAllocator.allocate_grouped`
-(the batched form the config-specialized steppers feed directly from
-the struct-of-arrays router state) -- reduce to the same
-``(adjacency, chooser)`` masks and share one matcher, so their grants
-and rotation-state evolution are bit-identical by construction.
+executable spec, the only one with a ``busy_resources`` mask),
+:meth:`MaximumMatchingAllocator.allocate_grouped` (the batched form the
+compiled switch-allocation and equal-priority steps feed with
+pre-grouped lists) and the compiled VA / conservative speculative
+closures that build the masks during their state scans -- reduce to the
+same ``(adjacency, chooser)`` masks and share one matcher
+(:meth:`MaximumMatchingAllocator._match`), so their grants and
+rotation-state evolution are bit-identical by construction.
 
 An empty request set is a pure no-op (no rotation advance), which is
 what lets maximum-matching routers participate in activity-tracked
@@ -94,7 +97,6 @@ class MaximumMatchingAllocator:
         groups: Sequence[int],
         members_lists: Sequence[Sequence[int]],
         resources_lists: Sequence[Sequence[int]],
-        busy_resources: Sequence[int] = (),
     ) -> List[Grant]:
         """Batched :meth:`allocate` for pre-grouped requests.
 
@@ -111,9 +113,6 @@ class MaximumMatchingAllocator:
         """
         if not groups:
             return []
-        busy = 0
-        for resource in busy_resources:
-            busy |= 1 << resource
         pivot = self._rotation % self.members_per_group
         mpg = self.members_per_group
         nr = self.num_resources
@@ -125,8 +124,6 @@ class MaximumMatchingAllocator:
         ):
             mask = adjacency.get(group, 0)
             for member, resource in zip(members, resources):
-                if busy >> resource & 1:
-                    continue
                 mask |= 1 << resource
                 key = group * nr + resource
                 held = chooser.get(key)

@@ -4,7 +4,7 @@ At wiring time the network asks :func:`compile_step` for a per-router
 step function specialized to the config: the routing table is
 precomputed, the port/VC loops run over the struct-of-arrays state
 bitmasks instead of scanning VC objects, allocator requests are built as
-pre-grouped parallel lists (``SeparableAllocator.allocate_grouped``),
+pre-grouped parallel lists (``allocate_grouped``) or arbitrated inline,
 and every branch serving validation, telemetry or tracing is compiled
 out.  The compiled closure is bit-identical to the generic
 ``BaseRouter.cycle`` for the supported configs -- same state
@@ -15,19 +15,28 @@ enforce.
 
 Every built-in config compiles.  Beyond the separable/xy envelope:
 
-* the maximum-matching allocator is driven through its batched
-  ``allocate_grouped`` entry point (bitmask augmenting-path kernel, no
-  ``Request`` objects);
+* the maximum-matching allocator is fed ``(adjacency, chooser)``
+  bitmasks built during the SoA scans and run through its shared
+  ``_match`` kernel (no ``Request`` objects);
 * o1turn and adaptive routing use per-node route memos -- (xy, yx)
   table pair keyed on the packet's committed order, and a
   (productive ports, DOR port) table -- built lazily and interned on
   the plan (:func:`o1turn_route_tables` / :func:`adaptive_route_table`)
   and shared with the generic path, so checked mode observes memo
   corruption;
-* the ``equal`` speculation ablation gets its own fused combiner
-  (:func:`_make_spec_alloc_equal`): both request classes share the
-  primary allocator's arbiter state, exactly as
+* the ``equal`` speculation ablation is one merged-request closure for
+  both allocator kinds (:func:`_make_spec_alloc_equal`): both request
+  classes share the primary allocator's state, exactly as
   ``SpeculativeSwitchAllocator._allocate_equal``.
+
+Each phase is written once unless a measurement pays for a second
+form (docs/PERFORMANCE.md, "Which fusions pay"): VC allocation is one
+closure per allocator kind, shared by every VC-family step, and it
+hands the speculative steps their requestor set so the VC_ALLOC heads
+are scanned once; the speculative switch allocation keeps three
+kernels (fused separable, inline matcher, merged equal) because
+sending any of them through the batched ``allocate_grouped`` tier
+costs 12-20%.
 
 The generic path remains the executable spec and the fallback:
 
@@ -49,6 +58,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..config import RouterKind
 from ..dateline import class_partition, o1turn_choice
 from ..routing import dimension_order_route, productive_ports, yx_route
 from ..topology import LOCAL, NUM_PORTS
@@ -656,6 +666,11 @@ def _make_vc_va(router: BaseRouter, cand=None):
 
     ``cand`` (from :func:`_make_candidates`) resolves candidate VCs for
     packet-dependent policies; None means the static table applies.
+
+    ``va(cycle)`` returns its bidders -- the flat indices, ascending,
+    of the VA-ready heads that had a free candidate VC before this
+    cycle's grants.  That is exactly the speculative routers' switch
+    requestor set, so they take it from here instead of rescanning.
     """
     v = router.num_vcs
     all_ivcs = router._all_ivcs
@@ -668,7 +683,7 @@ def _make_vc_va(router: BaseRouter, cand=None):
     candidate_table = router._candidate_table
     flat_pairs = tuple(divmod(flat, v) for flat in range(NUM_PORTS * v))
 
-    def va(cycle: int) -> None:
+    def va(cycle: int):
         # Collection + stage 1: per VC_ALLOC head, arbitrate among the
         # currently free candidate output VCs.
         m = router._va_mask
@@ -758,6 +773,7 @@ def _make_vc_va(router: BaseRouter, cand=None):
                 moved |= 1 << g
             router._va_mask &= ~moved
             router._active_mask |= moved
+        return sur_g
 
     return va
 
@@ -772,7 +788,8 @@ def _make_vc_va_grouped(router: BaseRouter, cand=None):
     derived -- each head->candidate edge is unique, so the chooser
     never needs the rotating rank comparison -- minus the grouped-list
     round trip.  Grants apply in return order, as the generic loop
-    does."""
+    does.  Returns its bidders like :func:`_make_vc_va` (the adjacency
+    dict, whose keys are the bidding heads in flat order)."""
     v = router.num_vcs
     all_ivcs = router._all_ivcs
     queues = router._ivc_queues
@@ -783,7 +800,7 @@ def _make_vc_va_grouped(router: BaseRouter, cand=None):
     candidate_table = router._candidate_table
     flat_pairs = tuple(divmod(flat, v) for flat in range(NUM_PORTS * v))
 
-    def va(cycle: int) -> None:
+    def va(cycle: int):
         m = router._va_mask
         adjacency = {}
         chooser = {}
@@ -810,7 +827,7 @@ def _make_vc_va_grouped(router: BaseRouter, cand=None):
             if mask:
                 adjacency[flat] = mask
         if not adjacency:
-            return
+            return adjacency
         moved = 0
         for won in match(adjacency, chooser):
             flat = won.group
@@ -821,37 +838,45 @@ def _make_vc_va_grouped(router: BaseRouter, cand=None):
             moved |= 1 << flat
         router._va_mask &= ~moved
         router._active_mask |= moved
+        return adjacency
 
     return va
 
 
+def _make_va(router: BaseRouter, cand):
+    """VA closure for the config's allocator kind (fused separable
+    stages, or adjacency masks into the bitmask matcher)."""
+    if router.config.allocator_kind == "separable":
+        return _make_vc_va(router, cand)
+    return _make_vc_va_grouped(router, cand)
+
+
 def _make_spec_alloc(router: BaseRouter, cand=None):
-    """Inlined speculative ``_allocation_phase`` + ``_vc_allocation``
-    with both separable allocators fused in (conservative priority;
-    the ``equal`` ablation has its own fused combiner, and the
-    maximum-matching allocator the batched-kernel variant).
+    """Inlined speculative ``_allocation_phase`` with both separable
+    switch allocators fused in (conservative priority; the ``equal``
+    ablation and the maximum-matching allocator have their own
+    closures).
 
-    The arbitration order and priority-state evolution are exactly
-    ``SpeculativeSwitchAllocator.allocate_grouped``'s: non-speculative
+    The switch arbitration order and priority-state evolution are
+    exactly ``SpeculativeSwitchAllocator.allocate``'s: non-speculative
     stage 1 per input port in request order, stage 2 per output port in
-    survivor order (grants applied as each stage-2 winner is decided --
-    the batched path's grant order), then the speculative stages with
-    non-speculatively taken outputs masked out before stage 1 and taken
-    inputs filtered at combine time.  Fusing the allocators in drops
-    the per-cycle ``Grant`` tuples, the taken-output set/sort, and the
-    busy re-filter list churn that dominate the batched calls.
+    survivor order (grants applied as each stage-2 winner is decided),
+    then the speculative stages with non-speculatively taken outputs
+    masked out before stage 1 and taken inputs filtered at combine
+    time.  Fusing the allocators in drops the per-cycle ``Grant``
+    tuples, the taken-output set/sort, and the busy re-filter list
+    churn; the batched tier measured 12-14% slower.
 
-    VC allocation is fused into the same scan: the reference walks the
-    VC_ALLOC heads twice (speculative request collection, then VA
-    request collection) with identical candidate scans, and nothing
-    between the walks changes ``held_by`` or ``va_ready``.  The two
-    allocators' arbiter states are disjoint, so running VA stage 1
-    during the shared scan leaves every arbitration input unchanged.
+    VC allocation is the shared :func:`_make_vc_va` closure, called
+    once the non-speculative requests are read off the ACTIVE mask; its
+    bidders are the speculative requestors.  It shares no arbiter or
+    field with the switch stages, so running it before them instead of
+    after (the reference's order) changes nothing, and the combiner
+    still sees whether each speculation won its VC.
     """
     v = router.num_vcs
     all_ivcs = router._all_ivcs
     queues = router._ivc_queues
-    ovc_flat = router._ovc_flat
     ovc_credits = router._ovc_credits
     stats = router.stats
     credit_channels = router.credit_channels
@@ -860,13 +885,10 @@ def _make_spec_alloc(router: BaseRouter, cand=None):
     ns2 = allocator._nonspec._stage2
     sp1 = allocator._spec._stage1
     sp2 = allocator._spec._stage2
-    va1 = router._vc_allocator._stage1
-    va2 = router._vc_allocator._stage2
+    va = _make_vc_va(router, cand)
     matrix = allocator._nonspec._matrix
-    candidate_table = router._candidate_table
     flat_port = tuple(flat // v for flat in range(NUM_PORTS * v))
     flat_vc = tuple(flat % v for flat in range(NUM_PORTS * v))
-    flat_pairs = tuple(divmod(flat, v) for flat in range(NUM_PORTS * v))
 
     def alloc(cycle: int) -> None:
         pending = router.pending_st
@@ -972,57 +994,21 @@ def _make_spec_alloc(router: BaseRouter, cand=None):
                 if credit_channel is not None:
                     credit_channel.send(w, cycle)
 
-        # One scan of the VC_ALLOC heads serves both allocators: per
-        # eligible head, arbitrate VA stage 1 among its free candidate
-        # VCs, and (if its output was not taken non-speculatively --
-        # the batched busy filter) post its speculative switch request.
-        m = router._va_mask
-        va_g = []
-        va_m = []
-        va_r = []
+        # VC allocation runs in parallel with switch allocation.  Its
+        # bidders are the speculative requestors, minus those whose
+        # output was taken non-speculatively (the busy filter).
         r_groups = []
         r_members = []
         r_resources = []
-        while m:
-            low = m & -m
-            m -= low
-            flat = low.bit_length() - 1
-            ivc = all_ivcs[flat]
-            if ivc.va_ready > cycle:
-                continue
-            route = ivc.route
-            base = route * v
-            if candidate_table is not None:
-                cands = candidate_table[flat][route]
-            else:
-                cands = cand(route, queues[flat][0])
-            members = None
-            for candidate in cands:
-                if ovc_flat[base + candidate].held_by is None:
-                    if members is None:
-                        # repro: hot-ok[per-request grant payload; the allocator protocol takes list-of-lists]
-                        members = [candidate]
-                    else:
-                        members.append(candidate)
-            if members is None:
-                continue
-            arb = va1[flat]
-            if len(members) == 1:
-                w = members[0]
-                if matrix:
-                    arb._state = (arb._state | arb._col[w]) & arb._row_keep[w]
-                else:
-                    arb.arbitrate(members)
-            else:
-                w = arb.arbitrate(members)
-            va_g.append(flat)
-            va_m.append(w)
-            va_r.append(base + w)
+        for flat in va(cycle):
+            route = all_ivcs[flat].route
             if taken_out >> route & 1:
                 continue
             r_groups.append(flat_port[flat])
             r_members.append(flat_vc[flat])
             r_resources.append(route)
+        if not r_groups:
+            return  # nothing speculative to arbitrate or combine
 
         # Speculative stage 1.
         sur_g = []
@@ -1092,55 +1078,6 @@ def _make_spec_alloc(router: BaseRouter, cand=None):
                 sp_g.append(g)
                 sp_m.append(sur_m[k])
 
-        # VC allocation stage 2: per output VC, pick one head; winners
-        # take their VC and turn ACTIVE before the combiner checks
-        # speculation outcomes, exactly as the reference's VA phase.
-        count = len(va_g)
-        if count == 1:
-            g = va_g[0]
-            res = va_r[0]
-            arb = va2[res]
-            if matrix:
-                arb._state = (arb._state | arb._col[g]) & arb._row_keep[g]
-            else:
-                arb.arbitrate((g,))
-            ivc = all_ivcs[g]
-            ovc_flat[res].held_by = flat_pairs[g]
-            ivc.out_vc = va_m[0]
-            ivc.state = _ACTIVE
-            router._va_mask &= ~(1 << g)
-            router._active_mask |= 1 << g
-        elif count:
-            by_resource = {}
-            for k in range(count):
-                # repro: hot-ok[per-cycle conflict grouping; bounded by surviving requests]
-                by_resource.setdefault(va_r[k], []).append(k)
-            moved = 0
-            for res, idxs in by_resource.items():
-                arb = va2[res]
-                if len(idxs) == 1:
-                    k = idxs[0]
-                    g = va_g[k]
-                    if matrix:
-                        arb._state = (
-                            arb._state | arb._col[g]
-                        ) & arb._row_keep[g]
-                    else:
-                        arb.arbitrate((g,))
-                else:
-                    # repro: hot-ok[bounded same-cycle scratch in the fused combiner]
-                    g = arb.arbitrate([va_g[k] for k in idxs])
-                    for k in idxs:
-                        if va_g[k] == g:
-                            break
-                ivc = all_ivcs[g]
-                ovc_flat[res].held_by = flat_pairs[g]
-                ivc.out_vc = va_m[k]
-                ivc.state = _ACTIVE
-                moved |= 1 << g
-            router._va_mask &= ~moved
-            router._active_mask |= moved
-
         # Combine: non-speculative grants win absolutely -- an input
         # port claimed non-speculatively drops its speculative grant
         # before it is counted (the batched ``surviving`` filter).
@@ -1168,32 +1105,33 @@ def _make_spec_alloc(router: BaseRouter, cand=None):
 
 def _make_spec_alloc_equal(router: BaseRouter, cand=None):
     """Speculative ``_allocation_phase`` for the ``equal``-priority
-    ablation (separable allocator kind): speculative and
-    non-speculative stages share one arbiter state.
+    ablation, either allocator kind: speculative and non-speculative
+    requests share one allocator's state.
 
     Mirrors ``SpeculativeSwitchAllocator._allocate_equal`` exactly: the
-    two request streams merge into one grouped call on the *primary*
-    separable allocator (groups in first-appearance order over the
+    two request streams merge into one ``allocate_grouped`` call on the
+    *primary* allocator (groups in first-appearance order over the
     nonspec-then-spec concatenation, each port's members nonspec
     first), and grants are classified back by requestor -- an input VC
     is in exactly one state per cycle, so a flat-index bitmask of the
-    speculative bidders is an exact key.  Non-speculative grants apply
-    before VC allocation runs; speculative grants go through the usual
-    combiner checks (won the VC?  credit available?) afterwards, as in
-    the generic phase.
+    speculative bidders is an exact key.  The merge is priority
+    semantics, not allocator plumbing, so it is written once and the
+    allocator kind only picks which ``allocate_grouped`` and which VA
+    closure run.  The VA closure runs between the two request scans and
+    hands over the speculative bidders (see :func:`_make_spec_alloc`);
+    speculative grants then go through the usual combiner checks (won
+    the VC?  credit available?), as in the generic phase.
     """
     v = router.num_vcs
     all_ivcs = router._all_ivcs
     queues = router._ivc_queues
-    ovc_flat = router._ovc_flat
     ovc_credits = router._ovc_credits
     stats = router.stats
     credit_channels = router.credit_channels
     # Equal priority funnels every request through the primary
-    # allocator; the secondary's arbiter state never evolves.
+    # allocator; the secondary's state never evolves.
     allocator = router._spec_switch_allocator._nonspec
-    va = _make_vc_va(router, cand)
-    candidate_table = router._candidate_table
+    va = _make_va(router, cand)
     flat_port = tuple(flat // v for flat in range(NUM_PORTS * v))
     flat_vc = tuple(flat % v for flat in range(NUM_PORTS * v))
 
@@ -1231,28 +1169,12 @@ def _make_spec_alloc_equal(router: BaseRouter, cand=None):
                 members_lists[idx].append(flat_vc[flat])
                 resources_lists[idx].append(route)
 
-        # Speculative requests from eligible VC_ALLOC heads append to
-        # the same merged structure (nonspec-first within each port).
+        # VC allocation runs in parallel with switch allocation; its
+        # bidders' speculative requests append to the same merged
+        # structure (nonspec-first within each port).
         spec_flat_mask = 0
-        m = router._va_mask
-        while m:
-            low = m & -m
-            m -= low
-            flat = low.bit_length() - 1
-            ivc = all_ivcs[flat]
-            if ivc.va_ready > cycle:
-                continue
-            route = ivc.route
-            base = route * v
-            if candidate_table is not None:
-                cands = candidate_table[flat][route]
-            else:
-                cands = cand(route, queues[flat][0])
-            for candidate in cands:
-                if ovc_flat[base + candidate].held_by is None:
-                    break
-            else:
-                continue  # no free candidate: no speculative bid
+        for flat in va(cycle):
+            route = all_ivcs[flat].route
             g = flat_port[flat]
             idx = port_index[g]
             if idx < 0:
@@ -1287,9 +1209,6 @@ def _make_spec_alloc_equal(router: BaseRouter, cand=None):
                 if credit_channel is not None:
                     credit_channel.send(w, cycle)
 
-        # VC allocation runs in parallel with switch allocation.
-        va(cycle)
-
         # Combine: a speculative grant is useful only with a VC + credit.
         for k in range(len(sp_g)):
             g = sp_g[k]
@@ -1313,164 +1232,45 @@ def _make_spec_alloc_equal(router: BaseRouter, cand=None):
 
 def _make_spec_alloc_grouped(router: BaseRouter, cand=None):
     """Speculative ``_allocation_phase`` for the maximum-matching
-    allocator kind.
+    allocator kind, conservative priority (``equal`` is
+    :func:`_make_spec_alloc_equal` for both kinds).
 
-    Conservative priority builds the matcher's ``(adjacency,
-    chooser)`` bitmasks directly during the mask scans and runs both
-    ``_match`` kernels inline -- the same masks and rotation cadence
-    ``SpeculativeSwitchAllocator.allocate_grouped`` produces (scan
-    order is flat-ascending, i.e. the grouped lists' first-appearance
-    order; the busy filter drops non-speculatively taken outputs from
-    the speculative adjacency *after* the chooser is built, which is
-    equivalent because busy edges are never granted and a group whose
-    mask empties is removed before the rotation-ordered group walk).
-    The ``equal`` ablation keeps the grouped-list call -- the merged
-    single allocation on the shared allocator is priority semantics,
-    not list plumbing, so it stays in one place.  VC allocation goes
-    through the batched matcher either way."""
+    Builds the matcher's ``(adjacency, chooser)`` bitmasks directly
+    during the mask scans and runs both ``_match`` kernels inline --
+    the same masks and rotation cadence
+    ``SpeculativeSwitchAllocator.allocate`` produces (scan order is
+    flat-ascending, i.e. request order; the busy filter drops
+    non-speculatively taken outputs from the speculative adjacency
+    *after* the chooser is built, which is equivalent because busy
+    edges are never granted and a group whose mask empties is removed
+    before the rotation-ordered group walk).  Going through grouped
+    lists instead measured 14-20% slower, below the envelope floor, so
+    the inline form stays.  The matcher VA closure supplies the
+    speculative bidders, as in :func:`_make_spec_alloc`."""
     v = router.num_vcs
     all_ivcs = router._all_ivcs
     queues = router._ivc_queues
-    ovc_flat = router._ovc_flat
     ovc_credits = router._ovc_credits
     stats = router.stats
     credit_channels = router.credit_channels
     allocator = router._spec_switch_allocator
     va = _make_vc_va_grouped(router, cand)
-    candidate_table = router._candidate_table
     flat_port = tuple(flat // v for flat in range(NUM_PORTS * v))
     flat_vc = tuple(flat % v for flat in range(NUM_PORTS * v))
-
-    if allocator.priority != "equal":
-        nonspec = allocator._nonspec
-        spec = allocator._spec
-        ns_match = nonspec._match
-        sp_match = spec._match
-        mpg = nonspec.members_per_group
-        nr = nonspec.num_resources
-
-        def alloc(cycle: int) -> None:
-            pending = router.pending_st
-
-            # Non-speculative adjacency from the ACTIVE mask.
-            ns_adj = {}
-            ns_choose = {}
-            pivot = nonspec._rotation % mpg
-            m = router._active_mask
-            while m:
-                low = m & -m
-                m -= low
-                flat = low.bit_length() - 1
-                if not queues[flat]:
-                    continue
-                ivc = all_ivcs[flat]
-                route = ivc.route
-                if ovc_credits[route * v + ivc.out_vc]._credits <= 0:
-                    stats.credits_stalled += 1
-                    continue
-                port = flat_port[flat]
-                w = flat_vc[flat]
-                ns_adj[port] = ns_adj.get(port, 0) | (1 << route)
-                key = port * nr + route
-                held = ns_choose.get(key)
-                if held is None or (w - pivot) % mpg < (held - pivot) % mpg:
-                    ns_choose[key] = w
-
-            # Speculative adjacency from the eligible VC_ALLOC heads
-            # (a head bids iff some permitted candidate VC is free).
-            sp_adj = {}
-            sp_choose = {}
-            sp_pivot = spec._rotation % mpg
-            m = router._va_mask
-            while m:
-                low = m & -m
-                m -= low
-                flat = low.bit_length() - 1
-                ivc = all_ivcs[flat]
-                if ivc.va_ready > cycle:
-                    continue
-                route = ivc.route
-                base = route * v
-                if candidate_table is not None:
-                    cands = candidate_table[flat][route]
-                else:
-                    cands = cand(route, queues[flat][0])
-                for candidate in cands:
-                    if ovc_flat[base + candidate].held_by is None:
-                        break
-                else:
-                    continue
-                port = flat_port[flat]
-                w = flat_vc[flat]
-                sp_adj[port] = sp_adj.get(port, 0) | (1 << route)
-                key = port * nr + route
-                held = sp_choose.get(key)
-                if (held is None
-                        or (w - sp_pivot) % mpg < (held - sp_pivot) % mpg):
-                    sp_choose[key] = w
-
-            if ns_adj:
-                ns_grants = ns_match(ns_adj, ns_choose)
-            else:
-                ns_grants = ()
-            taken_out = 0
-            taken_in = 0
-            for grant in ns_grants:
-                g = grant.group
-                w = grant.member
-                taken_out |= 1 << grant.resource
-                taken_in |= 1 << g
-                pending.append((g, w))
-                stats.sa_grants += 1
-                credit_channel = credit_channels[g]
-                if credit_channel is not None:
-                    credit_channel.send(w, cycle)
-
-            sp_grants = ()
-            if sp_adj:
-                if taken_out:
-                    for port in list(sp_adj):
-                        masked = sp_adj[port] & ~taken_out
-                        if masked:
-                            sp_adj[port] = masked
-                        else:
-                            del sp_adj[port]
-                sp_grants = sp_match(sp_adj, sp_choose)
-
-            # VC allocation runs in parallel with switch allocation.
-            va(cycle)
-
-            # Combine: a surviving speculative grant is useful only
-            # with a VC + credit.
-            for grant in sp_grants:
-                g = grant.group
-                if taken_in >> g & 1:
-                    continue
-                w = grant.member
-                stats.spec_grants += 1
-                ivc = all_ivcs[g * v + w]
-                if ivc.state is not _ACTIVE or ivc.out_vc is None:
-                    stats.spec_wasted += 1  # lost the VC allocation
-                    continue
-                if ovc_credits[ivc.route * v + ivc.out_vc]._credits <= 0:
-                    stats.spec_wasted += 1  # won a VC without a credit
-                    continue
-                pending.append((g, w))
-                stats.sa_grants += 1
-                credit_channel = credit_channels[g]
-                if credit_channel is not None:
-                    credit_channel.send(w, cycle)
-
-        return alloc
+    nonspec = allocator._nonspec
+    spec = allocator._spec
+    ns_match = nonspec._match
+    sp_match = spec._match
+    mpg = nonspec.members_per_group
+    nr = nonspec.num_resources
 
     def alloc(cycle: int) -> None:
         pending = router.pending_st
 
-        # Non-speculative grouped lists from the ACTIVE mask.
-        ns_groups = []
-        ns_members = []
-        ns_resources = []
-        last_port = -1
+        # Non-speculative adjacency from the ACTIVE mask.
+        ns_adj = {}
+        ns_choose = {}
+        pivot = nonspec._rotation % mpg
         m = router._active_mask
         while m:
             low = m & -m
@@ -1484,77 +1284,63 @@ def _make_spec_alloc_grouped(router: BaseRouter, cand=None):
                 stats.credits_stalled += 1
                 continue
             port = flat_port[flat]
-            if port == last_port:
-                ns_members[-1].append(flat_vc[flat])
-                ns_resources[-1].append(route)
-            else:
-                last_port = port
-                ns_groups.append(port)
-                # repro: hot-ok[per-request grant payload; the allocator protocol takes list-of-lists]
-                ns_members.append([flat_vc[flat]])
-                # repro: hot-ok[per-request grant payload; the allocator protocol takes list-of-lists]
-                ns_resources.append([route])
+            w = flat_vc[flat]
+            ns_adj[port] = ns_adj.get(port, 0) | (1 << route)
+            key = port * nr + route
+            held = ns_choose.get(key)
+            if held is None or (w - pivot) % mpg < (held - pivot) % mpg:
+                ns_choose[key] = w
 
-        # Speculative grouped lists from the eligible VC_ALLOC heads
-        # (a head bids iff some permitted candidate VC is free).
-        sp_groups = []
-        sp_members = []
-        sp_resources = []
-        last_port = -1
-        m = router._va_mask
-        while m:
-            low = m & -m
-            m -= low
-            flat = low.bit_length() - 1
-            ivc = all_ivcs[flat]
-            if ivc.va_ready > cycle:
-                continue
-            route = ivc.route
-            base = route * v
-            if candidate_table is not None:
-                cands = candidate_table[flat][route]
-            else:
-                cands = cand(route, queues[flat][0])
-            for candidate in cands:
-                if ovc_flat[base + candidate].held_by is None:
-                    break
-            else:
-                continue
+        # VC allocation runs in parallel with switch allocation; its
+        # bidders are the speculative requestors.
+        sp_adj = {}
+        sp_choose = {}
+        sp_pivot = spec._rotation % mpg
+        for flat in va(cycle):
+            route = all_ivcs[flat].route
             port = flat_port[flat]
-            if port == last_port:
-                sp_members[-1].append(flat_vc[flat])
-                sp_resources[-1].append(route)
-            else:
-                last_port = port
-                sp_groups.append(port)
-                # repro: hot-ok[per-request grant payload; the allocator protocol takes list-of-lists]
-                sp_members.append([flat_vc[flat]])
-                # repro: hot-ok[per-request grant payload; the allocator protocol takes list-of-lists]
-                sp_resources.append([route])
+            w = flat_vc[flat]
+            sp_adj[port] = sp_adj.get(port, 0) | (1 << route)
+            key = port * nr + route
+            held = sp_choose.get(key)
+            if (held is None
+                    or (w - sp_pivot) % mpg < (held - sp_pivot) % mpg):
+                sp_choose[key] = w
 
-        if ns_groups or sp_groups:
-            ns_grants, sp_grants = allocator.allocate_grouped(
-                ns_groups, ns_members, ns_resources,
-                sp_groups, sp_members, sp_resources,
-            )
+        if ns_adj:
+            ns_grants = ns_match(ns_adj, ns_choose)
         else:
-            ns_grants, sp_grants = (), ()
-
+            ns_grants = ()
+        taken_out = 0
+        taken_in = 0
         for grant in ns_grants:
             g = grant.group
             w = grant.member
+            taken_out |= 1 << grant.resource
+            taken_in |= 1 << g
             pending.append((g, w))
             stats.sa_grants += 1
             credit_channel = credit_channels[g]
             if credit_channel is not None:
                 credit_channel.send(w, cycle)
 
-        # VC allocation runs in parallel with switch allocation.
-        va(cycle)
+        sp_grants = ()
+        if sp_adj:
+            if taken_out:
+                for port in list(sp_adj):
+                    masked = sp_adj[port] & ~taken_out
+                    if masked:
+                        sp_adj[port] = masked
+                    else:
+                        del sp_adj[port]
+            sp_grants = sp_match(sp_adj, sp_choose)
 
-        # Combine: a speculative grant is useful only with a VC + credit.
+        # Combine: a surviving speculative grant is useful only
+        # with a VC + credit.
         for grant in sp_grants:
             g = grant.group
+            if taken_in >> g & 1:
+                continue
             w = grant.member
             stats.spec_grants += 1
             ivc = all_ivcs[g * v + w]
@@ -1579,10 +1365,24 @@ def _make_spec_alloc_grouped(router: BaseRouter, cand=None):
 
 
 def _build_wormhole(router: BaseRouter):
-    grant = _make_grant(router)
+    """Wormhole family: one datapath.  Virtual cut-through changes the
+    head's credit rule; the single-cycle router the phase order."""
+    kind = router.config.router_kind
+    vct = kind is RouterKind.VIRTUAL_CUT_THROUGH
+    single_cycle = kind.is_single_cycle
     st = _make_st(router)
-    alloc = _make_wormhole_alloc(router, grant, vct=False)
-    rc = _make_rc(router, vc_family=False, single_cycle=False)
+    alloc = _make_wormhole_alloc(router, _make_grant(router), vct=vct)
+    rc = _make_rc(router, vc_family=False, single_cycle=single_cycle)
+    if single_cycle:
+
+        def step(cycle: int) -> None:
+            # Reversed phase order: arrive, route, arbitrate and
+            # traverse within the same cycle.
+            rc(cycle)
+            alloc(cycle)
+            st(cycle)
+
+        return step
 
     def step(cycle: int) -> None:
         st(cycle)
@@ -1590,53 +1390,27 @@ def _build_wormhole(router: BaseRouter):
         rc(cycle)
 
     return step
-
-
-def _build_vct(router: BaseRouter):
-    grant = _make_grant(router)
-    st = _make_st(router)
-    alloc = _make_wormhole_alloc(router, grant, vct=True)
-    rc = _make_rc(router, vc_family=False, single_cycle=False)
-
-    def step(cycle: int) -> None:
-        st(cycle)
-        alloc(cycle)
-        rc(cycle)
-
-    return step
-
-
-def _build_single_cycle_wormhole(router: BaseRouter):
-    grant = _make_grant(router)
-    st = _make_st(router)
-    alloc = _make_wormhole_alloc(router, grant, vct=False)
-    rc = _make_rc(router, vc_family=False, single_cycle=True)
-
-    def step(cycle: int) -> None:
-        # Reversed phase order: arrive, route, arbitrate and traverse
-        # within the same cycle.
-        rc(cycle)
-        alloc(cycle)
-        st(cycle)
-
-    return step
-
-
-def _make_va_builder(router: BaseRouter):
-    """VA closure for the config's allocator kind (fused separable
-    stages, or grouped lists into the batched bitmask matcher)."""
-    cand = _make_candidates(router)
-    if router.config.allocator_kind == "separable":
-        return _make_vc_va(router, cand)
-    return _make_vc_va_grouped(router, cand)
 
 
 def _build_vc(router: BaseRouter):
-    grant = _make_grant(router)
+    """Plain VC family: 4-stage pipelined or single-cycle order."""
+    single_cycle = router.config.router_kind.is_single_cycle
     st = _make_st(router)
-    sa = _make_vc_sa(router, grant)
-    va = _make_va_builder(router)
-    rc = _make_vc_rc(router, single_cycle=False)
+    sa = _make_vc_sa(router, _make_grant(router))
+    va = _make_va(router, _make_candidates(router))
+    rc = _make_vc_rc(router, single_cycle=single_cycle)
+    if single_cycle:
+
+        def step(cycle: int) -> None:
+            # VA before SA so a fresh head can win an output VC and
+            # the switch in the same cycle; this order never reiterates.
+            rc(cycle)
+            va(cycle)
+            sa(cycle)
+            st(cycle)
+
+        return step
+
     if router.config.routing_function == "adaptive":
         reiterate = _make_reiterate(router)
 
@@ -1658,32 +1432,16 @@ def _build_vc(router: BaseRouter):
     return step
 
 
-def _build_single_cycle_vc(router: BaseRouter):
-    grant = _make_grant(router)
-    st = _make_st(router)
-    sa = _make_vc_sa(router, grant)
-    va = _make_va_builder(router)
-    rc = _make_vc_rc(router, single_cycle=True)
-
-    def step(cycle: int) -> None:
-        rc(cycle)
-        va(cycle)
-        sa(cycle)
-        st(cycle)
-
-    return step
-
-
 def _build_spec_vc(router: BaseRouter):
     st = _make_st(router)
     cand = _make_candidates(router)
     config = router.config
-    if config.allocator_kind != "separable":
-        alloc = _make_spec_alloc_grouped(router, cand)
-    elif config.speculation_priority == "equal":
+    if config.speculation_priority == "equal":
         alloc = _make_spec_alloc_equal(router, cand)
-    else:
+    elif config.allocator_kind == "separable":
         alloc = _make_spec_alloc(router, cand)
+    else:
+        alloc = _make_spec_alloc_grouped(router, cand)
     rc = _make_vc_rc(router, single_cycle=False)
 
     def step(cycle: int) -> None:
@@ -1696,12 +1454,10 @@ def _build_spec_vc(router: BaseRouter):
 
 _BUILDERS = {
     "wormhole": (WormholeRouter, _build_wormhole),
-    "virtual_cut_through": (VirtualCutThroughRouter, _build_vct),
-    "single_cycle_wormhole": (
-        SingleCycleWormholeRouter, _build_single_cycle_wormhole,
-    ),
+    "virtual_cut_through": (VirtualCutThroughRouter, _build_wormhole),
+    "single_cycle_wormhole": (SingleCycleWormholeRouter, _build_wormhole),
     "virtual_channel": (VirtualChannelRouter, _build_vc),
-    "single_cycle_vc": (SingleCycleVCRouter, _build_single_cycle_vc),
+    "single_cycle_vc": (SingleCycleVCRouter, _build_vc),
     "speculative_vc": (SpeculativeVCRouter, _build_spec_vc),
 }
 

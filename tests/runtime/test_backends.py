@@ -41,6 +41,17 @@ class TestResolveBackend:
         assert isinstance(resolve_backend("serial"), SerialBackend)
         assert resolve_backend("process:5").slots == 5
 
+    @pytest.mark.parametrize(
+        "spec", ["process:x", "process:2.5", "process:-1", "serial:3"]
+    )
+    def test_malformed_argument_names_the_spec(self, monkeypatch, spec):
+        message = "unknown backend '%s'.*serial or process" % spec
+        with pytest.raises(ValueError, match=message):
+            resolve_backend(spec)
+        monkeypatch.setenv(BACKEND_ENV, spec)
+        with pytest.raises(ValueError, match=message):
+            resolve_backend(None)
+
     def test_bare_process_defaults_to_two_workers(self):
         assert resolve_backend("process", workers=0).slots == 2
         assert resolve_backend("process", workers=6).slots == 6

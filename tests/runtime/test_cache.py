@@ -1,9 +1,11 @@
 """Cache hit/miss semantics: keying, persistence, exact round trips."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
+from repro.runtime import Experiment
 from repro.runtime.cache import ResultCache, code_fingerprint, config_key
 from repro.sim.config import MeasurementConfig, RouterKind, SimConfig
 from repro.sim.engine import simulate
@@ -109,3 +111,26 @@ class TestResultCache:
         path.write_text("{not json")
         assert cache.get(key) is None
         assert cache.misses == 1
+
+    @pytest.mark.parametrize("payload", [
+        {"format": 1, "key": "k"},                      # no "result"
+        {"format": 1, "key": "k", "result": {"injection_fraction": 0.1}},
+        ["format", 1],                                  # top-level list
+    ], ids=["no_result", "result_missing_fields", "top_level_list"])
+    def test_wrong_shape_entry_is_a_miss_and_heals(self, tmp_path, payload):
+        # Well-formed JSON of the wrong shape must read as a recorded
+        # miss (not KeyError/TypeError, not a counted hit), through
+        # Experiment too; the re-simulated point's put overwrites it.
+        cache = ResultCache(tmp_path)
+        key = config_key(base_config(), FAST)
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(payload))
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+        experiment = Experiment(FAST, cache=cache)
+        (result,) = experiment.map([base_config()])
+        assert experiment.stats.cache_hits == 0
+        assert cache.get(key) == result
+        assert cache.hits == 1

@@ -85,6 +85,48 @@ class TestSeparableAllocatorProperties:
             assert len(maximum_grants) >= len(separable_grants)
 
 
+def allocator_state(allocator):
+    """Everything the next cycle's arbitration depends on."""
+    if hasattr(allocator, "_rotation"):
+        return allocator._rotation
+    return [
+        arbiter._state if isinstance(arbiter, MatrixArbiter) else arbiter._next
+        for arbiter in allocator._stage1 + allocator._stage2
+    ]
+
+
+class TestGroupedEntryMatchesRequestPath:
+    """``allocate_grouped`` (the compiled steps' batched tier) against
+    ``allocate`` (the executable spec) on a twin allocator."""
+
+    @pytest.mark.parametrize("kind,arbiter_kind", [
+        ("separable", "matrix"),
+        ("separable", "round_robin"),
+        ("maximum", "matrix"),
+    ])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_grants_same_order_same_state(self, seed, kind, arbiter_kind):
+        rng = random.Random(seed)
+        spec, batched = (
+            make_allocator(kind, GROUPS, MEMBERS, RESOURCES, arbiter_kind)
+            for _ in range(2)
+        )
+        for _ in range(5):
+            requests = random_requests(rng, density=rng.choice((0.1, 0.4, 0.9)))
+            groups, members_lists, resources_lists = [], [], []
+            for request in requests:  # group-contiguous, request order
+                if not groups or groups[-1] != request.group:
+                    groups.append(request.group)
+                    members_lists.append([])
+                    resources_lists.append([])
+                members_lists[-1].append(request.member)
+                resources_lists[-1].append(request.resource)
+            assert batched.allocate_grouped(
+                groups, members_lists, resources_lists
+            ) == spec.allocate(requests)
+            assert allocator_state(batched) == allocator_state(spec)
+
+
 class TestSpeculativeAllocatorProperties:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_combined_grants_legal_and_priority_respected(self, seed):

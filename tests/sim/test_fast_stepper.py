@@ -208,6 +208,9 @@ class TestHighLoadBattery:
         ("maximum", dict(allocator_kind="maximum")),
         ("o1turn", dict(routing_function="o1turn")),
         ("adaptive", dict(routing_function="adaptive")),
+        # Not a fallback dimension, but the fused closures' non-matrix
+        # ``arb.arbitrate(...)`` legs need a dedicated high-load case.
+        ("round_robin", dict(arbiter_kind="round_robin")),
     ]
 
     @pytest.mark.parametrize("kind", [
@@ -236,7 +239,8 @@ class TestHighLoadBattery:
     @pytest.mark.parametrize("override", [
         dict(speculation_priority="equal"),
         dict(speculation_priority="equal", allocator_kind="maximum"),
-    ], ids=["equal", "equal-maximum"])
+        dict(speculation_priority="equal", arbiter_kind="round_robin"),
+    ], ids=["equal", "equal-maximum", "equal-round_robin"])
     @pytest.mark.parametrize("load", [0.42, 0.5])
     def test_equal_priority_under_load_mesh(self, override, load):
         config = SimConfig(
