@@ -15,6 +15,9 @@ against the body of the key function (``config_key``):
   another tracked dataclass covers that class too (``SimConfig.telemetry:
   Optional[TelemetryConfig]`` carries TelemetryConfig into the key);
 * a direct ``param.field`` attribute read covers that single field;
+* ``asdict(param.field)`` covers that field and the tracked dataclass
+  its annotation names (``asdict(config.telemetry)`` -> TelemetryConfig),
+  and nothing else of the parameter's class;
 * a field can be exempted by name in a module-level
   ``CACHE_KEY_EXEMPT = {"Class.field", ...}`` set next to the key
   function, or inline on the field with ``# repro: allow[CACHE001] why``.
@@ -222,16 +225,7 @@ def _coverage(
             dotted = call_name(node)
             if dotted is not None and dotted.rsplit(".", 1)[-1] == "asdict":
                 for inner in node.args:
-                    for sub in ast.walk(inner):
-                        if (
-                            isinstance(sub, ast.Name)
-                            and sub.id in param_class
-                        ):
-                            classes.add(param_class[sub.id])
-                        elif isinstance(sub, ast.Call):
-                            ctor = call_name(sub)
-                            if ctor in tracked:
-                                classes.add(ctor)
+                    classes |= _asdict_classes(inner, param_class, tracked)
         elif (
             isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)
@@ -240,6 +234,43 @@ def _coverage(
         ):
             fields.add((param_class[node.value.id], node.attr))
     return classes, fields
+
+
+def _asdict_classes(
+    inner: ast.AST,
+    param_class: Dict[str, str],
+    tracked: Dict[str, ClassInfo],
+) -> Set[str]:
+    """Tracked classes one ``asdict(<inner>)`` argument dumps whole.
+
+    ``asdict(param)`` dumps the parameter's class; ``asdict(param.field)``
+    dumps only what the field holds -- the tracked dataclass its
+    annotation names (``asdict(config.telemetry)`` -> TelemetryConfig) --
+    and says nothing about the parameter's other fields;
+    ``asdict(Tracked(...))`` dumps the constructed class.
+    """
+    classes: Set[str] = set()
+    field_bases = set()
+    for sub in ast.walk(inner):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id in param_class
+        ):
+            field_bases.add(id(sub.value))
+            annotation = tracked[param_class[sub.value.id]].fields.get(
+                sub.attr, ""
+            )
+            classes.update(name for name in tracked if name in annotation)
+    for sub in ast.walk(inner):
+        if isinstance(sub, ast.Name):
+            if sub.id in param_class and id(sub) not in field_bases:
+                classes.add(param_class[sub.id])
+        elif isinstance(sub, ast.Call):
+            ctor = call_name(sub)
+            if ctor in tracked:
+                classes.add(ctor)
+    return classes
 
 
 def _exemptions(func: FunctionInfo) -> Set[str]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="refinement backend: serial, process[:N], ssh[:N]",
+        help="refinement backend: serial, process[:N]",
     )
     parser.add_argument(
         "--cache-dir", type=Path, default=None, metavar="DIR",
@@ -141,8 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--serve", action="store_true",
         help="long-running mode: read 'key=value ...' queries from "
-             "stdin (keys: router load radix vcs buffers topology "
-             "routing seed), answer each line; 'quit' or EOF exits",
+             f"stdin (keys: {' '.join(_SERVE_KEYS)}), answer each "
+             "line; 'quit' or EOF exits",
     )
     return parser
 
@@ -179,8 +180,6 @@ def _emit(answer, as_json: bool) -> None:
 
 def _serve_loop(estimator: Estimator, base: SimConfig, args) -> int:
     """Read one query per stdin line, answer immediately."""
-    from dataclasses import replace
-
     print(
         "[serve] ready; query lines like 'router=wormhole load=0.3' "
         "(empty line repeats, 'quit' exits)",
@@ -228,11 +227,19 @@ def _serve_loop(estimator: Estimator, base: SimConfig, args) -> int:
 
 
 def estimate_command(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
 
     measurement = MeasurementConfig()
     if args.sample_packets is not None:
-        measurement.sample_packets = args.sample_packets
+        try:
+            # replace() re-runs __post_init__; assigning the field
+            # would let a sample of 0 packets through to the cache.
+            measurement = replace(
+                measurement, sample_packets=args.sample_packets
+            )
+        except ValueError as error:
+            parser.error(f"--sample-packets: {error}")
 
     calibration = None
     if args.calibration is not None and args.calibration.exists():
@@ -270,8 +277,6 @@ def estimate_command(argv: Optional[List[str]] = None) -> int:
             [float(x) for x in args.loads.split(",")]
             if args.loads else [args.load]
         )
-        from dataclasses import replace
-
         for load in loads:
             answer = estimator.query(
                 replace(base, injection_fraction=load), wait=args.wait,

@@ -29,8 +29,11 @@ import json
 import os
 import tempfile
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from ..sim.config import MeasurementConfig, SimConfig
 from ..sim.metrics import RunResult
@@ -62,15 +65,39 @@ def code_fingerprint() -> str:
     return _code_fingerprint
 
 
-def _jsonable(value: Any) -> Any:
-    """Make dataclass-dict values canonical-JSON-safe (enums -> values)."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "value") and value.__class__.__module__ != "builtins":
-        return value.value  # enum members
-    return value
+#: The canonical JSON encoding every key is a SHA-256 of: sorted keys,
+#: no whitespace.  Changing it re-keys every entry ever written.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@lru_cache(maxsize=64, typed=True)
+def _key_frame(
+    code: str,
+    drain_cycles: int,
+    max_cycles: int,
+    sample_packets: int,
+    warmup_cycles: int,
+) -> Tuple[str, str]:
+    """The canonical JSON before and after the ``"config"`` value.
+
+    That half of a key -- code version, cache format, measurement --
+    is the same for every point of a sweep and every query of a serving
+    session, so it is encoded once per distinct set of values.  The
+    configs are mutable, so the memo is over the field *values*, never
+    the object; ``typed`` because ``1 == 1.0 == True`` hash alike but
+    encode differently.
+    """
+    measurement = {
+        "drain_cycles": drain_cycles,
+        "max_cycles": max_cycles,
+        "sample_packets": sample_packets,
+        "warmup_cycles": warmup_cycles,
+    }
+    return (
+        f'{{"code":{_encode(code)},"config":',
+        f',"format":{_encode(CACHE_FORMAT)},'
+        f'"measurement":{_encode(measurement)}}}',
+    )
 
 
 def config_key(
@@ -78,14 +105,53 @@ def config_key(
     measurement: Optional[MeasurementConfig] = None,
     code_version: Optional[str] = None,
 ) -> str:
-    """Stable content hash identifying one simulation run."""
-    payload = {
-        "format": CACHE_FORMAT,
-        "config": _jsonable(asdict(config)),
-        "measurement": _jsonable(asdict(measurement or MeasurementConfig())),
-        "code": code_version if code_version is not None else code_fingerprint(),
+    """Stable content hash identifying one simulation run.
+
+    SHA-256 over the canonical JSON of ``{"code", "config", "format",
+    "measurement"}`` with every config and measurement field under its
+    own name -- byte for byte what ``json.dumps`` of the two
+    ``asdict()`` dumps gives (``tests/runtime/test_cache.py`` keeps that
+    recipe as the reference), so keys, cache directories and manifests
+    written by any earlier version stay valid.  The fields are read one
+    by one, which is what CACHE001 checks statically: a new
+    ``SimConfig`` / ``MeasurementConfig`` field must be read here before
+    the lint passes.
+    """
+    if measurement is None:
+        measurement = MeasurementConfig()
+    prefix, suffix = _key_frame(
+        code_version if code_version is not None else code_fingerprint(),
+        measurement.drain_cycles,
+        measurement.max_cycles,
+        measurement.sample_packets,
+        measurement.warmup_cycles,
+    )
+    fields = {
+        "allocator_kind": config.allocator_kind,
+        "arbiter_kind": config.arbiter_kind,
+        "buffers_per_vc": config.buffers_per_vc,
+        "burst_length": config.burst_length,
+        "credit_pipeline": config.credit_pipeline,
+        "credit_propagation": config.credit_propagation,
+        "flit_propagation": config.flit_propagation,
+        "injection_fraction": config.injection_fraction,
+        "injection_process": config.injection_process,
+        "mesh_radix": config.mesh_radix,
+        "num_vcs": config.num_vcs,
+        "packet_length": config.packet_length,
+        "router_kind": config.router_kind.value,
+        "routing_function": config.routing_function,
+        "seed": config.seed,
+        "speculation_priority": config.speculation_priority,
+        "stepper": config.stepper,
+        "telemetry": (
+            None if config.telemetry is None else asdict(config.telemetry)
+        ),
+        "topology": config.topology,
+        "traffic_pattern": config.traffic_pattern,
+        "va_extra_cycles": config.va_extra_cycles,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = prefix + _encode(fields) + suffix
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -189,6 +255,14 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-sim"
 
 
+#: Decoded hits one :class:`ResultCache` keeps in memory (see
+#: :meth:`ResultCache.get`).  A decoded entry is ~1.4 KiB, ~90 KiB when
+#: it carries an 8x8 telemetry summary, so the read-through tops out at
+#: 0.4 MiB of plain entries (23 MiB of telemetry ones, which a sweep's
+#: own result list references anyway); a full one is simply emptied.
+_READ_THROUGH_ENTRIES = 256
+
+
 class ResultCache:
     """On-disk :class:`RunResult` store addressed by :func:`config_key`."""
 
@@ -196,6 +270,7 @@ class ResultCache:
         self.directory = Path(directory) if directory else default_cache_dir()
         self.hits = 0
         self.misses = 0
+        self._decoded: Dict[str, RunResult] = {}
 
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
@@ -205,14 +280,38 @@ class ResultCache:
 
         A missing, torn or wrong-shaped entry is a miss all the same:
         the point re-simulates and the atomic :meth:`put` overwrites it.
+
+        Entries are content-addressed and never change once written, so
+        a decoded hit is kept in memory and the next ``get`` of that key
+        costs no disk read; treat the returned object as read-only (both
+        callers in this package ``replace()`` it).  Only hits are kept
+        -- never "this key is absent" -- so an entry that lands later,
+        from this process or any other, is seen by the very next
+        ``get``.  :meth:`put` and :meth:`clear` drop what they replace.
+        The estimator's background refiner ``put``s on this instance
+        while the caller's thread ``get``s: each touches ``_decoded``
+        with one dict operation at a time, which the interpreter lock
+        makes atomic, and the worst interleaving (a ``get`` storing the
+        entry a concurrent ``put`` just rewrote) stores a result equal
+        to the new one, so no lock is taken.
         """
-        path = self._path(key)
-        try:
-            data = json.loads(path.read_text())
-            result = RunResult.from_dict(data["result"])
-        except (OSError, ValueError, LookupError, TypeError, AttributeError):
-            self.misses += 1
-            return None
+        result = self._decoded.get(key)
+        if result is None:
+            try:
+                # _path(key), spelled as a string: the pathlib join
+                # cost more than the failed open() of a miss.
+                with open(
+                    f"{self.directory}/{key[:2]}/{key}.json", "rb"
+                ) as handle:
+                    data = json.loads(handle.read())
+                result = RunResult.from_dict(data["result"])
+            except (OSError, ValueError, LookupError, TypeError,
+                    AttributeError):
+                self.misses += 1
+                return None
+            if len(self._decoded) >= _READ_THROUGH_ENTRIES:
+                self._decoded.clear()
+            self._decoded[key] = result
         self.hits += 1
         return result
 
@@ -240,6 +339,7 @@ class ResultCache:
             except OSError:
                 pass
             raise
+        self._decoded.pop(key, None)
         return path
 
     def manifest(self, keys: Sequence[str], label: str = "") -> SweepManifest:
@@ -267,6 +367,7 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
         removed = 0
+        self._decoded.clear()
         if self.directory.exists():
             for path in self.directory.glob("*/*.json"):
                 path.unlink()

@@ -37,8 +37,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.config import MeasurementConfig, SimConfig
 from ..sim.metrics import RunResult
-from ..surrogate import Calibration, SurrogateEstimate, estimate
-from ..telemetry.registry import MetricRegistry
+from ..surrogate import (
+    DEFAULT_COEFFICIENTS,
+    Calibration,
+    SurrogateEstimate,
+    estimate,
+)
+from ..telemetry.registry import Counter, MetricRegistry
 from .cache import config_key
 from .experiment import Experiment
 
@@ -56,7 +61,9 @@ _REFINE_BATCH = 8
 #: bookkeeping its Condition predicate reads.
 LOCKED_BY = {
     "Estimator._queries": "_lock",
-    "Estimator._observed_errors": "_lock",
+    "Estimator._answer_counters": "_lock",
+    "Estimator._observed_count": "_lock",
+    "Estimator._observed_max": "_lock",
     "Estimator._last_refine_error": "_lock",
     "Estimator.calibration": "_lock",
     "Estimator._scheduled_keys": "_idle",
@@ -169,7 +176,9 @@ class Estimator:
         self.refine_enabled = refine
         self.registry = MetricRegistry()
         self._lock = threading.Lock()
-        self._pending: "queue.Queue[Optional[SimConfig]]" = queue.Queue()
+        self._pending: (
+            "queue.Queue[Optional[Tuple[str, SimConfig]]]"
+        ) = queue.Queue()
         self._scheduled_keys: set = set()
         self._inflight = 0
         self._idle = threading.Condition()
@@ -177,7 +186,11 @@ class Estimator:
         self._closed = False
         self._started = time.perf_counter()
         self._queries = 0
-        self._observed_errors: List[float] = []
+        #: Per answer source, the (queries, answers{source}) counters,
+        #: bound in the registry the first time that source answers.
+        self._answer_counters: Dict[str, Tuple[Counter, Counter]] = {}
+        self._observed_count = 0
+        self._observed_max = 0.0
         self._last_refine_error: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -203,72 +216,83 @@ class Estimator:
         if load is not None:
             config = replace(config, injection_fraction=load)
         config.validate()
-        with self._lock:
-            self._queries += 1
-            self.registry.counter("estimator_queries").inc()
-
         key = config_key(config, self.measurement)
         cache = self.experiment.cache
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            return self._measured_answer(
-                config, replace(hit, source="cached"), "cached"
-            )
-        if wait:
+        result = cache.get(key) if cache is not None else None
+        if result is not None:
+            source = "cached"
+            result = replace(result, source="cached")
+        elif wait:
             result = self.experiment.map([config])[0]
-            return self._measured_answer(
-                config, result, result.source or "simulated"
-            )
+            source = result.source or "simulated"
+        else:
+            source = "surrogate"
 
-        coefficients = self.calibration.for_config(config)
-        prediction = estimate(config, coefficients=coefficients)
-        scheduled = False
-        if refine if refine is not None else self.refine_enabled:
-            scheduled = self._schedule_refinement(config, key, prediction)
-        with self._lock:
-            self.registry.counter(
-                "estimator_answers", source="surrogate"
-            ).inc()
-        return EstimateAnswer(
-            config=config,
-            load=config.injection_fraction,
-            source="surrogate",
-            latency_cycles=prediction.latency_cycles,
-            throughput_fraction=prediction.throughput_fraction,
-            saturated=prediction.saturated,
-            error_estimate=self.calibration.error_estimate(config),
-            estimate=prediction,
-            refinement_scheduled=scheduled,
+        # One read of the calibration (calibrate() may swap it) and one
+        # class look-up serve both the coefficients and the error.
+        record = self.calibration.record_for(config)
+        prediction = estimate(
+            config,
+            coefficients=(
+                DEFAULT_COEFFICIENTS if record is None
+                else record.coefficients
+            ),
         )
-
-    def _measured_answer(
-        self, config: SimConfig, result: RunResult, source: str
-    ) -> EstimateAnswer:
+        scheduled = False
+        if result is None and (
+            refine if refine is not None else self.refine_enabled
+        ):
+            scheduled = self._schedule_refinement(config, key)
         with self._lock:
-            self.registry.counter(
-                "estimator_answers", source=source
-            ).inc()
-        coefficients = self.calibration.for_config(config)
+            self._queries += 1
+            counters = self._answer_counters.get(source)
+            if counters is None:
+                counters = self._answer_counters[source] = (
+                    self.registry.counter("estimator_queries"),
+                    self.registry.counter(
+                        "estimator_answers", source=source
+                    ),
+                )
+            counters[0].inc()
+            counters[1].inc()
+        if result is not None:
+            return EstimateAnswer(
+                config=config,
+                load=config.injection_fraction,
+                source=source,
+                latency_cycles=result.average_latency,
+                throughput_fraction=result.accepted_fraction,
+                saturated=result.saturated,
+                error_estimate=0.0,
+                estimate=prediction,
+                result=result,
+            )
         return EstimateAnswer(
             config=config,
             load=config.injection_fraction,
             source=source,
-            latency_cycles=result.average_latency,
-            throughput_fraction=result.accepted_fraction,
-            saturated=result.saturated,
-            error_estimate=0.0,
-            estimate=estimate(config, coefficients=coefficients),
-            result=result,
+            latency_cycles=prediction.latency_cycles,
+            throughput_fraction=prediction.throughput_fraction,
+            saturated=prediction.saturated,
+            error_estimate=(
+                None if record is None else record.max_rel_error
+            ),
+            estimate=prediction,
+            refinement_scheduled=scheduled,
         )
 
     # ------------------------------------------------------------------
     # Background refinement.
     # ------------------------------------------------------------------
 
-    def _schedule_refinement(
-        self, config: SimConfig, key: str, prediction: SurrogateEstimate
-    ) -> bool:
-        """Enqueue one point for background simulation (dedup by key)."""
+    def _schedule_refinement(self, config: SimConfig, key: str) -> bool:
+        """Enqueue one point for background simulation (dedup by key).
+
+        A key stays in ``_scheduled_keys`` while its point is queued or
+        simulating, and for good if its batch failed (a poisoned point
+        must not be retried on every query); a landed refinement drops
+        it, because from then on the cache answers that key.
+        """
         if self.experiment.cache is None:
             # Nowhere for the refined result to land that a later query
             # would see; skip rather than simulate into the void.
@@ -279,7 +303,7 @@ class Estimator:
             self._scheduled_keys.add(key)
             self._inflight += 1
             backlog = self._inflight
-        self._pending.put(config)
+        self._pending.put((key, config))
         with self._lock:
             self.registry.counter("estimator_refinements_scheduled").inc()
             self.registry.gauge("estimator_refine_backlog").set(backlog)
@@ -312,8 +336,10 @@ class Estimator:
                     stop = True
                     break
                 batch.append(extra)
+            configs = [config for _, config in batch]
+            landed: List[str] = []
             try:
-                results = self._refiner.map(batch)
+                results = self._refiner.map(configs)
             except Exception as exc:
                 # The serving loop outlives a failed batch: count it,
                 # keep the text for summary(), release the backlog below.
@@ -323,11 +349,13 @@ class Estimator:
                     ).inc(len(batch))
                     self._last_refine_error = f"{type(exc).__name__}: {exc}"
             else:
-                for config, result in zip(batch, results):
+                for config, result in zip(configs, results):
                     self._record_refinement(config, result)
+                landed = [key for key, _ in batch]
             with self._idle:
                 self._inflight -= len(batch)
                 backlog = self._inflight
+                self._scheduled_keys.difference_update(landed)
                 self._idle.notify_all()
             with self._lock:
                 self.registry.gauge("estimator_refine_backlog").set(backlog)
@@ -350,10 +378,11 @@ class Estimator:
                 abs(predicted.latency_cycles - result.average_latency)
                 / result.average_latency
             )
-            self._observed_errors.append(error)
+            self._observed_count += 1
+            self._observed_max = max(self._observed_max, error)
             self.registry.gauge("estimator_observed_rel_error").set(error)
             self.registry.gauge("estimator_observed_max_rel_error").set(
-                max(self._observed_errors)
+                self._observed_max
             )
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -439,9 +468,9 @@ class Estimator:
                 if surrogate_counter is not None and queries else 0.0
             )
             observed = (
-                f"{max(self._observed_errors):.1%} max observed error "
-                f"over {len(self._observed_errors)} refinements"
-                if self._observed_errors else "no refinements scored yet"
+                f"{self._observed_max:.1%} max observed error "
+                f"over {self._observed_count} refinements"
+                if self._observed_count else "no refinements scored yet"
             )
             failed = self.registry.get("estimator_refinements_failed")
             if failed is not None:

@@ -40,7 +40,7 @@ are enforced over this package exactly as over ``repro.delaymodel``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
@@ -196,14 +196,19 @@ def _base_depth(kind: RouterKind) -> int:
     return design.depth
 
 
+@lru_cache(maxsize=256)
+def _average_hops(topology: str, radix: int) -> float:
+    """Mean uniform-traffic hop count: a closed form of the two."""
+    return make_topology(topology, radix).average_hop_distance()
+
+
 def service_time(
     config: SimConfig,
     coefficients: SurrogateCoefficients = DEFAULT_COEFFICIENTS,
 ) -> ServiceTime:
     """The deterministic service-time core for one configuration."""
     depth, clock_tau4 = _per_hop_depth(config)
-    topology = make_topology(config.topology, config.mesh_radix)
-    hops = topology.average_hop_distance()
+    hops = _average_hops(config.topology, config.mesh_radix)
     loop = (
         depth
         + config.flit_propagation
@@ -265,6 +270,17 @@ class HopBreakdown:
             self.router_cycles + self.link_cycles
             + self.serialization_cycles + self.credit_cycles
             + self.contention_cycles + self.offset_cycles
+        )
+
+    @property
+    def zero_load_cycles(self) -> float:
+        """The total less contention, to the bit what ``total_cycles``
+        is at ``contention_cycles=0.0`` (adding 0.0 to the positive
+        partial sum is exact)."""
+        return (
+            self.router_cycles + self.link_cycles
+            + self.serialization_cycles + self.credit_cycles
+            + self.offset_cycles
         )
 
     def to_dict(self) -> Dict[str, float]:
@@ -333,22 +349,22 @@ class SurrogateEstimate:
 SATURATION_LATENCY_MULTIPLE = 3.0
 
 
-def _zero_load_cycles(
+def _breakdown(
     config: SimConfig,
     service: ServiceTime,
     coefficients: SurrogateCoefficients,
-) -> Tuple[HopBreakdown, float]:
-    """Zero-load breakdown (contention excluded) and its total."""
+    contention: float,
+) -> HopBreakdown:
+    """The latency breakdown at a given contention term."""
     hops = service.average_hops
-    breakdown = HopBreakdown(
+    return HopBreakdown(
         router_cycles=(hops + 1.0) * service.per_hop_cycles,
         link_cycles=hops * config.flit_propagation,
         serialization_cycles=float(config.packet_length - 1),
         credit_cycles=service.credit_stall_cycles,
-        contention_cycles=0.0,
+        contention_cycles=contention,
         offset_cycles=coefficients.zero_load_offset,
     )
-    return breakdown, breakdown.total_cycles
 
 
 def _contention_cycles(
@@ -392,14 +408,10 @@ def estimate(
     saturation = coefficients.saturation_load
     if saturation is None:
         saturation = default_saturation(config)
-    zero_breakdown, zero_load = _zero_load_cycles(
-        config, service, coefficients
-    )
     utilization = load / saturation
     contention = _contention_cycles(service, coefficients, utilization)
-    saturated = not math.isfinite(contention)
-    breakdown = replace(zero_breakdown, contention_cycles=contention)
-    knee = predicted_saturation(config, coefficients)
+    breakdown = _breakdown(config, service, coefficients, contention)
+    zero_load = breakdown.zero_load_cycles
     return SurrogateEstimate(
         injection_fraction=load,
         latency_cycles=zero_load + contention,
@@ -407,8 +419,11 @@ def estimate(
         throughput_fraction=min(load, saturation),
         utilization=utilization,
         saturation_load=saturation,
-        predicted_saturation=knee,
-        saturated=saturated,
+        predicted_saturation=_knee(
+            service, coefficients, saturation, zero_load,
+            SATURATION_LATENCY_MULTIPLE,
+        ),
+        saturated=not math.isfinite(contention),
         breakdown=breakdown,
         service=service,
     )
@@ -445,7 +460,22 @@ def predicted_saturation(
     saturation = coefficients.saturation_load
     if saturation is None:
         saturation = default_saturation(config)
-    _, zero_load = _zero_load_cycles(config, service, coefficients)
+    zero_load = _breakdown(
+        config, service, coefficients, 0.0
+    ).zero_load_cycles
+    return _knee(
+        service, coefficients, saturation, zero_load, latency_multiple
+    )
+
+
+def _knee(
+    service: ServiceTime,
+    coefficients: SurrogateCoefficients,
+    saturation: float,
+    zero_load: float,
+    latency_multiple: float,
+) -> float:
+    """:func:`predicted_saturation` over an already computed core."""
     amplitude = (
         (service.average_hops + 1.0)
         * coefficients.contention_scale

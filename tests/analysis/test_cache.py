@@ -34,6 +34,21 @@ def test_good_fixture_is_silent():
     assert result.ok, [str(f) for f in result.new_findings]
 
 
+def test_explicit_reads_good_fixture_is_silent():
+    # Field-by-field reads, asdict() on the nested telemetry dataclass
+    # only.
+    result = _cache_only("cache_explicit_good.py")
+    assert result.ok, [str(f) for f in result.new_findings]
+
+
+def test_explicit_reads_bad_fixture_names_the_dropped_read():
+    # asdict(config.telemetry) covers TelemetryConfig -- not the rest
+    # of SimConfig, so the one field no longer read is the one named.
+    result = _cache_only("cache_explicit_bad.py")
+    assert rules_of(result) == ["CACHE001"]
+    assert result.new_findings[0].message.startswith("SimConfig.seed ")
+
+
 def test_findings_point_at_field_definition_lines():
     result = _cache_only("cache_bad.py")
     text = (FIXTURES / "cache_bad.py").read_text().splitlines()
@@ -46,10 +61,9 @@ def test_adding_unfingerprinted_field_to_real_tree_fails(tmp_path):
     """The drift test: copy the real config + cache modules and add one
     unfingerprinted knob to SimConfig; the lint must fail on exactly it.
 
-    The real ``config_key`` hashes ``asdict(config)``, so any *dataclass
-    field* added to SimConfig is fingerprinted automatically -- the
-    genuinely unfingerprinted vector is class-level state, which
-    ``asdict`` skips.  That is what CACHE002 guards."""
+    Class-level state is not a dataclass field, so neither ``asdict``
+    nor ``dataclasses.fields`` sees it.  That is what CACHE002 guards;
+    a real field nobody reads into the key is the next test's."""
     repo_src = Path(__file__).resolve().parent.parent.parent / "src"
     tree = tmp_path / "mini"
     tree.mkdir()
@@ -72,6 +86,45 @@ def test_adding_unfingerprinted_field_to_real_tree_fails(tmp_path):
     dirty = _cache_only(tree, root=tmp_path)
     assert rules_of(dirty) == ["CACHE002"]
     assert "SimConfig.sneaky_knob" in dirty.new_findings[0].message
+
+
+def test_adding_a_field_or_dropping_a_read_in_real_tree_fails(tmp_path):
+    """The real ``config_key`` reads its fields one by one, so a new
+    dataclass field is unkeyed until it is read there, and every read
+    is load-bearing: CACHE001 names exactly the field in each case."""
+    repo_src = Path(__file__).resolve().parent.parent.parent / "src"
+    tree = tmp_path / "mini"
+    tree.mkdir()
+    shutil.copy(repo_src / "repro/sim/config.py", tree / "config.py")
+    shutil.copy(repo_src / "repro/runtime/cache.py", tree / "cache.py")
+    shutil.copy(
+        repo_src / "repro/telemetry/config.py", tree / "telemetry_config.py"
+    )
+
+    config = tree / "config.py"
+    pristine = config.read_text()
+    anchor = "    seed: int = 1\n"
+    assert anchor in pristine
+    config.write_text(pristine.replace(
+        anchor, anchor + "    fresh_knob: int = 0\n", 1
+    ))
+    grown = _cache_only(tree, root=tmp_path)
+    assert rules_of(grown) == ["CACHE001"]
+    assert "SimConfig.fresh_knob" in grown.new_findings[0].message
+    config.write_text(pristine)
+
+    cache = tree / "cache.py"
+    text = cache.read_text()
+    for read, field_name in (
+        ('        "seed": config.seed,\n', "SimConfig.seed"),
+        ("        measurement.drain_cycles,\n",
+         "MeasurementConfig.drain_cycles"),
+    ):
+        assert text.count(read) == 1
+        cache.write_text(text.replace(read, ""))
+        dropped = _cache_only(tree, root=tmp_path)
+        assert rules_of(dropped) == ["CACHE001"]
+        assert field_name in dropped.new_findings[0].message
 
 
 def test_exempt_field_via_module_set(tmp_path):

@@ -22,6 +22,30 @@ class TestBatch:
         assert "--calibrate" in result.stdout
         assert "--no-refine" in result.stdout
 
+    def test_help_names_what_the_cli_accepts(self):
+        from repro.experiments.estimate import _SERVE_KEYS
+
+        text = " ".join(run_estimate("--help").stdout.split())
+        # The ssh backend is gone; --serve lists every key it parses.
+        assert "ssh" not in text
+        assert "serial, process[:N]" in text
+        assert f"(keys: {' '.join(_SERVE_KEYS)})" in text
+        assert "allocator" in _SERVE_KEYS
+
+    def test_sample_packets_below_one_is_rejected(self, tmp_path):
+        # The config's own check must fire: a 0-packet sample used to
+        # run, answer "latency inf ... accepted 0.0%" and be cached.
+        cache = tmp_path / "cache"
+        result = run_estimate(
+            "--router", "wormhole", "--vcs", "1", "--radix", "4",
+            "--load", "0.1", "--sample-packets", "0", "--wait",
+            "--cache-dir", str(cache),
+        )
+        assert result.returncode == 2
+        assert "sample_packets must be >= 1" in result.stderr
+        assert result.stdout == ""
+        assert not cache.exists()
+
     def test_surrogate_answers_without_simulating(self, tmp_path):
         # The acceptance-criteria path: a design-space query answered
         # from the surrogate with the cycle kernel never invoked.

@@ -127,6 +127,44 @@ class TestRefinement:
             assert "1 refinements failed" in instance.summary()
             assert "OSError: worker host unplugged" in instance.summary()
 
+    def test_serving_state_stays_bounded(self, estimator):
+        # Three scored refinements: the summary reads as it always did
+        # (max and count), from a running max rather than a list that
+        # grows under the serving lock; and a landed refinement's key
+        # leaves the dedup set -- the cache answers it from now on.
+        for load in (0.1, 0.2, 0.3):
+            assert estimator.query(config(load)).refinement_scheduled
+        assert estimator.drain(timeout=120)
+        worst = estimator.registry.get("estimator_observed_max_rel_error")
+        assert worst.samples == 3
+        assert worst.value == worst.maximum
+        assert (
+            f"{worst.value:.1%} max observed error over 3 refinements"
+            in estimator.summary()
+        )
+        assert estimator._scheduled_keys == set()
+        assert not hasattr(estimator, "_observed_errors")
+        for load in (0.1, 0.2, 0.3):
+            assert estimator.query(config(load)).source == "cached"
+
+    def test_failed_refinement_keeps_its_key(self, tmp_path):
+        # A poisoned point must not be re-simulated on every query.
+        class Unplugged:
+            name = "unplugged"
+            slots = 1
+
+            def execute(self, queue, on_result):
+                raise OSError("worker host unplugged")
+
+        with Estimator(
+            FAST, cache=tmp_path / "cache", backend=Unplugged()
+        ) as instance:
+            assert instance.query(config()).refinement_scheduled
+            assert instance.drain(timeout=60)
+            assert instance._scheduled_keys == {config_key(config(), FAST)}
+            assert not instance.query(config()).refinement_scheduled
+            assert instance.counters()["estimator_refinements_failed"] == 1
+
     def test_close_is_idempotent(self, estimator):
         estimator.query(config())
         estimator.close()
@@ -165,6 +203,14 @@ class TestTelemetry:
         assert counters["estimator_answers{source=surrogate}"] == 1
         assert counters["estimator_answers{source=simulated}"] == 1
         assert counters["estimator_answers{source=cached}"] == 1
+
+    def test_counters_appear_when_they_first_fire(self, estimator):
+        assert estimator.counters() == {}
+        estimator.query(config(), refine=False)
+        assert estimator.counters() == {
+            "estimator_queries": 1,
+            "estimator_answers{source=surrogate}": 1,
+        }
 
     def test_summary_renders(self, estimator):
         estimator.query(config(), refine=False)
@@ -226,3 +272,45 @@ class TestRunResultProvenance:
         legacy = RunResult.from_dict(payload)
         assert legacy.source is None
         assert legacy == result
+
+
+class TestServingCost:
+    @pytest.mark.perf
+    def test_query_costs_a_small_multiple_of_its_model(self, tmp_path):
+        """A surrogate answer is validate + key + cache probe + class
+        look-up around one ``estimate()``: at most 5x the bare model
+        with the same coefficients (measured ~4x; 6.2-7.2x before the
+        serving-path diet).  A ratio of two timings taken in one
+        process in alternating rounds, so it does not depend on the
+        host's speed; best-of-rounds on each side drops the bursts."""
+        import time
+
+        from repro.surrogate import estimate
+
+        observations = [
+            Observation(config=config(load), load=load, latency_cycles=latency)
+            for load, latency in [(0.05, 20.0), (0.2, 24.0), (0.35, 33.0)]
+        ]
+        calibration = calibrate(observations)
+        queries = [config(0.05 + 0.001 * step) for step in range(300)]
+        coefficients = calibration.for_config(queries[0])
+
+        def seconds(call):
+            started = time.perf_counter()
+            for query in queries:
+                call(query)
+            return time.perf_counter() - started
+
+        with Estimator(
+            FAST, cache=tmp_path / "cache",
+            calibration=calibration, refine=False,
+        ) as instance:
+            served = lambda query: instance.query(query)
+            modelled = lambda query: estimate(query, coefficients=coefficients)
+            assert served(queries[0]).estimate == modelled(queries[0])
+            serving, model = [], []
+            for _ in range(15):
+                serving.append(seconds(served))
+                model.append(seconds(modelled))
+        ratio = min(serving) / min(model)
+        assert ratio <= 5.0, f"query/estimate wall-time ratio {ratio:.2f}"

@@ -150,6 +150,30 @@ class TestPredictedSaturation:
         at_knee = estimate(config, knee).latency_cycles
         assert at_knee == pytest.approx(3.0 * zero, rel=1e-9)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_single_pass_estimate_equals_its_parts_to_the_bit(self, kind):
+        # estimate() computes the service time, zero-load total and knee
+        # once; each must equal, exactly, the public function or the
+        # zero-contention breakdown that derives it on its own (digests
+        # and calibration fits are over exact floats).
+        fitted = SurrogateCoefficients(
+            zero_load_offset=1.37, contention_scale=0.81,
+            saturation_load=0.47, credit_weight=1.9,
+        )
+        for coefficients in (DEFAULT_COEFFICIENTS, fitted):
+            config = _config(kind, buffers_per_vc=2)
+            point = estimate(config, 0.23, coefficients)
+            assert point.predicted_saturation == predicted_saturation(
+                config, coefficients
+            )
+            assert point.service == service_time(config, coefficients)
+            assert point.zero_load_cycles == dataclasses.replace(
+                point.breakdown, contention_cycles=0.0
+            ).total_cycles
+            assert point.zero_load_cycles == estimate(
+                config, 0.0, coefficients
+            ).latency_cycles
+
     def test_knee_below_hard_saturation(self):
         config = _config()
         assert predicted_saturation(config) < default_saturation(config)
