@@ -1,12 +1,11 @@
 """WRAP: string-named wrap targets must resolve to real attributes.
 
-Validation probes and telemetry collectors instrument the simulator by
-monkeypatching *named* attributes on live objects at attach time
-(``router._traverse = wrapper``, ``sink.accept = wrapped``,
+Validation probes instrument the simulator by monkeypatching *named*
+attributes on live objects at attach time (``sink.accept = wrapped``,
 ``getattr(router, "_spec_switch_allocator", None)``).  Nothing ties
-those names to the definitions in ``sim/``: rename ``_traverse`` and
-every collector silently stops collecting -- the failure surfaces hours
-later as a telemetry-on-vs-off oracle mismatch, not as a lint error.
+those names to the definitions in ``sim/``: rename ``Sink.accept`` and
+the in-order probe silently stops probing -- the failure surfaces hours
+later as a vacuously passing oracle, not as a lint error.
 
 ``WRAP001`` closes that gap.  In the wrap-site modules (``probes.py``,
 ``collectors.py``, or any file scoped ``# repro: scope[wrap-site]``) it

@@ -14,6 +14,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
 from ..runtime.experiment import Experiment
 from ..sim.config import MeasurementConfig, paper_scale
@@ -67,6 +68,20 @@ def _validation_smoke() -> int:
     ok &= prop["ok"]
     print(f"[checked] validation {'PASSED' if ok else 'FAILED'}")
     return 0 if ok else 1
+
+
+def _scaled(parser, measurement: MeasurementConfig, sample_packets):
+    """``measurement`` at ``--sample-packets N`` (unchanged when not given).
+
+    ``replace()`` re-runs ``__post_init__``, so a bad value is a usage
+    error here instead of a simulation that never samples.
+    """
+    if sample_packets is None:
+        return measurement
+    try:
+        return replace(measurement, sample_packets=sample_packets)
+    except ValueError as error:
+        parser.error(f"--sample-packets: {error}")
 
 
 def _report_command(argv) -> int:
@@ -133,9 +148,7 @@ def _report_command(argv) -> int:
             buffers_per_vc=config.buffers_per_vc,
             injection_fraction=args.load, seed=args.seed,
         )
-    measurement = MeasurementConfig()
-    if args.sample_packets is not None:
-        measurement.sample_packets = args.sample_packets
+    measurement = _scaled(parser, MeasurementConfig(), args.sample_packets)
     telemetry = None
     if args.sample_period is not None:
         telemetry = TelemetryConfig(
@@ -218,9 +231,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    measurement = paper_scale() if args.paper_scale else MeasurementConfig()
-    if args.sample_packets is not None:
-        measurement.sample_packets = args.sample_packets
+    measurement = _scaled(
+        parser,
+        paper_scale() if args.paper_scale else MeasurementConfig(),
+        args.sample_packets,
+    )
 
     if args.checked and not (args.simulate or args.ablations):
         return _validation_smoke()

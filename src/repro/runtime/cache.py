@@ -172,7 +172,7 @@ def sweep_key(keys: Sequence[str]) -> str:
 class SweepManifest:
     """Append-only progress ledger of one batch of points.
 
-    Line 1 is the header (sweep key, label, point count); every
+    Line 1 is the header (sweep key, point count); every
     completed point appends a ``{"done": key}`` record the moment its
     result is in the cache; a final ``{"complete": true}`` line marks a
     finished batch.  Appends are line-buffered single writes, so a
@@ -181,12 +181,10 @@ class SweepManifest:
     execute the rest.
     """
 
-    def __init__(self, path: Path, sweep: str, points: int,
-                 label: str = "") -> None:
+    def __init__(self, path: Path, sweep: str, points: int) -> None:
         self.path = path
         self.sweep = sweep
         self.points = points
-        self.label = label
         self._done: Set[str] = set()
         self._complete = False
         self._load()
@@ -213,7 +211,6 @@ class SweepManifest:
             self._append({
                 "format": CACHE_FORMAT,
                 "sweep": self.sweep,
-                "label": self.label,
                 "points": self.points,
             })
         return self
@@ -342,7 +339,7 @@ class ResultCache:
         self._decoded.pop(key, None)
         return path
 
-    def manifest(self, keys: Sequence[str], label: str = "") -> SweepManifest:
+    def manifest(self, keys: Sequence[str]) -> SweepManifest:
         """The progress ledger for the batch addressed by ``keys``.
 
         Lives under ``manifests/`` next to the entry shards; the same
@@ -351,7 +348,7 @@ class ResultCache:
         """
         sweep = sweep_key(keys)
         path = self.directory / "manifests" / f"{sweep}.jsonl"
-        return SweepManifest(path, sweep, len(set(keys)), label=label)
+        return SweepManifest(path, sweep, len(set(keys)))
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()

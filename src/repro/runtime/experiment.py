@@ -38,7 +38,6 @@ from ..sim.config import MeasurementConfig, SimConfig
 from ..sim.instrumentation import NullProgress, ProgressHook
 from ..sim.metrics import AggregateResult, RunResult, SweepResult
 from ..telemetry.config import TelemetryConfig
-from ..telemetry.registry import MetricRegistry
 from .backends import ExecutionBackend, SerialBackend, resolve_backend
 from .cache import ResultCache, config_key
 from .scheduler import Job, JobQueue, Plan, SchedulerStats
@@ -47,11 +46,6 @@ from .scheduler import Job, JobQueue, Plan, SchedulerStats
 #: (mirrors ``experiments.sweep.DEFAULT_LOADS``; duplicated to keep the
 #: runtime layer importable without the experiments layer).
 DEFAULT_LOADS: Sequence[float] = (0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75)
-
-#: Chunk-latency buckets (seconds) for the scheduler histogram.
-CHUNK_SECONDS_BUCKETS: Tuple[float, ...] = (
-    0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0
-)
 
 
 @dataclass
@@ -112,9 +106,7 @@ class ExperimentStats:
 
     The scheduler sub-record carries the dispatch-level observability
     the job queue collects -- chunk latency, steal/split counts, worker
-    busy time, cache-stream lag -- and :meth:`to_registry` exports the
-    whole object as :mod:`repro.telemetry` metrics so experiment-level
-    and simulation-level observability share one data model.
+    busy time, cache-stream lag.
     """
 
     points_requested: int = 0
@@ -192,63 +184,6 @@ class ExperimentStats:
         )
         return f"{summary} ({reasons})" if reasons else summary
 
-    def to_registry(self) -> MetricRegistry:
-        """This record as telemetry metrics (counters/gauges/histogram)."""
-        registry = MetricRegistry()
-        registry.counter("experiment_points_requested").inc(
-            self.points_requested
-        )
-        registry.counter("experiment_points_executed").inc(
-            self.points_executed
-        )
-        registry.counter("experiment_cache_hits").inc(self.cache_hits)
-        registry.counter("experiment_points_deduplicated").inc(
-            self.deduplicated
-        )
-        registry.counter("experiment_routers_specialized").inc(
-            self.routers_specialized
-        )
-        registry.counter("experiment_routers_generic").inc(
-            self.routers_generic
-        )
-        for reason, count in sorted(self.generic_step_reasons.items()):
-            registry.counter(
-                "experiment_generic_step_points", reason=reason
-            ).inc(count)
-        for source, count in sorted(self.sources.items()):
-            registry.counter(
-                "experiment_result_source", source=source
-            ).inc(count)
-        scheduler = self.scheduler
-        registry.counter("scheduler_chunks_completed").inc(
-            scheduler.chunks_completed
-        )
-        registry.counter("scheduler_steals").inc(scheduler.steals)
-        registry.counter("scheduler_splits").inc(scheduler.splits)
-        histogram = registry.histogram(
-            "scheduler_chunk_seconds", bounds=CHUNK_SECONDS_BUCKETS
-        )
-        if scheduler.chunks_completed:
-            # Aggregate form: mean into the matching bucket keeps the
-            # histogram's total/observations exact even though the
-            # per-chunk spread is summarized, and the max is preserved
-            # in its own bucket.
-            mean = scheduler.mean_chunk_seconds
-            histogram.observe(mean, scheduler.chunks_completed - 1)
-            histogram.observe(scheduler.chunk_seconds_max)
-            # Re-anchor the total to the true sum (mean * (n-1) + max
-            # overshoots by max - mean).
-            histogram.total = scheduler.chunk_seconds_total
-        for worker, utilization in scheduler.worker_utilization().items():
-            registry.gauge(
-                "scheduler_worker_utilization", worker=worker
-            ).set(utilization)
-        lag = registry.gauge("cache_stream_lag_seconds")
-        if scheduler.stream_lag_count:
-            lag.set(scheduler.mean_stream_lag)
-            lag.set(scheduler.stream_lag_max)
-        return registry
-
 
 class Experiment:
     """Owns how simulation points run: scale, backend, cache, progress.
@@ -269,7 +204,7 @@ class Experiment:
         otherwise infers from ``workers``.
     plan:
         Default :class:`~repro.runtime.scheduler.Plan` for every batch
-        (chunk sizing, manifest bookkeeping); per-call ``plan=`` wins.
+        (chunk sizing); per-call ``plan=`` wins.
     cache:
         ``None`` disables caching; ``True`` uses the default directory
         (``$REPRO_CACHE_DIR`` or ``~/.cache/repro-sim``); a path or a
@@ -421,11 +356,9 @@ class Experiment:
                     # "simulated"; a replayed entry answers as "cached".
                     results[key] = replace(hit, source="cached")
                     cached_keys.add(key)
-            if plan.manifest:
-                manifest = self.cache.manifest(keys, label=plan.label)
-                manifest.start()
-                for key in cached_keys:
-                    manifest.record(key)
+            manifest = self.cache.manifest(keys).start()
+            for key in cached_keys:
+                manifest.record(key)
 
         pending = [
             (index, key) for index, key in enumerate(keys)
@@ -470,8 +403,7 @@ class Experiment:
                     job.key, result,
                     metadata={"label": repr(configs[job.index])},
                 )
-                if manifest is not None:
-                    manifest.record(job.key)
+                manifest.record(job.key)
                 queue.stats.record_stream_lag(
                     time.perf_counter() - arrived
                 )

@@ -9,15 +9,16 @@ handed to its slower peers, and when the queue runs dry while several
 workers are still asking, the tail chunk is split so the last stragglers
 share the remaining work.
 
-Chunking is the fix for the per-task overhead that made the original
-ProcessPoolExecutor path *lose* to serial execution (BENCH_runtime.json
-recorded ``parallel_speedup: 0.819``): one pickle/spawn round-trip now
-carries ``chunk_size`` points instead of one.
+Chunking is the fix for the per-task overhead of the original
+ProcessPoolExecutor path: one pickle/spawn round-trip now carries
+``chunk_size`` points instead of one.  What that buys is measured by
+the ``figs_parallel`` workload of ``benchmarks/e2e``
+(``runtime.parallel_speedup``).
 
 Scheduling never changes results.  Every knob on :class:`Plan` steers
-*how* points execute -- chunk granularity, manifest bookkeeping -- and a
-point's :class:`~repro.sim.metrics.RunResult` stays a pure function of
-its config + measurement.  That contract is machine-checked: the
+*how* points execute -- chunk granularity -- and a point's
+:class:`~repro.sim.metrics.RunResult` stays a pure function of its
+config + measurement.  That contract is machine-checked: the
 ``CACHE003`` rule of :mod:`repro.analysis` requires every :class:`Plan`
 field to either ride the result-cache key or be declared in
 :data:`RESULT_NEUTRAL` below.
@@ -37,9 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 #: that *does* change results cannot silently alias cached entries.
 RESULT_NEUTRAL = {
     "Plan.chunk_size",
-    "Plan.chunks_per_worker",
-    "Plan.manifest",
-    "Plan.label",
 }
 
 #: Target chunks per worker when :attr:`Plan.chunk_size` is automatic.
@@ -61,26 +59,17 @@ class Plan:
     chunk_size:
         Points per dispatch unit.  ``None`` sizes chunks automatically
         from the batch and worker count (see :meth:`resolve_chunk_size`).
-    chunks_per_worker:
-        Granularity target used by automatic sizing.
-    manifest:
-        Record the batch in a sweep manifest when a cache is attached
-        (the resume/progress ledger; see ``docs/RUNTIME.md``).
-    label:
-        Human-readable tag stored in the manifest header.
     """
 
     chunk_size: Optional[int] = None
-    chunks_per_worker: int = DEFAULT_CHUNKS_PER_WORKER
-    manifest: bool = True
-    label: str = ""
 
     def resolve_chunk_size(self, jobs: int, slots: int) -> int:
         """The chunk size to use for ``jobs`` points on ``slots`` workers.
 
         Explicit :attr:`chunk_size` wins; otherwise aim for
-        :attr:`chunks_per_worker` chunks per worker slot so the queue
-        always holds spare chunks for stealing, never below one point.
+        :data:`DEFAULT_CHUNKS_PER_WORKER` chunks per worker slot so the
+        queue always holds spare chunks for stealing, never below one
+        point.
         """
         if self.chunk_size is not None:
             if self.chunk_size < 1:
@@ -89,7 +78,7 @@ class Plan:
                 )
             return self.chunk_size
         slots = max(1, slots)
-        target_chunks = max(1, slots * self.chunks_per_worker)
+        target_chunks = slots * DEFAULT_CHUNKS_PER_WORKER
         return max(1, -(-jobs // target_chunks))  # ceil division
 
 

@@ -15,15 +15,9 @@ as points start and finish, for live progress display over long grids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional
-
-try:  # Protocol is 3.8+; runtime_checkable decorates it for isinstance.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreters only
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
+from typing import (
+    TYPE_CHECKING, Any, Dict, Optional, Protocol, runtime_checkable,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SimConfig

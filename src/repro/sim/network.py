@@ -364,11 +364,12 @@ class Network:
     def force_generic_step(self, reason: str) -> None:
         """Drop every compiled step function; the generic path runs.
 
-        Called by ``ValidationSuite.attach``, ``TelemetrySession.attach``
-        and ``Tracer.attach``: their probes/collectors wrap the generic
-        methods (instance-level ``_traverse`` wrappers, allocator
-        proxies, ``Sink.accept`` wraps), which the compiled closures
-        would bypass.
+        Called by ``ValidationSuite.attach`` and ``Tracer.attach``:
+        their probes wrap or instrument the generic methods (allocator
+        proxies, ``Sink.accept`` wraps, the ``tracer`` branches), which
+        the compiled closures would bypass.  Telemetry collectors only
+        read ``RouterStats`` and buffers, so a ``TelemetrySession``
+        never calls this (unless it captures a trace).
         """
         self.generic_step_reason = reason
         self.routers_specialized = 0

@@ -115,22 +115,40 @@ class OutputVC:
 
 
 class RouterStats:
-    """Per-router event counters."""
+    """Per-router event counters.
+
+    Crossbar activity is counted per direction where it happens:
+    ``forwarded_by_output`` at switch traversal (generic ``_traverse``
+    and the compiled ST closure), ``received_by_input`` at
+    :meth:`BaseRouter.accept_flit`.  The scalar totals are read-only
+    sums, and traversals by *input* port need no counter of their own:
+    they are ``received_by_input[p]`` minus the flits still buffered
+    at ``p``.
+    """
 
     __slots__ = (
-        "flits_received", "flits_forwarded", "packets_routed", "spec_grants",
-        "spec_wasted", "credits_stalled", "sa_grants", "reroutes",
+        "received_by_input", "forwarded_by_output", "packets_routed",
+        "spec_grants", "spec_wasted", "credits_stalled", "sa_grants",
+        "reroutes",
     )
 
     def __init__(self) -> None:
-        self.flits_received = 0
-        self.flits_forwarded = 0
+        self.received_by_input = [0] * NUM_PORTS
+        self.forwarded_by_output = [0] * NUM_PORTS
         self.packets_routed = 0
         self.spec_grants = 0
         self.spec_wasted = 0
         self.credits_stalled = 0
         self.sa_grants = 0
         self.reroutes = 0
+
+    @property
+    def flits_received(self) -> int:
+        return sum(self.received_by_input)
+
+    @property
+    def flits_forwarded(self) -> int:
+        return sum(self.forwarded_by_output)
 
 
 class BaseRouter:
@@ -264,7 +282,7 @@ class BaseRouter:
         self.active = True
         ivc = self.input_vcs[port][flit.vcid]
         ivc.buffer.push(flit)
-        self.stats.flits_received += 1
+        self.stats.received_by_input[port] += 1
         if self.tracer is not None:
             from ..trace import EventKind
 
@@ -333,7 +351,7 @@ class BaseRouter:
                 f"router {self.node}: no channel on output port {out_port}"
             )
         channel.send(flit, cycle)
-        self.stats.flits_forwarded += 1
+        self.stats.forwarded_by_output[out_port] += 1
         if self.tracer is not None:
             from ..trace import EventKind
 

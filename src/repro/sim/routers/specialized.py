@@ -5,11 +5,11 @@ step function specialized to the config: the routing table is
 precomputed, the port/VC loops run over the struct-of-arrays state
 bitmasks instead of scanning VC objects, allocator requests are built as
 pre-grouped parallel lists (``allocate_grouped``) or arbitrated inline,
-and every branch serving validation, telemetry or tracing is compiled
-out.  The compiled closure is bit-identical to the generic
-``BaseRouter.cycle`` for the supported configs -- same state
-transitions, same arbiter state evolution, same stats, same channel
-sends in the same order -- which the high-load differential battery in
+and every branch serving validation or tracing is compiled out.  The
+compiled closure is bit-identical to the generic ``BaseRouter.cycle``
+for the supported configs -- same state transitions, same arbiter
+state evolution, same stats, same channel sends in the same order --
+which the high-load differential battery in
 ``tests/sim/test_fast_stepper.py`` and ``oracle_fast_vs_reference``
 enforce.
 
@@ -40,9 +40,11 @@ costs 12-20%.
 
 The generic path remains the executable spec and the fallback:
 
-* attaching probes, telemetry or a tracer calls
-  ``Network.force_generic_step``, clearing every compiled step so
-  wrap-based instrumentation keeps intercepting the generic methods;
+* attaching probes or a tracer calls ``Network.force_generic_step``,
+  clearing every compiled step so wrap-based instrumentation keeps
+  intercepting the generic methods (telemetry does not: its collectors
+  read the ``RouterStats`` rows the ST closure keeps, so an observed
+  run executes the same compiled steps);
 * a router whose step methods were monkeypatched (instance or class
   level) refuses to specialize -- :func:`compile_step` verifies each
   method against the canonical function captured at import time;
@@ -298,7 +300,7 @@ def _make_st(router: BaseRouter):
     queues = router._ivc_queues
     ovc_flat = router._ovc_flat
     output_channels = router.output_channels
-    stats = router.stats
+    forwarded = router.stats.forwarded_by_output
     release = router._release_resources
 
     def st(cycle: int) -> None:
@@ -323,7 +325,7 @@ def _make_st(router: BaseRouter):
             ovc.credits.consume()
             flit.vcid = out_vc
             output_channels[out_port].send(flit, cycle)
-            stats.flits_forwarded += 1
+            forwarded[out_port] += 1
             if flit.is_tail:
                 release(ivc, ovc, cycle)
 

@@ -2,8 +2,10 @@
 
 Each :class:`Collector` attaches to a :class:`~repro.sim.network.Network`
 and feeds the session's :class:`~repro.telemetry.registry.MetricRegistry`
-and timeseries windows.  Two observation styles, mirroring the
-validation probes:
+and timeseries windows.  Every collector only *reads*: nothing is
+wrapped or hooked, so an observed network keeps running whatever step
+(compiled or generic) it would run unobserved.  Two observation
+styles, mirroring the validation probes:
 
 * *sampled* -- :meth:`Collector.sample` runs every ``sample_period``
   cycles on settled end-of-cycle state (buffer occupancy, activity).
@@ -11,20 +13,16 @@ validation probes:
   False provably holds no flits (see ``BaseRouter.is_idle``), so its
   occupancy is integrated analytically as zero without touching its
   input VCs or re-arming it.
-* *event-hooked* -- :class:`CrossbarActivityCollector` wraps each
-  router's ``_traverse`` with a two-increment closure at attach time,
-  giving exact per-direction crossbar counts; the wrapper exists only
-  while telemetry is enabled, so a plain run pays nothing.
-
-Aggregates that routers already count (speculation, credit stalls,
-switch grants) are *not* hooked: they are harvested as deltas of
-``RouterStats`` at window boundaries, which costs one 64-router scan
-per window instead of per event.
+* *harvested* -- everything routers already count (speculation, credit
+  stalls, switch grants, per-direction crossbar traversals) is taken
+  as deltas of ``RouterStats`` between ``attach`` and a window
+  boundary or ``finalize``, which costs one 64-router scan per window
+  instead of per event.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..sim.topology import LOCAL, NUM_PORTS, PORT_NAMES
 from . import summary as names
@@ -33,12 +31,12 @@ from .registry import MetricRegistry
 
 
 class Collector:
-    """Base collector: attach, sample, window flush, finalize, detach."""
+    """Base collector: attach, sample, window flush, finalize."""
 
     name = "collector"
 
     def attach(self, network, registry: MetricRegistry) -> None:
-        """Snapshot baselines / install wrappers."""
+        """Snapshot baselines."""
 
     def sample(self, network, registry: MetricRegistry, cycle: int) -> None:
         """Observe settled state (called every ``sample_period`` cycles)."""
@@ -49,9 +47,6 @@ class Collector:
     def finalize(self, network, registry: MetricRegistry,
                  cycles: int) -> None:
         """Record whole-run totals (called once, after the last cycle)."""
-
-    def detach(self, network) -> None:
-        """Undo :meth:`attach`'s wrappers."""
 
 
 def _stats_totals(network) -> Dict[str, int]:
@@ -140,46 +135,43 @@ class ThroughputCollector(Collector):
                 ).inc(stats.credits_stalled)
 
 
+def _crossbar_totals(network) -> Tuple[List[int], List[int]]:
+    """Network-wide traversals by output and by input direction.
+
+    Output rows are counted at switch traversal.  A flit that entered
+    input port ``p`` has traversed the crossbar unless it is still
+    buffered there, so the input row is ``received_by_input`` minus
+    the buffered flits.
+    """
+    by_output = [0] * NUM_PORTS
+    by_input = [0] * NUM_PORTS
+    for router in network.routers:
+        stats = router.stats
+        for port in range(NUM_PORTS):
+            by_output[port] += stats.forwarded_by_output[port]
+            by_input[port] += stats.received_by_input[port]
+        for ivc in router._all_ivcs:
+            by_input[ivc.port] -= len(ivc.buffer)
+    return by_output, by_input
+
+
 class CrossbarActivityCollector(Collector):
     """Exact per-direction crossbar traversals and grant fairness.
 
-    Wraps ``router._traverse`` (the single point every forwarded flit
-    passes through) with a closure that bumps two per-router integer
-    rows: traversals by *output* direction (channel utilization) and by
-    *input* direction (arbiter grant distribution -- each traversal is
-    one executed switch grant).
+    Deltas of the ``RouterStats`` direction rows between ``attach`` and
+    ``finalize``: traversals by *output* direction (channel
+    utilization) and by *input* direction (arbiter grant distribution
+    -- each traversal is one executed switch grant).
     """
 
     name = "crossbar"
 
     def __init__(self) -> None:
-        self._out_rows: List[List[int]] = []
-        self._in_rows: List[List[int]] = []
-        self._wrapped: List[object] = []
+        self._out_start = [0] * NUM_PORTS
+        self._in_start = [0] * NUM_PORTS
 
     def attach(self, network, registry: MetricRegistry) -> None:
-        self._out_rows = [[0] * NUM_PORTS for _ in network.routers]
-        self._in_rows = [[0] * NUM_PORTS for _ in network.routers]
-        self._wrapped = list(network.routers)
-        for router, out_row, in_row in zip(
-            network.routers, self._out_rows, self._in_rows
-        ):
-            original = router._traverse
-
-            def traverse(ivc, cycle, used_outputs, _original=original,
-                         _out=out_row, _in=in_row):
-                out_port = ivc.route  # read before a tail resets it
-                _original(ivc, cycle, used_outputs)
-                _out[out_port] += 1
-                _in[ivc.port] += 1
-
-            router._traverse = traverse
-
-    def detach(self, network) -> None:
-        for router in self._wrapped:
-            if "_traverse" in router.__dict__:
-                del router._traverse
-        self._wrapped = []
+        self._out_start, self._in_start = _crossbar_totals(network)
 
     def window(self, network, values: Dict[str, float]) -> None:
         # Per-direction detail stays whole-run; windows get the network
@@ -194,16 +186,15 @@ class CrossbarActivityCollector(Collector):
         for _node, port, _neighbor in network.mesh.links():
             links_per_port[port] += 1
         links_per_port[LOCAL] = len(network.routers)  # ejection channels
+        by_output, by_input = _crossbar_totals(network)
         for port in range(NUM_PORTS):
             direction = PORT_NAMES[port]
-            traversals = sum(row[port] for row in self._out_rows)
-            grants = sum(row[port] for row in self._in_rows)
             registry.counter(
                 names.CROSSBAR_TRAVERSALS, port=direction
-            ).inc(traversals)
+            ).inc(by_output[port] - self._out_start[port])
             registry.counter(
                 names.GRANTS_BY_INPUT, port=direction
-            ).inc(grants)
+            ).inc(by_input[port] - self._in_start[port])
             registry.counter(names.LINK_CYCLES, port=direction).inc(
                 links_per_port[port] * cycles
             )

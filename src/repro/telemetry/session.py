@@ -51,12 +51,6 @@ class TelemetrySession:
     def attach(self, network) -> None:
         if self._attached:
             raise RuntimeError("session is already attached to a network")
-        # Collectors wrap generic-path methods (instance-level
-        # ``_traverse`` wrappers); compiled step functions would bypass
-        # them, so the network falls back to the generic path.
-        force = getattr(network, "force_generic_step", None)
-        if force is not None:
-            force("telemetry")
         self._start_cycle = network.cycle
         self._window_start = network.cycle
         self._last_cycle = network.cycle
@@ -72,8 +66,6 @@ class TelemetrySession:
         self._attached = True
 
     def detach(self, network) -> None:
-        for collector in self.collectors:
-            collector.detach(network)
         if self.tracer is not None:
             for router in network.routers:
                 router.tracer = None

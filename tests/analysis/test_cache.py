@@ -200,7 +200,7 @@ def test_adding_plan_field_to_real_tree_fails(tmp_path):
 
     scheduler = tree / "scheduler.py"
     text = scheduler.read_text()
-    anchor = '    label: str = ""\n'
+    anchor = "    chunk_size: Optional[int] = None\n"
     assert anchor in text
     scheduler.write_text(text.replace(
         anchor, anchor + "    speculative_retry: int = 0\n", 1

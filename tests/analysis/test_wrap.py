@@ -53,24 +53,27 @@ def test_real_probe_points_resolve():
 
 
 def test_renaming_wrapped_method_fails_lint(tmp_path):
-    """The drift test: rename ``_traverse`` in a throwaway copy of the
-    router base class and the collector wrap site must stop resolving."""
+    """The drift test: rename ``Sink.accept`` in a throwaway copy of the
+    network module and the in-order probe's wrap site must stop
+    resolving."""
     tree = tmp_path / "mini"
     tree.mkdir()
     shutil.copy(
-        REPO_SRC / "repro/telemetry/collectors.py", tree / "collectors.py"
+        REPO_SRC / "repro/sim/validation/probes.py", tree / "probes.py"
     )
-    base = tree / "base.py"
-    shutil.copy(REPO_SRC / "repro/sim/routers/base.py", base)
-    shutil.copy(REPO_SRC / "repro/sim/traffic.py", tree / "traffic.py")
+    shutil.copy(
+        REPO_SRC / "repro/sim/routers/spec_vc.py", tree / "spec_vc.py"
+    )
+    network = tree / "network.py"
+    shutil.copy(REPO_SRC / "repro/sim/network.py", network)
 
     clean = _wrap_only(tree, root=tmp_path)
     assert clean.ok, [str(f) for f in clean.new_findings]
 
-    renamed = base.read_text().replace("_traverse", "_push_through")
-    base.write_text(renamed)
+    renamed = network.read_text().replace("def accept(", "def take(")
+    network.write_text(renamed)
     dirty = _wrap_only(tree, root=tmp_path)
     assert "WRAP001" in rules_of(dirty)
     assert any(
-        "_traverse" in f.message for f in dirty.new_findings
+        "'accept'" in f.message for f in dirty.new_findings
     ), [str(f) for f in dirty.new_findings]

@@ -29,6 +29,15 @@ class TestCLI:
         assert "--paper-scale" in result.stdout
         assert "--ablations" in result.stdout
 
+    @pytest.mark.parametrize("command", [(), ("report", "--telemetry")])
+    def test_sample_packets_below_one_is_rejected(self, command):
+        """``--sample-packets`` goes through ``MeasurementConfig``'s own
+        validation in the main command and in ``report`` alike."""
+        result = run_cli(*command, "--sample-packets", "0", timeout=120)
+        assert result.returncode == 2
+        assert "sample_packets must be >= 1" in result.stderr
+        assert result.stdout == ""
+
     @pytest.mark.slow
     def test_simulate_tiny_sample(self):
         result = run_cli("--simulate", "--sample-packets", "60", timeout=590)

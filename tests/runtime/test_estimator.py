@@ -253,10 +253,6 @@ class TestRunResultProvenance:
         experiment.point(config())
         assert experiment.stats.sources == {"simulated": 1, "cached": 1}
         assert "1 cached, 1 simulated" in experiment.stats.describe_sources()
-        registry = experiment.stats.to_registry()
-        assert registry.get(
-            "experiment_result_source", source="cached"
-        ).value == 1
 
     def test_round_trip_and_legacy_entries(self):
         from repro.sim.engine import simulate

@@ -104,19 +104,13 @@ class TestSweepManifest:
 
     def test_experiment_writes_manifest(self, tmp_path):
         exp = Experiment(FAST, cache=tmp_path)
-        exp.map([config(0.05), config(0.1)], plan=Plan(label="smoke"))
+        exp.map([config(0.05), config(0.1)])
         manifests = list((tmp_path / "manifests").glob("*.jsonl"))
         assert len(manifests) == 1
         header = json.loads(manifests[0].read_text().splitlines()[0])
-        assert header["label"] == "smoke"
         assert header["points"] == 2
         keys = [config_key(config(l), FAST) for l in (0.05, 0.1)]
         assert ResultCache(tmp_path).manifest(keys).is_complete
-
-    def test_manifest_opt_out(self, tmp_path):
-        exp = Experiment(FAST, cache=tmp_path)
-        exp.map([config(0.05)], plan=Plan(manifest=False))
-        assert not (tmp_path / "manifests").exists()
 
 
 class TestInterruptedSerialSweep:

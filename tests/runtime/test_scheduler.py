@@ -37,9 +37,8 @@ class TestPlan:
         assert Plan().resolve_chunk_size(jobs=0, slots=4) == 1
 
     def test_zero_slots_treated_as_one(self):
-        assert Plan(chunks_per_worker=1).resolve_chunk_size(
-            jobs=6, slots=0
-        ) == 6
+        # One slot, 4 chunks/worker -> ceil(6 / 4) points per chunk.
+        assert Plan().resolve_chunk_size(jobs=6, slots=0) == 2
 
     def test_every_field_declared_result_neutral(self):
         # The contract CACHE003 enforces statically, restated here: a

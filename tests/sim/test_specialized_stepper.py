@@ -4,8 +4,9 @@ The fast stepper compiles one step closure per router at wiring time,
 keyed on :func:`specialization_key`.  These tests pin the cache's
 contract -- same key, same interned plan; different key, different
 plan -- and every guard that must force the generic path: unsupported
-configs, the reference stepper, probes/telemetry/tracers attached
-after wiring, monkeypatched step methods, and swapped allocator types.
+configs, the reference stepper, probes/tracers attached after wiring
+(telemetry only reads counters and forces nothing), monkeypatched step
+methods, and swapped allocator types.
 """
 
 from dataclasses import replace
@@ -159,12 +160,13 @@ class TestNetworkBinding:
         assert network.generic_step_reason == "checked"
         assert all(r._step_fn is None for r in network.routers)
 
-    def test_telemetry_attach_drops_compiled_steps(self):
+    def test_telemetry_attach_keeps_compiled_steps(self):
         network = Network(spec_config())
         session = TelemetrySession()
         session.attach(network)
-        assert network.generic_step_reason == "telemetry"
-        assert all(r._step_fn is None for r in network.routers)
+        assert network.generic_step_reason is None
+        assert network.routers_specialized == len(network.routers)
+        assert all(r._step_fn is not None for r in network.routers)
 
     def test_tracer_attach_drops_compiled_steps(self):
         network = Network(spec_config())

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.sim.config import MeasurementConfig, RouterKind, SimConfig
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, simulate
+from repro.sim.network import Network
+from repro.sim.topology import PORT_NAMES
+from repro.telemetry.registry import Counter
 from repro.telemetry import (
     TelemetryConfig,
     TelemetrySession,
@@ -11,6 +14,10 @@ from repro.telemetry import (
 )
 from repro.telemetry.session import resolve_telemetry
 from repro.telemetry.summary import (
+    CROSSBAR_TRAVERSALS,
+    FLITS_FORWARDED,
+    GRANTS_BY_INPUT,
+    IDLE_ROUTER_SAMPLES,
     SA_GRANTS,
     SPEC_ATTEMPTED,
     VC_OCCUPANCY,
@@ -95,9 +102,8 @@ class TestSessionLifecycle:
             telemetry=TelemetryConfig(sample_period=4, capture_trace=True),
         )
         network = simulator.network
-        # Attached: the crossbar hook shadows the class method and the
-        # tracer is installed.
-        assert all("_traverse" in r.__dict__ for r in network.routers)
+        # Attached: only the tracer is installed; no collector shadows
+        # a router method.
         assert all(r.tracer is not None for r in network.routers)
         simulator.run()
         assert all("_traverse" not in r.__dict__ for r in network.routers)
@@ -143,3 +149,101 @@ class TestSessionLifecycle:
                              cycles_observed=10)
         with pytest.raises(ValueError):
             a.merge(b)
+
+
+KNEE_KINDS = {
+    "wormhole": dict(router_kind=RouterKind.WORMHOLE, buffers_per_vc=8),
+    "vc": dict(router_kind=RouterKind.VIRTUAL_CHANNEL, num_vcs=2,
+               buffers_per_vc=4),
+    "spec_vc": dict(router_kind=RouterKind.SPECULATIVE_VC, num_vcs=2,
+                    buffers_per_vc=4),
+}
+
+
+KNEE_MEAS = MeasurementConfig(
+    warmup_cycles=300, sample_packets=400, max_cycles=10_000
+)
+
+
+def knee_config(kind, **overrides):
+    """Fig 13's routers on the 8x8 mesh at load 0.42."""
+    return SimConfig(
+        injection_fraction=0.42, seed=1, **KNEE_KINDS[kind], **overrides
+    )
+
+
+def counters_of(summary):
+    return {
+        name: metric.value for name, metric in summary.metrics.items()
+        if isinstance(metric, Counter)
+    }
+
+
+def by_port(summary, name):
+    return [
+        summary.metrics.value(name, port=direction)
+        for direction in PORT_NAMES
+    ]
+
+
+@pytest.mark.sim
+class TestPullOnlyCollectors:
+    """Telemetry reads router counters, so the observed run is the
+    compiled one -- and must count exactly what the generic one does."""
+
+    @pytest.mark.parametrize("kind", sorted(KNEE_KINDS))
+    def test_compiled_and_generic_steps_count_the_same(self, kind):
+        fast = simulate(knee_config(kind), KNEE_MEAS, telemetry=True)
+        reference = simulate(
+            knee_config(kind, stepper="reference"), KNEE_MEAS,
+            telemetry=True,
+        )
+        assert fast.counters.routers_generic == 0
+        assert fast.counters.generic_step_reason is None
+        assert reference.counters.routers_specialized == 0
+        assert fast == reference
+        observed = counters_of(fast.telemetry)
+        expected = counters_of(reference.telemetry)
+        # The reference stepper never puts a router to sleep, so it has
+        # no idle samples to integrate; every other counter must agree.
+        observed.pop(IDLE_ROUTER_SAMPLES, None)
+        expected.pop(IDLE_ROUTER_SAMPLES, None)
+        assert observed == expected
+        assert observed[FLITS_FORWARDED] > 0
+
+    @pytest.mark.parametrize("kind", sorted(KNEE_KINDS))
+    def test_direction_rows_sum_to_flits_forwarded(self, kind):
+        summary = simulate(
+            knee_config(kind), KNEE_MEAS, telemetry=True
+        ).telemetry
+        forwarded = summary.metrics.value(FLITS_FORWARDED)
+        assert forwarded > 0
+        assert sum(by_port(summary, CROSSBAR_TRAVERSALS)) == forwarded
+        assert sum(by_port(summary, GRANTS_BY_INPUT)) == forwarded
+
+    def test_late_attach_counts_only_post_attach_traversals(self):
+        network = Network(knee_config("spec_vc"))
+        network.run(300)  # warm-up nobody observes
+        before = sum(r.stats.flits_forwarded for r in network.routers)
+        assert before > 0
+        session = TelemetrySession()
+        session.attach(network)
+        assert network.routers_specialized == len(network.routers)
+        for _ in range(200):
+            network.step()
+            session.after_cycle(network)
+        summary = session.finalize(network)
+        after = sum(r.stats.flits_forwarded for r in network.routers)
+        assert summary.cycles_observed == 200
+        assert sum(by_port(summary, CROSSBAR_TRAVERSALS)) == after - before
+        assert sum(by_port(summary, GRANTS_BY_INPUT)) == after - before
+
+    def test_capture_trace_still_runs_the_generic_step(self):
+        result = simulate(
+            spec_config(), MEAS, telemetry=TelemetryConfig(capture_trace=True)
+        )
+        assert result.counters.generic_step_reason == "trace"
+        assert result.counters.routers_specialized == 0
+        plain = simulate(spec_config(), MEAS, telemetry=True)
+        assert plain.counters.generic_step_reason is None
+        assert counters_of(result.telemetry) == counters_of(plain.telemetry)

@@ -13,10 +13,11 @@ real probe cost -- the exclusivity probe re-derives all three state
 bitmasks from the per-VC states every checked cycle -- nudging the
 measured ratio up again.
 
-Telemetry at the default sampling rate is held to 1.3x (measured
-~1.05x): its per-step hook is the same single attribute test, the
-crossbar wrapper is two list increments per forwarded flit, and the
-occupancy scan runs only every ``sample_period`` cycles.
+Telemetry at the default sampling rate is held to 1.3x on the *fast*
+stepper at load 0.42 (measured 1.0-1.1x): collectors only read router
+counters, so the observed run keeps every compiled step; what it pays
+is the per-step attribute test, the occupancy scan every
+``sample_period`` cycles and one counter scan per window.
 """
 
 import time
@@ -110,29 +111,37 @@ class TestTelemetryOverhead:
     @pytest.mark.slow
     @pytest.mark.perf
     def test_default_spec_vc_run_within_1_3x(self):
-        """Default 8x8 speculative-VC config at default sampling:
-        telemetry-on is bit-equal to telemetry-off and within 1.3x.
-
-        Pinned to the reference stepper for the same reason as the
-        checked bound above: it characterises the collectors' cost
-        against a stable full-scan baseline.
+        """8x8 speculative-VC config on the default (fast) stepper at
+        load 0.42, default sampling: telemetry-on is bit-equal to
+        telemetry-off, runs the same compiled steps, and is within 1.3x.
         """
         config = SimConfig(
             router_kind=RouterKind.SPECULATIVE_VC, num_vcs=2, seed=1,
-            stepper="reference",
+            injection_fraction=0.42,
         )
         measurement = MeasurementConfig()
 
-        t0 = time.perf_counter()
-        plain = simulate(config, measurement)
-        t1 = time.perf_counter()
-        observed = simulate(config, measurement, telemetry=TelemetryConfig())
-        t2 = time.perf_counter()
+        # Best of three interleaved pairs: one side is ~2 s here, short
+        # enough that a single pair on a shared host spreads wider than
+        # the bound being gated.
+        plain_s = observed_s = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            plain = simulate(config, measurement)
+            t1 = time.perf_counter()
+            observed = simulate(
+                config, measurement, telemetry=TelemetryConfig()
+            )
+            t2 = time.perf_counter()
+            plain_s = min(plain_s, t1 - t0)
+            observed_s = min(observed_s, t2 - t1)
 
         assert observed.telemetry is not None
         assert observed.telemetry.cycles_observed == observed.cycles_simulated
+        assert observed.counters.routers_generic == 0
+        assert observed.counters.generic_step_reason is None
         assert observed == plain  # observing never changes the run
-        ratio = (t2 - t1) / (t1 - t0)
+        ratio = observed_s / plain_s
         assert ratio <= 1.3, f"telemetry/plain wall-time ratio {ratio:.2f}"
 
     def test_disabled_telemetry_leaves_no_machinery_attached(self):
@@ -142,7 +151,6 @@ class TestTelemetryOverhead:
         ))
         assert sim.telemetry is None
         for router in sim.network.routers:
-            # The crossbar hook would shadow the class's _traverse.
             assert "_traverse" not in router.__dict__
             assert router.tracer is None
         for sink in sim.network.sinks:
