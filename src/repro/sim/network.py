@@ -30,7 +30,7 @@ Both steppers are cycle-for-cycle bit-identical for a fixed seed: the
 per-cycle delivery set is the same (the wheel only reorders same-cycle
 deliveries, which commute -- each touches a distinct buffer, credit
 counter or sink), idle routers' phases are provable no-ops (see
-``BaseRouter.is_idle`` and ``_can_sleep``), and the generator
+``BaseRouter.is_idle``), and the generator
 fast-forward performs the exact floating-point accumulator additions
 per-cycle polling would (``PacketSource.offer_horizon``).  The
 ``fast_vs_reference`` oracle and the property suite enforce this.
@@ -480,9 +480,8 @@ class Network:
                 node += 1
 
         # Phase 3: router pipelines, skipping provably idle routers.
-        # A router sleeps only when idle *and* its allocators are pure on
-        # empty inputs (``_can_sleep``); every wake path funnels through
-        # accept_flit/receive_credit.
+        # Every built-in allocator is pure on an empty request set, so
+        # an idle router's cycle is a no-op; only accept_flit wakes one.
         for router in routers:
             if router.active:
                 step_fn = router._step_fn
@@ -490,7 +489,7 @@ class Network:
                     step_fn(cycle)
                 else:
                     router.cycle(cycle)
-                if router._can_sleep and router.is_idle():
+                if router.is_idle():
                     router.active = False
 
         self.cycle = cycle + 1

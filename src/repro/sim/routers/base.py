@@ -31,6 +31,7 @@ from ..credit import CreditCounter, InfiniteCredits
 from ..dateline import o1turn_choice
 from ..flit import Flit
 from ..topology import LOCAL, Mesh, NUM_PORTS
+from ..trace import EventKind
 
 
 class VCState(enum.IntEnum):
@@ -60,41 +61,63 @@ class InputVC:
     """One input virtual channel: its FIFO and channel state.
 
     ``flat`` is the VC's port-major index (``port * v + vc``) into the
-    owning router's struct-of-arrays views (flat VC list, flat buffer
-    list, and the per-state bitmasks); ``owner`` is the router, so state
-    transitions funnelled through :meth:`reset_to_idle` keep the
-    bitmasks in sync without the callers having to.
+    ``owner`` router's struct-of-arrays views (flat VC list, flat buffer
+    list, and the per-state bitmasks).  The VC's state is stored only
+    there: :attr:`state` reads bit ``flat`` of the owner's three masks
+    and assigning it rewrites that bit, so ``ivc.state = _ACTIVE`` is
+    the whole transition.
     """
 
     __slots__ = (
-        "port", "vc", "buffer", "state", "route", "out_vc", "routing_ready",
+        "port", "vc", "buffer", "route", "out_vc", "routing_ready",
         "reroute_count", "va_ready", "flat", "owner",
     )
 
-    def __init__(self, port: int, vc: int, capacity: int) -> None:
+    def __init__(self, owner: "BaseRouter", port: int, vc: int,
+                 capacity: int) -> None:
+        self.owner = owner
         self.port = port
         self.vc = vc
+        self.flat = port * owner.num_vcs + vc
         self.buffer = FlitBuffer(capacity)
-        self.state = VCState.IDLE
         self.route: Optional[int] = None       # output port from RC
         self.out_vc: Optional[int] = None      # output VC from VA
         self.routing_ready: int = 0             # earliest cycle RC may run
         self.reroute_count: int = 0             # adaptive re-iterations
         self.va_ready: int = 0                  # earliest cycle VA may run
-        self.flat: int = 0                      # set by the owning router
-        self.owner: Optional["BaseRouter"] = None
+
+    @property
+    def state(self) -> VCState:
+        owner = self.owner
+        bit = 1 << self.flat
+        if owner._active_mask & bit:
+            return _ACTIVE
+        if owner._va_mask & bit:
+            return _VC_ALLOC
+        if owner._routing_mask & bit:
+            return _ROUTING
+        return _IDLE
+
+    @state.setter
+    def state(self, state: VCState) -> None:
+        owner = self.owner
+        bit = 1 << self.flat
+        keep = ~bit
+        owner._routing_mask &= keep
+        owner._va_mask &= keep
+        owner._active_mask &= keep
+        if state == _ROUTING:
+            owner._routing_mask |= bit
+        elif state == _VC_ALLOC:
+            owner._va_mask |= bit
+        elif state == _ACTIVE:
+            owner._active_mask |= bit
 
     def reset_to_idle(self) -> None:
         self.state = _IDLE
         self.route = None
         self.out_vc = None
         self.reroute_count = 0
-        owner = self.owner
-        if owner is not None:
-            mask = ~(1 << self.flat)
-            owner._routing_mask &= mask
-            owner._va_mask &= mask
-            owner._active_mask &= mask
 
 
 class OutputVC:
@@ -168,40 +191,30 @@ class BaseRouter:
 
         capacity = config.buffers_per_vc
         self.input_vcs: List[List[InputVC]] = [
-            [InputVC(port, vc, capacity) for vc in range(self.num_vcs)]
+            [InputVC(self, port, vc, capacity) for vc in range(self.num_vcs)]
             for port in range(NUM_PORTS)
         ]
         #: Flattened (port-major) view of every input VC, for hot loops.
         self._all_ivcs: List[InputVC] = [
             ivc for port_vcs in self.input_vcs for ivc in port_vcs
         ]
-        for flat, ivc in enumerate(self._all_ivcs):
-            ivc.flat = flat
-            ivc.owner = self
-        #: Struct-of-arrays state bitmasks over the flat (port-major)
-        #: input-VC index: bit ``i`` of ``_routing_mask`` / ``_va_mask``
-        #: / ``_active_mask`` is set iff ``_all_ivcs[i].state`` is
-        #: ROUTING / VC_ALLOC / ACTIVE.  Maintained at every state
-        #: transition; the specialized steppers iterate set bits instead
-        #: of scanning VC objects, and :meth:`is_idle` becomes O(1).
-        #: Checked mode cross-validates the masks against the per-VC
-        #: states every cycle (``VCExclusivityProbe``).
+        #: The input-VC state register, as three bitmasks over the flat
+        #: (port-major) input-VC index: ``_all_ivcs[i]`` is ROUTING /
+        #: VC_ALLOC / ACTIVE iff bit ``i`` of ``_routing_mask`` /
+        #: ``_va_mask`` / ``_active_mask`` is set, and IDLE iff none is.
+        #: This is the only copy (``InputVC.state`` is a view of it);
+        #: both steppers iterate set bits instead of scanning VC
+        #: objects, and :meth:`is_idle` is O(1).  Checked mode asserts
+        #: every cycle that the masks are disjoint and agree with each
+        #: VC's buffer, route and output VC (``VCExclusivityProbe``).
         self._routing_mask: int = 0
         self._va_mask: int = 0
         self._active_mask: int = 0
         #: Activity flag for the network's fast stepper.  Routers start
         #: active (covers state poked in before the first cycle) and are
-        #: re-armed by :meth:`accept_flit` / :meth:`receive_credit`; the
-        #: network clears the flag once :meth:`is_idle` proves the next
-        #: :meth:`cycle` would be a no-op.
+        #: re-armed by :meth:`accept_flit`; the network clears the flag
+        #: once :meth:`is_idle` proves the next :meth:`cycle` a no-op.
         self.active = True
-        #: Whether skipping this router's phases while idle is exact.
-        #: Every built-in allocator is pure on an empty request set
-        #: (the maximum matcher's rotation advances only on nonempty
-        #: input), so idle cycles are provably no-ops; the flag remains
-        #: for future router kinds whose allocation mutates state even
-        #: with no requests.
-        self._can_sleep = True
         self.output_vcs: List[List[OutputVC]] = [
             [
                 OutputVC(
@@ -234,9 +247,8 @@ class BaseRouter:
         #: Config-specialized step function compiled at wiring time by
         #: :mod:`repro.sim.routers.specialized` (fast stepper only);
         #: ``None`` means the generic :meth:`cycle` runs.  The network
-        #: clears this on every router when probes, telemetry or tracers
-        #: attach, so wrap-based instrumentation keeps intercepting the
-        #: generic path.
+        #: clears this on every router when probes or a tracer attach,
+        #: so wrap-based instrumentation keeps intercepting that path.
         self._step_fn = None
         from ..routing import make_routing_function
 
@@ -284,18 +296,19 @@ class BaseRouter:
         ivc.buffer.push(flit)
         self.stats.received_by_input[port] += 1
         if self.tracer is not None:
-            from ..trace import EventKind
-
             self.tracer.record(
                 cycle, EventKind.BUFFER_WRITE, self.node, port, flit.vcid,
                 flit.packet.packet_id, flit.index,
             )
-        if flit.is_head and ivc.state is _IDLE:
+        # IDLE -> ROUTING, spelled on the masks: this runs per flit under
+        # the compiled steps, which never go through ``ivc.state``.
+        if flit.is_head and not (
+            self._routing_mask | self._va_mask | self._active_mask
+        ) >> ivc.flat & 1:
             if ivc.buffer.front() is not flit:
                 raise AssertionError(
                     "head flit arrived at an idle VC with a non-empty buffer"
                 )
-            ivc.state = _ROUTING
             ivc.routing_ready = cycle
             self._routing_mask |= 1 << ivc.flat
 
@@ -353,8 +366,6 @@ class BaseRouter:
         channel.send(flit, cycle)
         self.stats.forwarded_by_output[out_port] += 1
         if self.tracer is not None:
-            from ..trace import EventKind
-
             self.tracer.record(
                 cycle, EventKind.TRAVERSAL, self.node, ivc.port, ivc.vc,
                 flit.packet.packet_id, flit.index,
@@ -375,7 +386,6 @@ class BaseRouter:
             # Channel-state update settles at the cycle's end; the next
             # packet routes from the following cycle.
             ivc.routing_ready = cycle + 1
-            self._routing_mask |= 1 << ivc.flat
 
     def _grant_switch(self, port: int, vc: int, cycle: int) -> None:
         """Record a switch grant and dispatch the flow-control credit.
@@ -398,8 +408,6 @@ class BaseRouter:
         if credit_channel is not None:
             credit_channel.send(vc, cycle)
         if self.tracer is not None:
-            from ..trace import EventKind
-
             flit = self.input_vcs[port][vc].buffer.front()
             if flit is not None:
                 self.tracer.record(
@@ -413,21 +421,29 @@ class BaseRouter:
     def _rc_phase(self, cycle: int) -> None:
         """Routing computation for heads that became routable."""
         tracer = self.tracer
-        for ivc in self._all_ivcs:
-            if ivc.state is _ROUTING and ivc.routing_ready <= cycle:
+        for ivc in self._ivcs_in(self._routing_mask):
+            if ivc.routing_ready <= cycle:
                 flit = ivc.buffer.front()
                 if flit is None or not flit.is_head:
                     raise AssertionError("ROUTING state without a head flit")
                 ivc.route = self._route_vc(ivc, flit)
                 self.stats.packets_routed += 1
                 if tracer is not None:
-                    from ..trace import EventKind
-
                     tracer.record(
                         cycle, EventKind.RC, self.node, ivc.port, ivc.vc,
                         flit.packet.packet_id, flit.index,
                     )
                 self._after_routing(ivc, cycle)
+
+    def _ivcs_in(self, mask: int):
+        """The input VCs whose bit is set in ``mask``, in ``_all_ivcs``
+        order.  Walks the value passed in, so a transition made by the
+        loop body does not change which VCs are visited."""
+        all_ivcs = self._all_ivcs
+        while mask:
+            low = mask & -mask
+            mask -= low
+            yield all_ivcs[low.bit_length() - 1]
 
     def is_idle(self) -> bool:
         """True when the next :meth:`cycle` is provably a no-op.
@@ -435,9 +451,8 @@ class BaseRouter:
         No granted traversals are pending and every input VC is IDLE
         (an IDLE VC has an empty buffer -- :meth:`accept_flit` asserts
         it).  Idle routers hold no output VCs or ports either: a held
-        resource implies a non-IDLE holder VC in this router.  O(1) via
-        the state bitmasks; checked mode cross-validates the masks
-        against the per-VC states every cycle.
+        resource implies a non-IDLE holder VC in this router.  O(1):
+        a VC is IDLE iff its bit is clear in all three state bitmasks.
         """
         if self.pending_st:
             return False
@@ -481,10 +496,7 @@ class BaseRouter:
 
     def _after_routing(self, ivc: InputVC, cycle: int) -> None:
         """State transition after RC; VC routers go to VC_ALLOC."""
-        ivc.state = VCState.ACTIVE
-        bit = 1 << ivc.flat
-        self._routing_mask &= ~bit
-        self._active_mask |= bit
+        ivc.state = _ACTIVE
 
     # ------------------------------------------------------------------
     # Introspection helpers (tests and invariant checks).

@@ -24,7 +24,7 @@ from __future__ import annotations
 from ..allocators import Request, SpeculativeSwitchAllocator
 from ..config import SimConfig
 from ..topology import Mesh, NUM_PORTS
-from .base import _ACTIVE, _VC_ALLOC
+from .base import _ACTIVE
 from .vc import VirtualChannelRouter
 
 
@@ -41,25 +41,23 @@ class SpeculativeVCRouter(VirtualChannelRouter):
     def _allocation_phase(self, cycle: int) -> None:
         nonspec_requests = []
         spec_requests = []
-        for ivc in self._all_ivcs:
-            state = ivc.state
-            if state is _ACTIVE:
-                if self._sa_eligible(ivc):
-                    nonspec_requests.append(
-                        Request(group=ivc.port, member=ivc.vc, resource=ivc.route)
-                    )
-            elif state is _VC_ALLOC:
-                if ivc.route is None or ivc.va_ready > cycle:
-                    continue
-                # Bid speculatively only if VC allocation could possibly
-                # succeed this cycle (some permitted candidate VC is free).
-                candidates = self._candidate_vcs(ivc)
-                if any(
-                    self.output_vcs[ivc.route][c].is_free for c in candidates
-                ):
-                    spec_requests.append(
-                        Request(group=ivc.port, member=ivc.vc, resource=ivc.route)
-                    )
+        for ivc in self._ivcs_in(self._active_mask):
+            if self._sa_eligible(ivc):
+                nonspec_requests.append(
+                    Request(group=ivc.port, member=ivc.vc, resource=ivc.route)
+                )
+        for ivc in self._ivcs_in(self._va_mask):
+            if ivc.route is None or ivc.va_ready > cycle:
+                continue
+            # Bid speculatively only if VC allocation could possibly
+            # succeed this cycle (some permitted candidate VC is free).
+            candidates = self._candidate_vcs(ivc)
+            if any(
+                self.output_vcs[ivc.route][c].is_free for c in candidates
+            ):
+                spec_requests.append(
+                    Request(group=ivc.port, member=ivc.vc, resource=ivc.route)
+                )
 
         if nonspec_requests or spec_requests:
             nonspec_grants, spec_grants = self._spec_switch_allocator.allocate(

@@ -18,7 +18,8 @@ from typing import List, Tuple
 from ..allocators import Request
 from ..config import SimConfig
 from ..topology import Mesh, NUM_PORTS
-from .base import _ACTIVE, _ROUTING, _VC_ALLOC, BaseRouter, InputVC, VCState
+from ..trace import EventKind
+from .base import _ACTIVE, _ROUTING, _VC_ALLOC, BaseRouter, InputVC
 
 
 class VirtualChannelRouter(BaseRouter):
@@ -77,13 +78,10 @@ class VirtualChannelRouter(BaseRouter):
     # ------------------------------------------------------------------
 
     def _after_routing(self, ivc: InputVC, cycle: int) -> None:
-        ivc.state = VCState.VC_ALLOC
+        ivc.state = _VC_ALLOC
         # +1: allocation naturally happens the cycle after routing; the
         # extra cycles model a VC allocator straddling stage boundaries.
         ivc.va_ready = cycle + 1 + self.config.va_extra_cycles
-        bit = 1 << ivc.flat
-        self._routing_mask &= ~bit
-        self._va_mask |= bit
 
     #: Adaptive reroutes before a head falls back to the DOR port, where
     #: the escape VC guarantees progress.
@@ -128,8 +126,8 @@ class VirtualChannelRouter(BaseRouter):
         """Footnote 5 (option b): a head whose routed port has no free
         permitted output VC goes back through the routing stage, where it
         may pick the other productive port (or the DOR fallback)."""
-        for ivc in self._all_ivcs:
-            if ivc.state is not _VC_ALLOC or ivc.route is None:
+        for ivc in self._ivcs_in(self._va_mask):
+            if ivc.route is None:
                 continue
             candidates = self._candidate_vcs(ivc)
             if any(
@@ -141,9 +139,6 @@ class VirtualChannelRouter(BaseRouter):
             ivc.route = None
             ivc.reroute_count += 1
             self.stats.reroutes += 1
-            bit = 1 << ivc.flat
-            self._va_mask &= ~bit
-            self._routing_mask |= bit
 
     # ------------------------------------------------------------------
 
@@ -162,12 +157,7 @@ class VirtualChannelRouter(BaseRouter):
             ovc.held_by = (in_port, in_vc)
             ivc.out_vc = out_vc
             ivc.state = _ACTIVE
-            bit = 1 << ivc.flat
-            self._va_mask &= ~bit
-            self._active_mask |= bit
             if tracer is not None:
-                from ..trace import EventKind
-
                 head = ivc.buffer.front()
                 if head is not None:
                     tracer.record(
@@ -194,10 +184,8 @@ class VirtualChannelRouter(BaseRouter):
         """One request per (input VC, candidate output VC) pair."""
         requests: List[Request] = []
         v = self.num_vcs
-        for ivc in self._all_ivcs:
-            if ivc.state is not _VC_ALLOC or ivc.route is None:
-                continue
-            if ivc.va_ready > cycle:
+        for ivc in self._ivcs_in(self._va_mask):
+            if ivc.route is None or ivc.va_ready > cycle:
                 continue
             group = ivc.port * v + ivc.vc
             for candidate in self._candidate_vcs(ivc):
@@ -216,7 +204,7 @@ class VirtualChannelRouter(BaseRouter):
 
     def _switch_allocation(self, cycle: int) -> None:
         requests = []
-        for ivc in self._all_ivcs:
+        for ivc in self._ivcs_in(self._active_mask):
             if self._sa_eligible(ivc):
                 requests.append(
                     Request(group=ivc.port, member=ivc.vc, resource=ivc.route)
@@ -227,10 +215,9 @@ class VirtualChannelRouter(BaseRouter):
             self._grant_switch(grant.group, grant.member, cycle)
 
     def _sa_eligible(self, ivc: InputVC) -> bool:
-        """ACTIVE, a buffered flit at the front, and a credit downstream."""
-        if ivc.state is not _ACTIVE or ivc.out_vc is None:
-            return False
-        if not ivc.buffer:
+        """An ACTIVE VC bids with an output VC, a buffered flit at the
+        front, and a credit downstream."""
+        if ivc.out_vc is None or not ivc.buffer:
             return False
         if not self.output_vcs[ivc.route][ivc.out_vc].credits:
             self.stats.credits_stalled += 1

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from ..allocators import Request
 from ..config import SimConfig
-from ..topology import Mesh, NUM_PORTS
-from .base import VCState
+from ..topology import Mesh
 from .wormhole import WormholeRouter
 
 
@@ -55,11 +54,9 @@ class VirtualCutThroughRouter(WormholeRouter):
                 self.stats.credits_stalled += 1
 
         requests = []
-        for in_port in range(NUM_PORTS):
-            if in_port in held_inputs:
-                continue
-            ivc = self.input_vcs[in_port][0]
-            if ivc.state is not VCState.ACTIVE or ivc.route is None:
+        for ivc in self._ivcs_in(self._active_mask):
+            in_port = ivc.port
+            if in_port in held_inputs or ivc.route is None:
                 continue
             flit = ivc.buffer.front()
             if flit is None or not flit.is_head:

@@ -16,7 +16,7 @@ from typing import List, Optional
 from ..allocators import Request, SeparableAllocator
 from ..config import SimConfig
 from ..topology import Mesh, NUM_PORTS
-from .base import BaseRouter, InputVC, VCState
+from .base import BaseRouter, InputVC
 
 
 class WormholeRouter(BaseRouter):
@@ -54,11 +54,9 @@ class WormholeRouter(BaseRouter):
 
         # 2. Free ports: head flits in ACTIVE state arbitrate.
         requests = []
-        for in_port in range(NUM_PORTS):
-            if in_port in held_inputs:
-                continue
-            ivc = self.input_vcs[in_port][0]
-            if ivc.state is not VCState.ACTIVE or ivc.route is None:
+        for ivc in self._ivcs_in(self._active_mask):
+            in_port = ivc.port
+            if in_port in held_inputs or ivc.route is None:
                 continue
             flit = ivc.buffer.front()
             if flit is None or not flit.is_head:

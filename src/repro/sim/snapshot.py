@@ -7,11 +7,11 @@ everything stuck?") -- and by the congestion examples to *show* hotspot
 formation rather than assert it.
 
 :func:`state_digest` condenses every router's microarchitectural state
-(VC states, routes, buffered flits, credits, held ports/VCs, the
-struct-of-arrays bitmasks, and channel in-flight contents) into one hex
-digest.  The high-load differential battery compares digests across
-steppers: two runs that agree on metrics but diverge in buffered state
-still fail.
+(VC states and the three bitmasks that store them, routes, buffered
+flits, credits, held ports/VCs, and channel in-flight contents) into
+one hex digest.  The high-load differential battery compares digests
+across steppers: two runs that agree on metrics but diverge in buffered
+state still fail.
 """
 
 from __future__ import annotations
@@ -94,13 +94,14 @@ def state_digest(network: Network) -> str:
     Covers, per router: every input VC's state, route, output VC,
     readiness cycles and buffered ``(packet_id, flit_index)`` sequence;
     every output VC's holder and credit count; wormhole port holds;
-    pending switch traversals; and the struct-of-arrays state bitmasks
-    (so a mask that drifted from the per-VC states changes the digest
-    even before a probe would catch it).  Channel in-flight contents
-    (flits and credits, with arrival cycles) are included so two
-    networks agree only if their wires match too.  Excludes stepper
-    bookkeeping (sleep states, wheel buckets) -- the digest is for
-    comparing *physical* state across steppers.
+    pending switch traversals; and the three state bitmasks the VC
+    states are read from (hashed raw as well, so overlapping masks
+    change the digest even where the decoded state name does not).
+    Channel in-flight contents (flits and credits, with arrival
+    cycles) are included so two networks agree only if their wires
+    match too.  Excludes stepper bookkeeping (sleep states, wheel
+    buckets) -- the digest is for comparing *physical* state across
+    steppers.
     """
     parts: List[object] = [network.cycle]
     for router in network.routers:

@@ -270,71 +270,65 @@ class VCExclusivityProbe(Probe):
 
     name = "vc_exclusivity"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._vc_routers: List[Tuple[Any, List[Any], List[Any]]] = []
-        self._wh_routers: List[Any] = []
-
-    def attach(self, network) -> None:
-        self._vc_routers = []
-        self._wh_routers = []
-        for router in network.routers:
-            if hasattr(router, "port_held_by"):
-                self._wh_routers.append(router)
-            else:
-                self._vc_routers.append((
-                    router,
-                    [ovc for port_vcs in router.output_vcs
-                     for ovc in port_vcs],
-                    [ivc for port_vcs in router.input_vcs
-                     for ivc in port_vcs],
-                ))
-
     def check(self, network, cycle: int) -> None:
         self.checks += 1
         for router in network.routers:
-            self._check_masks(router, cycle)
-        for router, ovcs, ivcs in self._vc_routers:
-            self._check_vc(router, ovcs, ivcs, cycle)
-        for router in self._wh_routers:
-            self._check_wormhole(router, cycle)
+            holds_ports = hasattr(router, "port_held_by")
+            self._check_masks(router, cycle, holds_ports)
+            if holds_ports:
+                self._check_wormhole(router, cycle)
+            else:
+                self._check_vc(router, cycle)
 
-    def _check_masks(self, router, cycle: int) -> None:
-        """The struct-of-arrays state bitmasks agree with the per-VC
-        states.
+    def _check_masks(self, router, cycle: int, holds_ports: bool) -> None:
+        """The three state bitmasks are consistent with each other and
+        with the fields beside them.
 
-        The fast stepper's ``is_idle`` and the specialized step
-        functions trust the masks; a desynchronized bit would silently
-        skip (or double-process) a VC, so checked mode recomputes the
-        masks from the object states every checked cycle.
+        The masks are the only store of input-VC state (``ivc.state``
+        reads them), and both steppers and ``is_idle`` trust them; a
+        stray bit would silently skip (or double-process) a VC.  What a
+        single copy can still get wrong is checked here: a VC in two
+        states at once, and a state its buffer, route or output VC
+        contradict.
         """
-        routing = va = active = 0
-        for ivc in router._all_ivcs:
-            state = ivc.state
-            if state is VCState.ROUTING:
-                routing |= 1 << ivc.flat
-            elif state is VCState.VC_ALLOC:
-                va |= 1 << ivc.flat
-            elif state is VCState.ACTIVE:
-                active |= 1 << ivc.flat
-        if (
-            routing != router._routing_mask
-            or va != router._va_mask
-            or active != router._active_mask
-        ):
+        routing = router._routing_mask
+        va = router._va_mask
+        active = router._active_mask
+        if routing & va or routing & active or va & active:
             self.fail(
                 cycle,
                 f"router {router.node}: state bitmasks out of sync with "
-                f"VC states: routing {router._routing_mask:#x} (expected "
-                f"{routing:#x}), va {router._va_mask:#x} (expected "
-                f"{va:#x}), active {router._active_mask:#x} (expected "
-                f"{active:#x})",
+                f"each other: routing {routing:#x}, va {va:#x} and active "
+                f"{active:#x} overlap",
             )
+        for flat, queue in enumerate(router._ivc_queues):
+            ivc = router._all_ivcs[flat]
+            head_waiting = bool(queue) and queue[0].is_head
+            routed = ivc.route is not None
+            allocated = ivc.out_vc is not None
+            if active >> flat & 1:
+                ok = routed and (allocated or holds_ports)
+            elif va >> flat & 1:
+                ok = head_waiting and routed and not allocated
+            elif routing >> flat & 1:
+                ok = head_waiting and not routed and not allocated
+            else:
+                ok = not queue and not routed and not allocated
+            if not ok:
+                self.fail(
+                    cycle,
+                    f"router {router.node}: state bitmasks out of sync "
+                    f"with input VC ({ivc.port}, {ivc.vc}): "
+                    f"{ivc.state.name.lower()} with {len(queue)} flits "
+                    f"buffered ({'head' if head_waiting else 'no head'} "
+                    f"at the front), route={ivc.route} "
+                    f"out_vc={ivc.out_vc}",
+                )
 
-    def _check_vc(self, router, ovcs, ivcs, cycle: int) -> None:
+    def _check_vc(self, router, cycle: int) -> None:
         active = VCState.ACTIVE
         holders: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for ovc in ovcs:
+        for ovc in router._ovc_flat:
             holder = ovc.held_by
             if holder is None:
                 continue
@@ -356,7 +350,7 @@ class VCExclusivityProbe(Probe):
                     f"that VC is {ivc.state.name.lower()} with route="
                     f"{ivc.route} out_vc={ivc.out_vc}",
                 )
-        for ivc in ivcs:
+        for ivc in router._all_ivcs:
             if ivc.state is active and ivc.out_vc is not None:
                 ovc = router.output_vcs[ivc.route][ivc.out_vc]
                 if ovc.held_by != (ivc.port, ivc.vc):

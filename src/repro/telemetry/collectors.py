@@ -68,7 +68,17 @@ def _stats_totals(network) -> Dict[str, int]:
         names.CREDIT_STALLS: stalls,
         names.FLITS_FORWARDED: forwarded,
         names.PACKETS_ROUTED: routed,
+        names.FLITS_INJECTED: network.total_flits_injected(),
+        names.FLITS_EJECTED: network.total_flits_ejected(),
     }
+
+
+def _node_totals(network) -> List[Tuple[int, int, int]]:
+    """Per router: (spec grants, spec wasted, credit stalls)."""
+    return [
+        (r.stats.spec_grants, r.stats.spec_wasted, r.stats.credits_stalled)
+        for r in network.routers
+    ]
 
 
 class ThroughputCollector(Collector):
@@ -82,57 +92,48 @@ class ThroughputCollector(Collector):
     name = "throughput"
 
     def __init__(self) -> None:
+        #: Totals at ``attach`` (what ``finalize`` subtracts) and at the
+        #: last window boundary (what ``window`` subtracts).
+        self._start: Dict[str, int] = {}
+        self._start_by_node: List[Tuple[int, int, int]] = []
         self._last: Dict[str, int] = {}
-        self._last_injected = 0
-        self._last_ejected = 0
 
     def attach(self, network, registry: MetricRegistry) -> None:
-        self._last = _stats_totals(network)
-        self._last_injected = network.total_flits_injected()
-        self._last_ejected = network.total_flits_ejected()
+        self._start = self._last = _stats_totals(network)
+        self._start_by_node = _node_totals(network)
 
     def window(self, network, values: Dict[str, float]) -> None:
         totals = _stats_totals(network)
         for name, total in totals.items():
-            values[name] = total - self._last.get(name, 0)
+            values[name] = total - self._last[name]
         self._last = totals
-        injected = network.total_flits_injected()
-        ejected = network.total_flits_ejected()
-        values[names.FLITS_INJECTED] = injected - self._last_injected
-        values[names.FLITS_EJECTED] = ejected - self._last_ejected
-        self._last_injected = injected
-        self._last_ejected = ejected
 
     def finalize(self, network, registry: MetricRegistry,
                  cycles: int) -> None:
         for name, total in _stats_totals(network).items():
-            registry.counter(name).inc(total)
-        registry.counter(names.FLITS_INJECTED).inc(
-            network.total_flits_injected()
-        )
-        registry.counter(names.FLITS_EJECTED).inc(
-            network.total_flits_ejected()
-        )
+            registry.counter(name).inc(total - self._start[name])
         registry.counter(names.ROUTER_CYCLES).inc(
             len(network.routers) * cycles
         )
-        for router in network.routers:
-            stats = router.stats
-            if stats.spec_grants:
-                node = router.node
+        for router, start, now in zip(
+            network.routers, self._start_by_node, _node_totals(network)
+        ):
+            grants, wasted, stalls = (b - a for a, b in zip(start, now))
+            node = router.node
+            if grants:
                 registry.counter(
                     names.SPEC_ATTEMPTED, node=node
-                ).inc(stats.spec_grants)
+                ).inc(grants)
                 registry.counter(
                     names.SPEC_WON, node=node
-                ).inc(stats.spec_grants - stats.spec_wasted)
+                ).inc(grants - wasted)
                 registry.counter(
                     names.SPEC_LOST, node=node
-                ).inc(stats.spec_wasted)
-            if stats.credits_stalled:
+                ).inc(wasted)
+            if stalls:
                 registry.counter(
-                    names.CREDIT_STALLS, node=router.node
-                ).inc(stats.credits_stalled)
+                    names.CREDIT_STALLS, node=node
+                ).inc(stalls)
 
 
 def _crossbar_totals(network) -> Tuple[List[int], List[int]]:

@@ -10,6 +10,7 @@ so exact equality is the right bar.  Regeneration workflow: see
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.delaymodel.table1 import generate_table1
 from repro.experiments.report import telemetry_report, telemetry_snapshot_config
 from repro.sim.config import MeasurementConfig, RouterKind, SimConfig
 from repro.sim.engine import simulate
+from repro.sim.network import Network
+from repro.sim.snapshot import state_digest
 
 #: Same scale as the zero-load anchor tests.
 MEAS = MeasurementConfig(
@@ -29,6 +32,18 @@ ZERO_LOAD_CONFIGS = [
     ("speculative_vc_2vc_4buf", RouterKind.SPECULATIVE_VC, 2, 4),
     ("single_cycle_wormhole_1vc_8buf", RouterKind.SINGLE_CYCLE_WORMHOLE, 1, 8),
     ("single_cycle_vc_2vc_4buf", RouterKind.SINGLE_CYCLE_VC, 2, 4),
+]
+
+#: The speculative-router dimensions with a compiled closure of their
+#: own (allocator kind, priority, arbiter, packet-dependent routing,
+#: dateline classes), on top of one default config per router kind.
+STATE_DIGEST_VARIANTS = [
+    ("maximum", dict(allocator_kind="maximum")),
+    ("equal", dict(speculation_priority="equal")),
+    ("round_robin", dict(arbiter_kind="round_robin")),
+    ("o1turn", dict(routing_function="o1turn")),
+    ("adaptive", dict(routing_function="adaptive")),
+    ("torus", dict(topology="torus")),
 ]
 
 
@@ -86,3 +101,32 @@ def test_zero_load_latency_golden(golden):
         )
         latencies[label] = simulate(config, MEAS).average_latency
     golden.check("zero_load", latencies)
+
+
+@pytest.mark.sim
+def test_state_digest_golden(golden):
+    """The cycle kernel's complete microarchitectural state after 400
+    cycles near saturation, for every router kind and every
+    speculative-router variant, on both steppers.  A kernel refactor
+    that claims "no behaviour change" must leave this fixture alone."""
+    configs = {
+        kind.value: SimConfig(
+            router_kind=kind, mesh_radix=4,
+            num_vcs=2 if kind.uses_vcs else 1,
+            buffers_per_vc=5,  # VCT needs a whole packet per buffer
+            injection_fraction=0.42, seed=11,
+        )
+        for kind in RouterKind
+    }
+    spec_vc = configs[RouterKind.SPECULATIVE_VC.value]
+    for label, override in STATE_DIGEST_VARIANTS:
+        configs[f"speculative_vc_{label}"] = replace(spec_vc, **override)
+    digests = {}
+    for label, config in configs.items():
+        digests[label] = {}
+        for stepper in ("fast", "reference"):
+            network = Network(replace(config, stepper=stepper))
+            network.run(400)
+            assert network.total_flits_ejected() > 0
+            digests[label][stepper] = state_digest(network)
+    golden.check("state_digest", digests)

@@ -14,12 +14,18 @@ from repro.telemetry import (
 )
 from repro.telemetry.session import resolve_telemetry
 from repro.telemetry.summary import (
+    CREDIT_STALLS,
     CROSSBAR_TRAVERSALS,
+    FLITS_EJECTED,
     FLITS_FORWARDED,
+    FLITS_INJECTED,
     GRANTS_BY_INPUT,
     IDLE_ROUTER_SAMPLES,
+    PACKETS_ROUTED,
     SA_GRANTS,
     SPEC_ATTEMPTED,
+    SPEC_LOST,
+    SPEC_WON,
     VC_OCCUPANCY,
     merge_summaries,
 )
@@ -179,6 +185,32 @@ def counters_of(summary):
     }
 
 
+def scalar_totals(network):
+    """Every network-wide scalar the throughput collector reports, read
+    straight off the routers and endpoints."""
+    stats = [router.stats for router in network.routers]
+    grants = sum(s.spec_grants for s in stats)
+    wasted = sum(s.spec_wasted for s in stats)
+    return {
+        SPEC_ATTEMPTED: grants,
+        SPEC_WON: grants - wasted,
+        SPEC_LOST: wasted,
+        SA_GRANTS: sum(s.sa_grants for s in stats),
+        CREDIT_STALLS: sum(s.credits_stalled for s in stats),
+        FLITS_FORWARDED: sum(s.flits_forwarded for s in stats),
+        PACKETS_ROUTED: sum(s.packets_routed for s in stats),
+        FLITS_INJECTED: network.total_flits_injected(),
+        FLITS_EJECTED: network.total_flits_ejected(),
+    }
+
+
+def node_totals(network):
+    return [
+        (r.stats.spec_grants, r.stats.spec_wasted, r.stats.credits_stalled)
+        for r in network.routers
+    ]
+
+
 def by_port(summary, name):
     return [
         summary.metrics.value(name, port=direction)
@@ -224,8 +256,9 @@ class TestPullOnlyCollectors:
     def test_late_attach_counts_only_post_attach_traversals(self):
         network = Network(knee_config("spec_vc"))
         network.run(300)  # warm-up nobody observes
-        before = sum(r.stats.flits_forwarded for r in network.routers)
-        assert before > 0
+        before = scalar_totals(network)
+        before_by_node = node_totals(network)
+        assert all(before.values())
         session = TelemetrySession()
         session.attach(network)
         assert network.routers_specialized == len(network.routers)
@@ -233,10 +266,25 @@ class TestPullOnlyCollectors:
             network.step()
             session.after_cycle(network)
         summary = session.finalize(network)
-        after = sum(r.stats.flits_forwarded for r in network.routers)
         assert summary.cycles_observed == 200
-        assert sum(by_port(summary, CROSSBAR_TRAVERSALS)) == after - before
-        assert sum(by_port(summary, GRANTS_BY_INPUT)) == after - before
+        delta = {
+            name: total - before[name]
+            for name, total in scalar_totals(network).items()
+        }
+        value = summary.metrics.value
+        assert {name: value(name) for name in delta} == delta
+        forwarded = delta[FLITS_FORWARDED]
+        assert sum(by_port(summary, CROSSBAR_TRAVERSALS)) == forwarded
+        assert sum(by_port(summary, GRANTS_BY_INPUT)) == forwarded
+        for router, start, now in zip(
+            network.routers, before_by_node, node_totals(network)
+        ):
+            grants, wasted, stalls = (b - a for a, b in zip(start, now))
+            node = router.node
+            assert value(SPEC_ATTEMPTED, node=node) == grants
+            assert value(SPEC_WON, node=node) == grants - wasted
+            assert value(SPEC_LOST, node=node) == wasted
+            assert value(CREDIT_STALLS, node=node) == stalls
 
     def test_capture_trace_still_runs_the_generic_step(self):
         result = simulate(

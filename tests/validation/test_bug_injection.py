@@ -15,7 +15,8 @@ from repro.sim.allocators import SpeculativeSwitchAllocator
 from repro.sim.config import MeasurementConfig, RouterKind, SimConfig
 from repro.sim.credit import CreditCounter
 from repro.sim.engine import simulate
-from repro.sim.routers.base import BaseRouter, VCState
+from repro.sim.network import Network
+from repro.sim.routers.base import BaseRouter, InputVC, VCState
 from repro.sim.routers.wormhole import WormholeRouter
 from repro.sim.topology import NUM_PORTS
 from repro.sim.validation import (
@@ -33,6 +34,16 @@ MEAS = MeasurementConfig(
     warmup_cycles=300, sample_packets=100, max_cycles=12_000,
     drain_cycles=6_000,
 )
+
+
+#: Every single-bit flip of every state mask, per router family.
+MASK_FLIPS = [
+    pytest.param(kind, mask, bit, id=f"{kind.value}-{mask.strip('_')}-{bit}")
+    for kind in (RouterKind.SPECULATIVE_VC, RouterKind.VIRTUAL_CHANNEL,
+                 RouterKind.WORMHOLE)
+    for mask in ("_routing_mask", "_va_mask", "_active_mask")
+    for bit in range(NUM_PORTS * (2 if kind.uses_vcs else 1))
+]
 
 
 def tiny_config(kind, **overrides):
@@ -233,28 +244,55 @@ class TestPackedStateCorruption:
         assert fired, "the injected credit theft never fired"
         assert excinfo.value.violation.probe == "credit_consistency"
 
+    @pytest.mark.parametrize("kind, mask, bit", MASK_FLIPS)
     def test_flipped_state_bitmask_bit_trips_exclusivity_probe(
-        self, monkeypatch
+        self, monkeypatch, kind, mask, bit
     ):
-        """Toggling one ``_active_mask`` bit desynchronises the packed
-        masks from the per-VC states, whichever way it flips."""
+        """The three masks are the only copy of input-VC state, so a
+        toggled bit is a VC that changed state without the fields beside
+        it following: whichever mask, VC and direction, the probe names
+        it on the cycle of the flip."""
 
         def flip_bit(router, cycle):
             if router.node != self.CENTER:
                 return False
-            router._active_mask ^= 1  # LOCAL port, vc 0
+            setattr(router, mask, getattr(router, mask) ^ (1 << bit))
             return True
 
         fired = self._corrupt_once_after(monkeypatch, flip_bit)
         suite = ValidationSuite([VCExclusivityProbe()])
         with pytest.raises(InvariantViolation) as excinfo:
-            simulate(
-                tiny_config(RouterKind.SPECULATIVE_VC), MEAS, checked=suite
-            )
+            simulate(tiny_config(kind), MEAS, checked=suite)
         assert fired, "the injected mask flip never fired"
         violation = excinfo.value.violation
         assert violation.probe == "vc_exclusivity"
+        # Probes run on the settled state of the step that made the
+        # flip and stamp the clock after it.
+        assert violation.cycle == fired[0][1] + 1
         assert "bitmasks out of sync" in violation.message
+
+    def test_input_vc_state_is_a_view_of_the_masks(self):
+        """``InputVC`` stores no state of its own: assigning
+        ``ivc.state`` moves the VC's bit between the router's masks and
+        reading it decodes them."""
+        assert "state" not in InputVC.__slots__
+        router = Network(
+            tiny_config(RouterKind.SPECULATIVE_VC)
+        ).routers[self.CENTER]
+        ivc = router._all_ivcs[3]
+        masks = {
+            VCState.ROUTING: "_routing_mask",
+            VCState.VC_ALLOC: "_va_mask",
+            VCState.ACTIVE: "_active_mask",
+        }
+        for state in [*VCState, VCState.IDLE]:
+            ivc.state = state
+            assert ivc.state is state
+            for stored_as, name in masks.items():
+                expected = 1 << ivc.flat if stored_as is state else 0
+                assert getattr(router, name) == expected
+        router._va_mask = 1 << ivc.flat
+        assert ivc.state is VCState.VC_ALLOC
 
     def test_corrupted_route_entry_trips_exclusivity_probe(
         self, monkeypatch

@@ -9,9 +9,10 @@ The bound is 4x (measured ~2.5-3x).  It was 2x (measured ~1.4x) before
 the hot-loop rework: the probes' absolute cost is unchanged, but the
 unchecked baseline they are measured against got faster, so the
 *relative* overhead grew.  The struct-of-arrays rework then added a
-real probe cost -- the exclusivity probe re-derives all three state
-bitmasks from the per-VC states every checked cycle -- nudging the
-measured ratio up again.
+real probe cost -- the exclusivity probe walks every input VC each
+checked cycle to assert that the three state bitmasks (the only copy
+of input-VC state) are disjoint and agree with the VC's buffer, route
+and output VC -- nudging the measured ratio up again.
 
 Telemetry at the default sampling rate is held to 1.3x on the *fast*
 stepper at load 0.42 (measured 1.0-1.1x): collectors only read router
