@@ -20,15 +20,13 @@ RacerD-style race detectors use:
   (``wait_for`` carries its own predicate).
 * ``CONC004`` -- mutable module-level state mutated by code reachable
   from a process-pool worker entry (``pool.submit(f, ...)``) silently
-  forks per process; declare intentional per-process memos in a
-  module-level ``PROCESS_LOCAL`` set.
+  forks per process.
 
 Declarations mirror the scheduler's ``RESULT_NEUTRAL`` convention --
 plain module-level literals the analyzer reads syntactically::
 
     LOCKED_BY = {"Estimator.calibration": "_lock"}
     THREAD_CONFINED = {"Estimator._local_scratch"}
-    PROCESS_LOCAL = {"_PLAN_CACHE"}
 
 Reads are deliberately not checked: flagging every unguarded read
 drowns the signal, and the torn states that matter here come from
@@ -73,7 +71,6 @@ MUTATOR_METHODS = frozenset({
 #: Module-level declaration names the checker reads.
 LOCKED_BY_NAME = "LOCKED_BY"
 THREAD_CONFINED_NAME = "THREAD_CONFINED"
-PROCESS_LOCAL_NAME = "PROCESS_LOCAL"
 
 #: Constructor calls producing mutable module-level containers.
 _MUTABLE_CTOR_CALLS = frozenset({
@@ -283,14 +280,11 @@ class ConcurrencyChecker(Checker):
         for source in index.files:
             if source.tree is None:
                 continue
-            process_local = _string_set(source.tree, PROCESS_LOCAL_NAME)
             globals_ = _mutable_globals(source.tree)
             if not globals_:
                 continue
             mutators = _global_mutators(index, source, set(globals_))
             for name, line in sorted(globals_.items()):
-                if name in process_local:
-                    continue
                 hit = next(
                     (
                         fn for fn in mutators.get(name, ())
@@ -304,8 +298,7 @@ class ConcurrencyChecker(Checker):
                     "CONC004", source.relpath, line,
                     f"module-level mutable '{name}' is mutated by "
                     f"'{hit.name}', which process-pool workers reach; "
-                    f"per-process copies fork silently -- declare it "
-                    f"in {PROCESS_LOCAL_NAME} if that is intended",
+                    "per-process copies fork silently",
                 )
 
 

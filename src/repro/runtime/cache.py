@@ -199,8 +199,11 @@ class SweepManifest:
                 record = json.loads(line)
             except ValueError:
                 continue  # a torn trailing write from a killed process
-            if "done" in record:
-                self._done.add(record["done"])
+            if not isinstance(record, dict):
+                continue  # valid JSON, but no record this ledger writes
+            done = record.get("done")
+            if isinstance(done, str):
+                self._done.add(done)
             elif record.get("complete"):
                 self._complete = True
 

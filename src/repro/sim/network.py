@@ -345,14 +345,12 @@ class Network:
         """Bind a config-specialized step function to each router.
 
         Runs once at wiring time (channels must already be connected).
-        Routers whose config or instance state is outside the supported
-        envelope keep ``_step_fn = None`` and run the generic path.
+        Every built-in config compiles; a router whose instance state
+        :func:`compile_step` refuses keeps ``_step_fn = None`` and runs
+        the generic path.
         """
-        from .routers.specialized import compile_step, plan_for
+        from .routers.specialized import compile_step
 
-        if plan_for(self.config) is None:
-            self.generic_step_reason = "unsupported-config"
-            return
         count = 0
         for router in self.routers:
             step_fn = compile_step(router)

@@ -30,6 +30,7 @@ from ..config import SimConfig
 from ..credit import CreditCounter, InfiniteCredits
 from ..dateline import o1turn_choice
 from ..flit import Flit
+from ..routing import build_route_table
 from ..topology import LOCAL, Mesh, NUM_PORTS
 from ..trace import EventKind
 
@@ -250,30 +251,15 @@ class BaseRouter:
         #: clears this on every router when probes or a tracer attach,
         #: so wrap-based instrumentation keeps intercepting that path.
         self._step_fn = None
-        from ..routing import make_routing_function
-
         self._routing_name = config.routing_function
-        self._routing_fn = make_routing_function(config.routing_function)
-        #: Precomputed routing table for static (flit-independent)
-        #: routing functions: ``_route_table[destination]`` is this
-        #: node's output port.  Used by *both* the generic and the
-        #: specialized path -- corruption is therefore observable under
-        #: checked mode -- and None for o1turn/adaptive routing, whose
-        #: choice depends on the packet.
-        self._route_table: Optional[Tuple[int, ...]] = None
-        if self._routing_name in ("xy", "yx"):
-            fn = self._routing_fn
-            self._route_table = tuple(
-                fn(mesh, node, destination)
-                for destination in range(mesh.num_nodes)
-            )
-        #: Packet-dependent route memos (o1turn / adaptive), built
-        #: lazily on first use and interned on the step plan
-        #: (:mod:`repro.sim.routers.specialized`).  Shared by the
-        #: generic and specialized paths -- like ``_route_table``,
-        #: corruption is observable under checked mode.
-        self._o1turn_route_tables: Optional[Tuple] = None
-        self._adaptive_route_table: Optional[Tuple] = None
+        #: The routing function as a table, built once here and never
+        #: reassigned: per destination, the output port (xy/yx), the
+        #: ``(xy port, yx port)`` pair the packet's committed order
+        #: indexes (o1turn), or the ``(productive ports, DOR port)``
+        #: pair (adaptive) -- see :func:`~repro.sim.routing.build_route_table`.
+        #: The generic route methods and every compiled RC closure read
+        #: it, so corrupting it is observable under checked mode.
+        self._route_table = build_route_table(self._routing_name, mesh, node)
 
     # ------------------------------------------------------------------
     # Wiring (called by the network).
@@ -462,37 +448,11 @@ class BaseRouter:
         """Route a head; subclasses may use per-VC state (adaptivity)."""
         return self._route(flit)
 
-    def _ensure_o1turn_tables(self) -> Tuple:
-        """The node's memoized (xy, yx) route-table pair (o1turn)."""
-        tables = self._o1turn_route_tables
-        if tables is None:
-            from .specialized import o1turn_route_tables
-
-            tables = self._o1turn_route_tables = o1turn_route_tables(self)
-        return tables
-
-    def _ensure_adaptive_table(self) -> Tuple:
-        """The node's memoized (productive ports, DOR port) table."""
-        table = self._adaptive_route_table
-        if table is None:
-            from .specialized import adaptive_route_table
-
-            table = self._adaptive_route_table = adaptive_route_table(self)
-        return table
-
     def _route(self, flit: Flit) -> int:
-        table = self._route_table
-        if table is not None:
-            return table[flit.destination]
+        entry = self._route_table[flit.destination]
         if self._routing_name == "o1turn":
-            packet = flit.packet
-            tables = self._o1turn_route_tables
-            if tables is None:
-                tables = self._ensure_o1turn_tables()
-            if o1turn_choice(packet) == "yx":
-                return tables[1][packet.destination]
-            return tables[0][packet.destination]
-        return self._routing_fn(self.mesh, self.node, flit.destination)
+            return entry[o1turn_choice(flit.packet) == "yx"]
+        return entry
 
     def _after_routing(self, ivc: InputVC, cycle: int) -> None:
         """State transition after RC; VC routers go to VC_ALLOC."""

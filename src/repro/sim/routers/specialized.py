@@ -1,31 +1,30 @@
 """Config-specialized router step compilation (the saturation-speed path).
 
 At wiring time the network asks :func:`compile_step` for a per-router
-step function specialized to the config: the routing table is
-precomputed, the port/VC loops run over the router's three state
-bitmasks -- the only store of input-VC state, so a closure moves a
-VC between states by moving its bit and never touches ``ivc.state`` --
-instead of scanning VC objects, allocator requests are built as
-pre-grouped parallel lists (``allocate_grouped``) or arbitrated inline,
-and every branch serving validation or tracing is compiled out.  The
-compiled closure is bit-identical to the generic ``BaseRouter.cycle``
-for the supported configs -- same state transitions, same arbiter
-state evolution, same stats, same channel sends in the same order --
-which the high-load differential battery in
-``tests/sim/test_fast_stepper.py`` and ``oracle_fast_vs_reference``
-enforce.
+step function specialized to the config: RC reads the router's one
+``_route_table`` (built in ``BaseRouter.__init__``), the port/VC loops
+run over the router's three state bitmasks -- the only store of
+input-VC state, so a closure moves a VC between states by moving its
+bit and never touches ``ivc.state`` -- instead of scanning VC objects,
+allocator requests are built as pre-grouped parallel lists
+(``allocate_grouped``) or arbitrated inline, and every branch serving
+validation or tracing is compiled out.  The compiled closure is
+bit-identical to the generic ``BaseRouter.cycle`` for the supported
+configs -- same state transitions, same arbiter state evolution, same
+stats, same channel sends in the same order -- which the high-load
+differential battery in ``tests/sim/test_fast_stepper.py`` and
+``oracle_fast_vs_reference`` enforce.
 
 Every built-in config compiles.  Beyond the separable/xy envelope:
 
 * the maximum-matching allocator is fed ``(adjacency, chooser)``
   bitmasks built during the SoA scans and run through its shared
   ``_match`` kernel (no ``Request`` objects);
-* o1turn and adaptive routing use per-node route memos -- (xy, yx)
-  table pair keyed on the packet's committed order, and a
-  (productive ports, DOR port) table -- built lazily and interned on
-  the plan (:func:`o1turn_route_tables` / :func:`adaptive_route_table`)
-  and shared with the generic path, so checked mode observes memo
-  corruption;
+* o1turn and adaptive routing read the same ``_route_table`` as
+  xy/yx, whose entries are then ``(xy port, yx port)`` pairs indexed by
+  the packet's committed order, or ``(productive ports, DOR port)``
+  pairs scored against live congestion; the generic path reads it too,
+  so checked mode observes its corruption;
 * the ``equal`` speculation ablation is one merged-request closure for
   both allocator kinds (:func:`_make_spec_alloc_equal`): both request
   classes share the primary allocator's state, exactly as
@@ -53,18 +52,16 @@ The generic path remains the executable spec and the fallback:
 * so does a router whose allocators were proxied/subclassed (the
   validation probes wrap the allocator instances).
 
-Plans (not closures) are cached per :func:`specialization_key`; the
-closures themselves capture per-router state and are built fresh for
-every router.
+The closures capture per-router state and are built fresh for every
+router; nothing is cached across routers or networks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 from ..config import RouterKind
 from ..dateline import class_partition, o1turn_choice
-from ..routing import dimension_order_route, productive_ports, yx_route
 from ..topology import LOCAL, NUM_PORTS
 from .base import BaseRouter
 from .single_cycle import SingleCycleVCRouter, SingleCycleWormholeRouter
@@ -72,47 +69,6 @@ from .spec_vc import SpeculativeVCRouter
 from .vc import VirtualChannelRouter
 from .vct import VirtualCutThroughRouter
 from .wormhole import WormholeRouter
-
-
-class StepPlan:
-    """A compilable (config-key, router-class, builder) triple.
-
-    Plans are interned per :func:`specialization_key`: two configs with
-    the same key share the plan object; configs with different keys
-    never do (the specialization-cache tests assert both directions).
-
-    ``cache`` interns per-node derived data shared by every router
-    compiled from this plan -- today the packet-dependent route memos
-    (o1turn xy/yx table pairs, adaptive productive-port tables), keyed
-    ``(kind, node)``.  Networks with the same specialization key share
-    the memos instead of recomputing them per router construction.
-    """
-
-    __slots__ = ("key", "router_class", "builder", "canonical", "cache")
-
-    def __init__(self, key, router_class, builder, canonical) -> None:
-        self.key = key
-        self.router_class = router_class
-        self.builder = builder
-        self.canonical = canonical
-        self.cache: Dict[Tuple, Tuple] = {}
-
-
-def specialization_key(config) -> Tuple:
-    """Every config field the compiled step code depends on."""
-    return (
-        config.router_kind.value,
-        config.num_vcs,
-        config.buffers_per_vc,
-        config.topology,
-        config.mesh_radix,
-        config.routing_function,
-        config.allocator_kind,
-        config.arbiter_kind,
-        config.speculation_priority,
-        config.va_extra_cycles,
-        config.packet_length,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -173,72 +129,6 @@ def _uses_canonical(router: BaseRouter, canonical) -> bool:
     return True
 
 
-# ----------------------------------------------------------------------
-# Packet-dependent route memos.  o1turn/adaptive routing cannot use the
-# static per-destination table in ``BaseRouter._route_table`` (the
-# choice depends on the packet), but the packet-independent parts can
-# be precomputed per node: the xy and yx route tables (o1turn picks one
-# per packet) and the (productive ports, DOR port) pairs adaptive
-# routing scores against live congestion.  Tables are built lazily on
-# first use and interned on the step plan; the *generic* route methods
-# consult the same memos (via ``BaseRouter._ensure_o1turn_tables`` /
-# ``VirtualChannelRouter._ensure_adaptive_table``), which keeps the two
-# paths bit-identical by construction and makes memo corruption
-# observable under checked mode.
-# ----------------------------------------------------------------------
-
-
-def o1turn_route_tables(router: BaseRouter) -> Tuple[Tuple, Tuple]:
-    """``(xy_table, yx_table)`` for this node, interned on the plan."""
-    plan = plan_for(router.config)
-    key = ("o1turn", router.node)
-    if plan is not None:
-        tables = plan.cache.get(key)
-        if tables is not None:
-            return tables
-    mesh = router.mesh
-    node = router.node
-    tables = (
-        # repro: hot-ok[memoized per node in the plan cache; allocates on first touch only]
-        tuple(
-            dimension_order_route(mesh, node, destination)
-            for destination in range(mesh.num_nodes)
-        ),
-        # repro: hot-ok[memoized per node in the plan cache; allocates on first touch only]
-        tuple(
-            yx_route(mesh, node, destination)
-            for destination in range(mesh.num_nodes)
-        ),
-    )
-    if plan is not None:
-        plan.cache[key] = tables
-    return tables
-
-
-def adaptive_route_table(router: BaseRouter) -> Tuple:
-    """Per-destination ``(productive ports, DOR port)`` pairs for this
-    node, interned on the plan.  ``ports[0]`` is the DOR port whenever
-    two ports are productive (X is corrected first in both orders)."""
-    plan = plan_for(router.config)
-    key = ("adaptive", router.node)
-    if plan is not None:
-        table = plan.cache.get(key)
-        if table is not None:
-            return table
-    mesh = router.mesh
-    node = router.node
-    table = tuple(
-        (
-            tuple(productive_ports(mesh, node, destination)),
-            dimension_order_route(mesh, node, destination),
-        )
-        for destination in range(mesh.num_nodes)
-    )
-    if plan is not None:
-        plan.cache[key] = table
-    return table
-
-
 def _make_candidates(router: BaseRouter):
     """Candidate-VC resolver ``cand(route, head)`` for packet-dependent
     policies (O1TurnVCs / AdaptiveEscapeVCs), or None when the static
@@ -258,7 +148,7 @@ def _make_candidates(router: BaseRouter):
 
         return cand
 
-    table = adaptive_route_table(router)
+    table = router._route_table
     full = tuple(range(v))
     adaptive_vcs = tuple(range(1, v))
 
@@ -335,8 +225,8 @@ def _make_st(router: BaseRouter):
 
 
 def _make_rc(router: BaseRouter, *, vc_family: bool, single_cycle: bool):
-    """Inlined ``_rc_phase`` iterating the ROUTING bitmask with the
-    precomputed routing table (xy/yx only -- plan_for guarantees it)."""
+    """Inlined ``_rc_phase`` iterating the ROUTING bitmask over the
+    routing table (xy/yx: one output port per destination)."""
     all_ivcs = router._all_ivcs
     queues = router._ivc_queues
     route_table = router._route_table
@@ -391,13 +281,13 @@ def _make_rc(router: BaseRouter, *, vc_family: bool, single_cycle: bool):
 
 def _make_rc_o1turn(router: BaseRouter, *, single_cycle: bool):
     """``_rc_phase`` for o1turn routing: the packet's committed
-    dimension order picks between the memoized xy and yx tables
+    dimension order indexes the table's (xy port, yx port) pair
     (o1turn is VC-family-only, so heads always go to VC_ALLOC)."""
     all_ivcs = router._all_ivcs
     queues = router._ivc_queues
     stats = router.stats
     va_delay = 0 if single_cycle else 1 + router.config.va_extra_cycles
-    xy_table, yx_table = router._ensure_o1turn_tables()
+    route_table = router._route_table
 
     def rc(cycle: int) -> None:
         m = router._routing_mask
@@ -411,8 +301,9 @@ def _make_rc_o1turn(router: BaseRouter, *, single_cycle: bool):
             if ivc.routing_ready > cycle:
                 continue
             packet = queues[flat][0].packet
-            table = yx_table if o1turn_choice(packet) == "yx" else xy_table
-            ivc.route = table[packet.destination]
+            ivc.route = route_table[packet.destination][
+                o1turn_choice(packet) == "yx"
+            ]
             ivc.va_ready = cycle + va_delay
             routed += 1
             moved |= low
@@ -427,12 +318,12 @@ def _make_rc_o1turn(router: BaseRouter, *, single_cycle: bool):
 def _make_rc_adaptive(router: BaseRouter, *, single_cycle: bool):
     """``_rc_phase`` + ``VirtualChannelRouter._route_vc`` for minimal
     adaptive routing: the (productive ports, DOR port) pair comes from
-    the memo; the congestion score (free *and* credited permitted VCs
-    per port) is computed inline over the flat output-VC arrays.  When
-    two ports are productive, ``ports[0]`` is the DOR port (escape VC
-    permitted); the tie-break ``max(ports, key=(freedom, p == dor))``
-    reduces to "the non-DOR port wins only on a strictly higher score"
-    since ``max`` keeps the first maximum."""
+    the routing table; the congestion score (free *and* credited
+    permitted VCs per port) is computed inline over the flat output-VC
+    arrays.  When two ports are productive, ``ports[0]`` is the DOR port
+    (escape VC permitted); the tie-break ``max(ports, key=(freedom, p ==
+    dor))`` reduces to "the non-DOR port wins only on a strictly higher
+    score" since ``max`` keeps the first maximum."""
     v = router.num_vcs
     all_ivcs = router._all_ivcs
     queues = router._ivc_queues
@@ -440,7 +331,7 @@ def _make_rc_adaptive(router: BaseRouter, *, single_cycle: bool):
     ovc_credits = router._ovc_credits
     stats = router.stats
     va_delay = 0 if single_cycle else 1 + router.config.va_extra_cycles
-    table = router._ensure_adaptive_table()
+    table = router._route_table
     fallback = type(router).ADAPTIVE_REROUTE_FALLBACK
 
     def rc(cycle: int) -> None:
@@ -508,7 +399,7 @@ def _make_reiterate(router: BaseRouter):
     queues = router._ivc_queues
     ovc_flat = router._ovc_flat
     stats = router.stats
-    table = router._ensure_adaptive_table()
+    table = router._route_table
 
     def reiterate(cycle: int) -> None:
         m = router._va_mask
@@ -1460,61 +1351,21 @@ _BUILDERS = {
     "speculative_vc": (SpeculativeVCRouter, _build_spec_vc),
 }
 
-_PLAN_CACHE: Dict[Tuple, Optional[StepPlan]] = {}
-
-#: Declared for the CONC004 analysis rule: the plan cache is an
-#: intentional per-process memo.  Plans are pure functions of the
-#: specialization key, so each pool worker recompiling its own copy is
-#: correct -- only a few hundred nanoseconds of duplicated work per
-#: process, never a correctness fork.
-PROCESS_LOCAL = {"_PLAN_CACHE"}
-
-
-def plan_for(config) -> Optional[StepPlan]:
-    """The (interned) step plan for a config.
-
-    Every built-in config compiles: the allocator dimension picks
-    between the fused separable stages and the batched bitmask matcher,
-    the routing dimension between static route/candidate tables and the
-    per-node packet-dependent memos, and the speculation-priority
-    dimension between the conservative and shared-arbiter (equal)
-    combiners.  The Optional return survives as a guard: a config
-    validated by an out-of-tree caller with dimensions this module does
-    not know falls back to the generic path via :func:`compile_step`.
-    """
-    key = specialization_key(config)
-    try:
-        return _PLAN_CACHE[key]
-    except KeyError:
-        pass
-    plan: Optional[StepPlan] = None
-    builders = _BUILDERS.get(config.router_kind.value)
-    if builders is not None:
-        router_class, builder = builders
-        plan = StepPlan(key, router_class, builder, _CANONICAL[router_class])
-    _PLAN_CACHE[key] = plan
-    return plan
-
-
 def compile_step(router: BaseRouter):
     """A specialized step closure for ``router``, or None.
 
-    Returns None (generic path) when the config has no plan, a tracer
-    is attached, or any step method differs from the canonical function
-    captured at import time (instance- or class-level monkeypatch).
+    Returns None (generic path) when the router is not its kind's
+    canonical class, a tracer is attached, any step method differs from
+    the canonical function captured at import time (instance- or
+    class-level monkeypatch), or an allocator was substituted.
     """
-    plan = plan_for(router.config)
-    if plan is None:
-        return None
-    if type(router) is not plan.router_class:
+    config = router.config
+    router_class, builder = _BUILDERS[config.router_kind.value]
+    if type(router) is not router_class:
         return None
     if router.tracer is not None:
         return None
-    if not _uses_canonical(router, plan.canonical):
-        return None
-    config = router.config
-    routing = config.routing_function
-    if routing in ("xy", "yx") and router._route_table is None:
+    if not _uses_canonical(router, _CANONICAL[router_class]):
         return None
     if isinstance(router, VirtualChannelRouter):
         from ..allocators import SeparableAllocator
@@ -1529,8 +1380,6 @@ def compile_step(router: BaseRouter):
             if config.allocator_kind == "separable"
             else MaximumMatchingAllocator
         )
-        if routing in ("xy", "yx") and router._candidate_table is None:
-            return None
         if type(router._vc_allocator) is not allocator_class:
             return None
         if type(router._switch_allocator) is not allocator_class:
@@ -1545,4 +1394,4 @@ def compile_step(router: BaseRouter):
                 return None
             if type(spec_allocator._spec) is not allocator_class:
                 return None
-    return plan.builder(router)
+    return builder(router)

@@ -90,10 +90,7 @@ class VirtualChannelRouter(BaseRouter):
     def _route_vc(self, ivc: InputVC, flit) -> int:
         if self._routing_name != "adaptive":
             return self._route(flit)
-        table = self._adaptive_route_table
-        if table is None:
-            table = self._ensure_adaptive_table()
-        ports, dor_port = table[flit.destination]
+        ports, dor_port = self._route_table[flit.destination]
         if len(ports) == 1 or ivc.reroute_count >= self.ADAPTIVE_REROUTE_FALLBACK:
             return dor_port
 

@@ -11,7 +11,8 @@ shorter way around each ring (minimal routing, ties broken toward
 EAST/SOUTH).  ``o1turn`` commits each packet to XY or YX order at
 injection (load-balancing adversarial patterns like transpose) and
 relies on the O1TURN VC classes in :mod:`repro.sim.dateline` for
-deadlock freedom.
+deadlock freedom.  Routers do not call these per head: each builds its
+whole routing decision once, as :func:`build_route_table`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ from .topology import EAST, LOCAL, Mesh, NORTH, SOUTH, WEST
 
 #: A routing function maps (mesh, current node, destination) -> output port.
 RoutingFunction = Callable[[Mesh, int, int], int]
-
-# Imported at module bottom (dateline imports this module's route
-# functions lazily, so the cycle resolves); hoisted out of
-# o1turn_route_for_packet to keep the import machinery off the hot path.
 
 
 def _x_step(topo: Mesh, x: int, dx: int) -> int:
@@ -107,33 +104,34 @@ def productive_ports(mesh: Mesh, node: int, destination: int) -> list:
     return ports
 
 
-def o1turn_route_for_packet(mesh: Mesh, node: int, packet) -> int:
-    """Route one packet under its committed O1TURN dimension order."""
-    if o1turn_choice(packet) == "yx":
-        return yx_route(mesh, node, packet.destination)
-    return dimension_order_route(mesh, node, packet.destination)
+def build_route_table(name: str, mesh: Mesh, node: int) -> tuple:
+    """``node``'s routing decision for every destination, as one table.
 
+    Entry ``destination`` is, by routing function:
 
-def make_routing_function(name: str) -> RoutingFunction:
-    """Factory: ``"xy"`` (paper default), ``"yx"``, or ``"o1turn"``.
-
-    ``o1turn`` cannot be expressed as a plain (mesh, node, destination)
-    function -- the choice is per packet -- so routers special-case it;
-    this factory returns a marker raising if called directly.
+    * ``"xy"`` / ``"yx"``: the output port;
+    * ``"o1turn"``: the ``(xy port, yx port)`` pair, indexed by the
+      packet's committed order (``o1turn_choice(packet) == "yx"``);
+    * ``"adaptive"``: the ``(productive ports, DOR port)`` pair;
+      ``ports[0]`` is the DOR port whenever two ports are productive
+      (X is corrected first in both).
     """
+    destinations = range(mesh.num_nodes)
     if name == "xy":
-        return dimension_order_route
+        return tuple(dimension_order_route(mesh, node, d) for d in destinations)
     if name == "yx":
-        return yx_route
-    if name in ("o1turn", "adaptive"):
-        def _needs_router_state(mesh: Mesh, node: int, destination: int) -> int:
-            raise TypeError(
-                f"{name} routing is resolved inside the routers (per-packet "
-                "choice / per-VC congestion state), not as a plain function"
+        return tuple(yx_route(mesh, node, d) for d in destinations)
+    if name == "o1turn":
+        return tuple(
+            (dimension_order_route(mesh, node, d), yx_route(mesh, node, d))
+            for d in destinations
+        )
+    if name == "adaptive":
+        return tuple(
+            (
+                tuple(productive_ports(mesh, node, d)),
+                dimension_order_route(mesh, node, d),
             )
-
-        return _needs_router_state
+            for d in destinations
+        )
     raise ValueError(f"unknown routing function {name!r}")
-
-
-from .dateline import o1turn_choice  # noqa: E402  (see note above)

@@ -508,8 +508,8 @@ class SpeculationLegalityProbe(Probe):
 class InOrderDeliveryProbe(Probe):
     """Every packet's flits eject in index order, at exactly one sink --
     the sink at the packet's destination.  The destination check is what
-    catches a corrupted route table or memo: a misrouted packet that
-    ejects cleanly anywhere else is flagged the cycle it arrives."""
+    catches a corrupted route table: a misrouted packet that ejects
+    cleanly anywhere else is flagged the cycle it arrives."""
 
     name = "in_order_delivery"
 

@@ -1,6 +1,5 @@
 # repro: scope[runtime]
-"""CONC004: a mutable module global mutated by a pool worker entry,
-with no PROCESS_LOCAL declaration."""
+"""CONC004: a mutable module global mutated by a pool worker entry."""
 
 _CACHE = {}
 

@@ -6,9 +6,6 @@ import threading
 
 LOCKED_BY = {"Server.value": "_lock"}
 THREAD_CONFINED = {"Server._scratch"}
-PROCESS_LOCAL = {"_MEMO"}
-
-_MEMO = {}
 
 
 class Server:
@@ -42,9 +39,8 @@ class Server:
 
 
 def _work(x):
-    # _MEMO is declared PROCESS_LOCAL: the per-process fork is intended.
-    _MEMO[x] = x * 2
-    return _MEMO[x]
+    # A pure pool worker: nothing module-level to fork per process.
+    return x * 2
 
 
 def run(pool, xs):

@@ -54,7 +54,7 @@ def test_conc004_pool_worker_global():
     assert rules_of(result) == ["CONC004"]
     (finding,) = result.new_findings
     assert "_CACHE" in finding.message
-    assert "PROCESS_LOCAL" in finding.message
+    assert "process-pool workers" in finding.message
 
 
 def test_rules_scoped_to_runtime_domain(tmp_path):

@@ -96,6 +96,23 @@ class TestSweepManifest:
         reread = SweepManifest(path, sweep="abc", points=2)
         assert reread.done == {"k1"}
 
+    @pytest.mark.parametrize(
+        "bad_line", ["7", '"undone"', "[1, 2]", "null", '{"done": ["k9"]}'],
+        ids=["int", "string", "list", "null", "unhashable-done"],
+    )
+    def test_non_record_line_mid_file_is_skipped(self, tmp_path, bad_line):
+        # Valid JSON that is not a ledger record is skipped like a torn
+        # line; the done records on either side of it still count.
+        path = tmp_path / "sweep.jsonl"
+        manifest = SweepManifest(path, sweep="abc", points=3).start()
+        manifest.record("k1")
+        with open(path, "a") as handle:
+            handle.write(bad_line + "\n")
+        manifest.record("k2")
+        reread = SweepManifest(path, sweep="abc", points=3)
+        assert reread.done == {"k1", "k2"}
+        assert reread.remaining(["k1", "k2", "k3"]) == ["k3"]
+
     def test_sweep_key_is_order_independent(self):
         keys = ["b", "a", "c"]
         assert sweep_key(keys) == sweep_key(sorted(keys))
@@ -146,6 +163,46 @@ class TestInterruptedSerialSweep:
         assert ResultCache(tmp_path).manifest(grid_keys()).is_complete
 
         # The merged grid is bit-identical to one that never failed.
+        baseline = Experiment(FAST, backend="serial").grid(
+            config(), loads=LOADS
+        )
+        assert merged.results == baseline.results
+
+    @pytest.mark.parametrize(
+        "bad_line", ["7", '"undone"'], ids=["int", "string"]
+    )
+    def test_resume_past_a_corrupted_manifest_line(
+        self, tmp_path, monkeypatch, bad_line
+    ):
+        real = backends.run_payload
+        completed = {"count": 0}
+
+        def dies_after_three(payload):
+            if completed["count"] >= 3:
+                raise RuntimeError("injected mid-flight failure")
+            completed["count"] += 1
+            return real(payload)
+
+        monkeypatch.setattr(backends, "run_payload", dies_after_three)
+        with pytest.raises(RuntimeError, match="mid-flight"):
+            Experiment(FAST, backend="serial", cache=tmp_path).grid(
+                config(), loads=LOADS
+            )
+
+        # Corrupt the ledger between its first and second done record.
+        path = ResultCache(tmp_path).manifest(grid_keys()).path
+        lines = path.read_text().splitlines()
+        lines.insert(2, bad_line)
+        path.write_text("\n".join(lines) + "\n")
+        assert len(ResultCache(tmp_path).manifest(grid_keys()).done) == 3
+
+        monkeypatch.setattr(backends, "run_payload", real)
+        resumed = Experiment(FAST, backend="serial", cache=tmp_path)
+        merged = resumed.grid(config(), loads=LOADS)
+        assert resumed.stats.points_executed == 3
+        assert resumed.stats.cache_hits == 3
+        assert ResultCache(tmp_path).manifest(grid_keys()).is_complete
+
         baseline = Experiment(FAST, backend="serial").grid(
             config(), loads=LOADS
         )

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.routing import (
+    build_route_table,
     dimension_order_route,
-    make_routing_function,
+    productive_ports,
     route_path,
     yx_route,
 )
-from repro.sim.topology import EAST, LOCAL, Mesh, NORTH, SOUTH, WEST
+from repro.sim.topology import EAST, LOCAL, Mesh, NORTH, SOUTH, Torus, WEST
 
 k8 = Mesh(8)
 nodes = st.integers(min_value=0, max_value=63)
@@ -85,17 +86,42 @@ class TestYXRouting:
             assert port == LOCAL
 
 
-class TestFactory:
-    def test_known_names(self):
-        assert make_routing_function("xy") is dimension_order_route
-        assert make_routing_function("yx") is yx_route
+class TestBuildRouteTable:
+    """A router's ``_route_table`` is the routing function, tabulated:
+    every entry agrees with the function it replaces."""
+
+    @pytest.mark.parametrize("topo", [Mesh(4), Torus(4)], ids=["mesh", "torus"])
+    @pytest.mark.parametrize(
+        "name, route", [("xy", dimension_order_route), ("yx", yx_route)]
+    )
+    def test_static_tables_match_route_functions(self, topo, name, route):
+        for node in topo.nodes():
+            table = build_route_table(name, topo, node)
+            assert table == tuple(
+                route(topo, node, dest) for dest in range(topo.num_nodes)
+            )
+
+    def test_o1turn_entries_are_xy_yx_pairs(self):
+        k4 = Mesh(4)
+        for node in k4.nodes():
+            table = build_route_table("o1turn", k4, node)
+            for dest in range(k4.num_nodes):
+                assert table[dest] == (
+                    dimension_order_route(k4, node, dest),
+                    yx_route(k4, node, dest),
+                )
+
+    def test_adaptive_entries_are_productive_ports_and_dor(self):
+        k4 = Mesh(4)
+        for node in k4.nodes():
+            table = build_route_table("adaptive", k4, node)
+            for dest in range(k4.num_nodes):
+                ports, dor_port = table[dest]
+                assert ports == tuple(productive_ports(k4, node, dest))
+                assert dor_port == dimension_order_route(k4, node, dest)
+                # RC relies on the DOR port coming first.
+                assert ports[0] == dor_port
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            make_routing_function("chaotic")
-
-    def test_router_resolved_functions_refuse_direct_calls(self):
-        for name in ("o1turn", "adaptive"):
-            fn = make_routing_function(name)
-            with pytest.raises(TypeError):
-                fn(k8, 0, 5)
+            build_route_table("chaotic", k8, 0)

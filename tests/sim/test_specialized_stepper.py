@@ -1,15 +1,12 @@
-"""Specialization-cache and fallback correctness.
+"""Step compilation and fallback correctness.
 
 The fast stepper compiles one step closure per router at wiring time,
-keyed on :func:`specialization_key`.  These tests pin the cache's
-contract -- same key, same interned plan; different key, different
-plan -- and every guard that must force the generic path: unsupported
-configs, the reference stepper, probes/tracers attached after wiring
-(telemetry only reads counters and forces nothing), monkeypatched step
-methods, and swapped allocator types.
+for every built-in config.  These tests pin that envelope and every
+guard that must force the generic path: the reference stepper,
+probes/tracers attached after wiring (telemetry only reads counters and
+forces nothing), monkeypatched step methods, and swapped allocator
+types.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -17,11 +14,7 @@ from repro.sim.allocators import SeparableAllocator
 from repro.sim.config import RouterKind, SimConfig
 from repro.sim.network import Network
 from repro.sim.routers.spec_vc import SpeculativeVCRouter
-from repro.sim.routers.specialized import (
-    compile_step,
-    plan_for,
-    specialization_key,
-)
+from repro.sim.routers.specialized import compile_step
 from repro.sim.trace import Tracer
 from repro.sim.validation import ValidationSuite
 from repro.telemetry import TelemetrySession
@@ -36,82 +29,9 @@ def spec_config(**overrides):
     return SimConfig(**defaults)
 
 
-class TestPlanCache:
-    def test_same_key_interns_one_plan(self):
-        # Fields outside the specialization key (seed, load) must not
-        # split the cache.
-        a = spec_config(seed=1, injection_fraction=0.1)
-        b = spec_config(seed=99, injection_fraction=0.5)
-        assert specialization_key(a) == specialization_key(b)
-        assert plan_for(a) is plan_for(b)
-
-    @pytest.mark.parametrize(
-        "override",
-        [
-            dict(num_vcs=3),
-            dict(buffers_per_vc=8),
-            dict(mesh_radix=6),
-            dict(router_kind=RouterKind.VIRTUAL_CHANNEL),
-            dict(routing_function="yx"),
-            dict(topology="torus"),
-            dict(packet_length=8),
-        ],
-        ids=lambda o: next(iter(o)),
-    )
-    def test_differing_configs_get_distinct_plans(self, override):
-        base = spec_config()
-        varied = spec_config(**override)
-        assert specialization_key(base) != specialization_key(varied)
-        plan = plan_for(base)
-        other = plan_for(varied)
-        assert plan is not None and other is not None
-        assert plan is not other
-
-    @pytest.mark.parametrize(
-        "override",
-        [
-            dict(allocator_kind="maximum"),
-            dict(routing_function="o1turn"),
-            dict(routing_function="adaptive"),
-            dict(speculation_priority="equal"),
-        ],
-        ids=lambda o: next(iter(o.values())),
-    )
-    def test_envelope_dimensions_have_distinct_plans(self, override):
-        # Every built-in config dimension compiles; each gets its own
-        # interned plan (the closures differ per dimension).
-        base = spec_config()
-        varied = spec_config(**override)
-        assert specialization_key(base) != specialization_key(varied)
-        plan = plan_for(varied)
-        assert plan is not None
-        assert plan is not plan_for(base)
-        assert plan is plan_for(replace(varied, seed=41))
-
-    def test_plan_lookup_is_repeatable(self):
-        config = spec_config()
-        assert plan_for(config) is plan_for(replace(config, seed=7))
-        maximum = spec_config(allocator_kind="maximum")
-        assert plan_for(maximum) is plan_for(replace(maximum, seed=7))
-
-    @pytest.mark.parametrize("routing", ["o1turn", "adaptive"])
-    def test_route_memos_intern_on_the_plan(self, routing):
-        # The packet-dependent route memos are computed lazily per node
-        # and interned on the plan cache: two networks with the same
-        # config share the same table objects.
-        config = spec_config(routing_function=routing)
-        plan = plan_for(config)
-        assert plan is not None
-        first = Network(config)
-        cache_size = len(plan.cache)
-        assert cache_size == len(first.routers)
-        second = Network(replace(config, seed=23))
-        assert len(plan.cache) == cache_size  # no recompute
-        for a, b in zip(first.routers, second.routers):
-            if routing == "o1turn":
-                assert a._ensure_o1turn_tables() is b._ensure_o1turn_tables()
-            else:
-                assert a._ensure_adaptive_table() is b._ensure_adaptive_table()
+def _case_id(override):
+    value = next(iter(override.values()), "default")
+    return getattr(value, "value", value)
 
 
 class TestNetworkBinding:
@@ -123,8 +43,15 @@ class TestNetworkBinding:
             dict(routing_function="o1turn"),
             dict(routing_function="adaptive"),
             dict(speculation_priority="equal"),
+            dict(routing_function="yx"),
+            dict(topology="torus"),
+            *(
+                dict(router_kind=kind, num_vcs=2 if kind.uses_vcs else 1)
+                for kind in RouterKind
+                if kind is not RouterKind.SPECULATIVE_VC
+            ),
         ],
-        ids=lambda o: next(iter(o.values()), "default"),
+        ids=_case_id,
     )
     def test_fast_stepper_compiles_every_router(self, override):
         network = Network(spec_config(**override))
@@ -138,17 +65,6 @@ class TestNetworkBinding:
     def test_reference_stepper_never_compiles(self):
         network = Network(spec_config(stepper="reference"))
         assert network.generic_step_reason == "reference-stepper"
-        assert all(r._step_fn is None for r in network.routers)
-        assert network.routers_specialized == 0
-
-    def test_unsupported_config_falls_back(self, monkeypatch):
-        # No built-in config is outside the envelope any more; emulate
-        # an out-of-tree config dimension by blanking the plan lookup.
-        from repro.sim.routers import specialized
-
-        monkeypatch.setattr(specialized, "plan_for", lambda config: None)
-        network = Network(spec_config())
-        assert network.generic_step_reason == "unsupported-config"
         assert all(r._step_fn is None for r in network.routers)
         assert network.routers_specialized == 0
 

@@ -18,7 +18,7 @@ from repro.sim.engine import simulate
 from repro.sim.network import Network
 from repro.sim.routers.base import BaseRouter, InputVC, VCState
 from repro.sim.routers.wormhole import WormholeRouter
-from repro.sim.topology import NUM_PORTS
+from repro.sim.topology import LOCAL, NUM_PORTS
 from repro.sim.validation import (
     FlitConservationProbe,
     InOrderDeliveryProbe,
@@ -339,35 +339,50 @@ class TestPackedStateCorruption:
         assert excinfo.value.violation.probe == "flit_conservation"
 
 
-class TestRouteMemoCorruption:
-    """Corrupting a packet-dependent route memo must be observable.
+#: The static routing functions on speculative VC, plus xy on the
+#: other pipelines: (router kind, routing function).  The
+#: packet-dependent functions are covered by ``TestRouteMemoCorruption``.
+ROUTE_TABLE_CASES = [
+    pytest.param(kind, routing, id=f"{kind.value}-{routing}")
+    for kind, routing in [
+        (RouterKind.SPECULATIVE_VC, "xy"),
+        (RouterKind.SPECULATIVE_VC, "yx"),
+        (RouterKind.WORMHOLE, "xy"),
+        (RouterKind.VIRTUAL_CHANNEL, "xy"),
+    ]
+]
 
-    The o1turn/adaptive route tables are computed lazily, interned on
-    the step plan, and -- critically -- consulted by the *generic* route
-    methods too.  Checked mode forces the generic path, so a corrupted
-    memo steers real packets: the first head it misroutes ejects at the
-    wrong sink and the delivery probe flags it the cycle it arrives.
-    If the generic path ever stopped reading the shared memo, the
-    injected corruption would become invisible and these tests would
-    fail on ``fired``/``raises`` -- guarding the bit-identity coupling
-    between the specialized and generic paths.
+
+class TestRouteTableCorruption:
+    """Corrupting a router's routing table must be observable.
+
+    ``_route_table`` is the router's only routing decision, read by the
+    generic route methods as well as the compiled RC closures.  Checked
+    mode runs the generic path, so a corrupted table steers real
+    packets: the first head it misroutes ejects at the wrong sink and
+    the delivery probe flags it the cycle it arrives.  If the generic
+    path ever stopped reading the table, the corruption would become
+    invisible and these tests would fail on ``fired``/``raises``.
     """
 
-    CORRUPT_AFTER = TestPackedStateCorruption.CORRUPT_AFTER
     CENTER = TestPackedStateCorruption.CENTER
 
-    def test_corrupted_o1turn_memo_trips_delivery_probe(self, monkeypatch):
-        from repro.sim.topology import LOCAL
+    @staticmethod
+    def _all_local(entry):
+        """An entry of the same shape as ``entry`` that says "eject"."""
+        if isinstance(entry, int):
+            return LOCAL  # xy / yx: the output port
+        if isinstance(entry[0], int):
+            return (LOCAL, LOCAL)  # o1turn: (xy port, yx port)
+        return ((LOCAL,), LOCAL)  # adaptive: (productive ports, DOR)
 
+    @classmethod
+    def assert_corruption_trips_delivery(cls, monkeypatch, kind, routing):
         def corrupt(router, cycle):
-            if router.node != self.CENTER:
+            if router.node != cls.CENTER:
                 return False
-            tables = router._o1turn_route_tables
-            if tables is None:
-                return False  # not consulted yet; try again next cycle
-            everything_local = tuple(LOCAL for _ in tables[0])
-            router._o1turn_route_tables = (
-                everything_local, everything_local,
+            router._route_table = tuple(
+                cls._all_local(entry) for entry in router._route_table
             )
             return True
 
@@ -376,44 +391,40 @@ class TestRouteMemoCorruption:
         )
         with pytest.raises(InvariantViolation) as excinfo:
             simulate(
-                tiny_config(
-                    RouterKind.SPECULATIVE_VC, routing_function="o1turn"
-                ),
+                tiny_config(kind, routing_function=routing),
                 MEAS, checked=True,
             )
-        assert fired, "the injected memo corruption never fired"
+        assert fired, "the injected route-table corruption never fired"
         violation = excinfo.value.violation
         assert violation.probe == "in_order_delivery"
-        assert f"ejected at node {self.CENTER}" in violation.message
+        assert f"ejected at node {cls.CENTER}" in violation.message
+
+    @pytest.mark.parametrize("kind, routing", ROUTE_TABLE_CASES)
+    def test_corrupted_route_table_trips_delivery_probe(
+        self, monkeypatch, kind, routing
+    ):
+        self.assert_corruption_trips_delivery(monkeypatch, kind, routing)
+
+
+class TestRouteMemoCorruption:
+    """Corrupting a packet-dependent route table must be observable.
+
+    o1turn and adaptive entries carry more than one port -- (xy port,
+    yx port) and (productive ports, DOR port) -- and the choice among
+    them is made per packet, so a corrupted entry only shows once a
+    head consults it.  The same ``_route_table`` corruption as for the
+    static functions must still steer a packet to the wrong sink.
+    """
+
+    def test_corrupted_o1turn_memo_trips_delivery_probe(self, monkeypatch):
+        TestRouteTableCorruption.assert_corruption_trips_delivery(
+            monkeypatch, RouterKind.SPECULATIVE_VC, "o1turn"
+        )
 
     def test_corrupted_adaptive_memo_trips_delivery_probe(self, monkeypatch):
-        from repro.sim.topology import LOCAL
-
-        def corrupt(router, cycle):
-            if router.node != self.CENTER:
-                return False
-            table = router._adaptive_route_table
-            if table is None:
-                return False
-            router._adaptive_route_table = tuple(
-                ((LOCAL,), LOCAL) for _ in table
-            )
-            return True
-
-        fired = TestPackedStateCorruption._corrupt_once_after(
-            monkeypatch, corrupt
+        TestRouteTableCorruption.assert_corruption_trips_delivery(
+            monkeypatch, RouterKind.SPECULATIVE_VC, "adaptive"
         )
-        with pytest.raises(InvariantViolation) as excinfo:
-            simulate(
-                tiny_config(
-                    RouterKind.SPECULATIVE_VC, routing_function="adaptive"
-                ),
-                MEAS, checked=True,
-            )
-        assert fired, "the injected memo corruption never fired"
-        violation = excinfo.value.violation
-        assert violation.probe == "in_order_delivery"
-        assert f"ejected at node {self.CENTER}" in violation.message
 
 
 class TestMatchingAdjacencyCorruption:
