@@ -218,13 +218,16 @@ def _coverage(
             if name in annotation:
                 param_class[arg.arg] = name
 
+    source = func.source
     classes: Set[str] = set()
     fields: Set[Tuple[str, str]] = set()
-    for node in ast.walk(func.node):
+    for i, node in enumerate(source.subtree(func.index), func.index):
         if isinstance(node, ast.Call):
             dotted = call_name(node)
             if dotted is not None and dotted.rsplit(".", 1)[-1] == "asdict":
-                for inner in node.args:
+                # A call's children are its func, args, then keywords.
+                for arg in list(source.children(i))[1:1 + len(node.args)]:
+                    inner = source.subtree(arg)
                     classes |= _asdict_classes(inner, param_class, tracked)
         elif (
             isinstance(node, ast.Attribute)
@@ -237,7 +240,7 @@ def _coverage(
 
 
 def _asdict_classes(
-    inner: ast.AST,
+    inner: List[ast.AST],
     param_class: Dict[str, str],
     tracked: Dict[str, ClassInfo],
 ) -> Set[str]:
@@ -251,7 +254,7 @@ def _asdict_classes(
     """
     classes: Set[str] = set()
     field_bases = set()
-    for sub in ast.walk(inner):
+    for sub in inner:
         if (
             isinstance(sub, ast.Attribute)
             and isinstance(sub.value, ast.Name)
@@ -262,7 +265,7 @@ def _asdict_classes(
                 sub.attr, ""
             )
             classes.update(name for name in tracked if name in annotation)
-    for sub in ast.walk(inner):
+    for sub in inner:
         if isinstance(sub, ast.Name):
             if sub.id in param_class and id(sub) not in field_bases:
                 classes.add(param_class[sub.id])
@@ -285,10 +288,8 @@ def _neutral_declarations(index: ProjectIndex, info: ClassInfo) -> Set[str]:
     set in some other file does not count -- so adding a plan field and
     blessing it are always one reviewable diff.
     """
-    for source in index.files:
-        if source.relpath == info.relpath:
-            return _string_set(source.tree, NEUTRAL_SET_NAME)
-    return set()
+    source = index.modules[info.relpath].source
+    return _string_set(source.tree, NEUTRAL_SET_NAME)
 
 
 def _string_set(tree: ast.Module, set_name: str) -> Set[str]:
@@ -310,24 +311,19 @@ def _string_set(tree: ast.Module, set_name: str) -> Set[str]:
 def _field_line(index: ProjectIndex, info: ClassInfo,
                 field_name: str) -> int:
     """Line of ``field_name``'s declaration inside ``info``'s class."""
-    for source in index.files:
-        if source.relpath != info.relpath:
-            continue
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef) and node.name == info.name:
-                for item in node.body:
-                    if (
-                        isinstance(item, ast.AnnAssign)
-                        and isinstance(item.target, ast.Name)
-                        and item.target.id == field_name
-                    ):
-                        return item.lineno
-                    if isinstance(item, ast.Assign) and any(
-                        isinstance(t, ast.Name) and t.id == field_name
-                        for t in item.targets
-                    ):
-                        return item.lineno
-                return node.lineno
+    node = index.modules[info.relpath].source.nodes[info.index]
+    for item in node.body:
+        if (
+            isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+            and item.target.id == field_name
+        ):
+            return item.lineno
+        if isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == field_name
+            for t in item.targets
+        ):
+            return item.lineno
     return info.line
 
 

@@ -43,8 +43,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..core import Checker, Finding, Rule, SourceFile, call_name
-from ..index import ClassInfo, FunctionNode, ProjectIndex
+from ..core import (
+    SCOPE_NODES, Checker, Finding, Rule, SourceFile, call_name,
+)
+from ..index import FunctionNode, ProjectIndex
 
 #: Constructor names whose instances are guarding primitives.
 LOCK_CTORS = frozenset({
@@ -114,20 +116,19 @@ class ConcurrencyChecker(Checker):
             return
         locked_by = _string_map(source.tree, LOCKED_BY_NAME)
         confined = _string_set(source.tree, THREAD_CONFINED_NAME)
-        for node in source.tree.body:
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(
-                    source, node, locked_by, confined
-                )
+        for i in source.children(0):
+            if isinstance(source.nodes[i], ast.ClassDef):
+                yield from self._check_class(source, i, locked_by, confined)
 
     def _check_class(
         self,
         source: SourceFile,
-        node: ast.ClassDef,
+        index: int,
         locked_by: Dict[str, str],
         confined: Set[str],
     ) -> Iterable[Finding]:
-        locks, conditions, safe = _owned_primitives(node)
+        node = source.nodes[index]
+        locks, conditions, safe = _owned_primitives(source, index)
         guards = locks | conditions
         for item in node.body:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -172,6 +173,7 @@ class ConcurrencyChecker(Checker):
 
         def walk(node: ast.AST, held: FrozenSet[str],
                  in_while: bool) -> Iterable[Finding]:
+            # A recursion, not a table slice: each child inherits context.
             for child in ast.iter_child_nodes(node):
                 child_held = held
                 child_while = in_while
@@ -229,13 +231,14 @@ class ConcurrencyChecker(Checker):
             if source.tree is None or not source.in_domain("runtime"):
                 continue
             confined = _string_set(source.tree, THREAD_CONFINED_NAME)
-            for node in source.tree.body:
+            for i in source.children(0):
+                node = source.nodes[i]
                 if not isinstance(node, ast.ClassDef):
                     continue
-                locks, conditions, _safe = _owned_primitives(node)
+                locks, conditions, _safe = _owned_primitives(source, i)
                 if locks | conditions:
                     continue  # CONC001 owns lock-owning classes.
-                entries = _thread_targets(node, index)
+                entries = _thread_targets(source, i, index)
                 if not entries:
                     continue
                 same_class = index.reachable(
@@ -355,6 +358,7 @@ def _field_writes(
                 yield from target_fields(element)
 
     def walk(node: ast.AST, held: FrozenSet[str]) -> None:
+        # A recursion, not a table slice: each child inherits held locks.
         for child in ast.iter_child_nodes(node):
             child_held = held
             if isinstance(child, ast.With):
@@ -429,16 +433,17 @@ def _lock_like(name: str) -> bool:
 
 
 def _owned_primitives(
-    node: ast.ClassDef,
+    source: SourceFile, index: int,
 ) -> Tuple[Set[str], Set[str], Set[str]]:
-    """(lock attrs, condition attrs, thread-safe container attrs)."""
+    """(lock attrs, condition attrs, thread-safe container attrs) of the
+    class at ``nodes[index]``."""
     locks: Set[str] = set()
     conditions: Set[str] = set()
     safe: Set[str] = set()
-    for item in node.body:
-        if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for item in source.children(index):
+        if not isinstance(source.nodes[item], SCOPE_NODES):
             continue
-        for stmt in ast.walk(item):
+        for stmt in source.subtree(item):
             if isinstance(stmt, ast.Assign):
                 targets = stmt.targets
                 value = stmt.value
@@ -467,11 +472,13 @@ def _owned_primitives(
 
 
 def _thread_targets(
-    node: ast.ClassDef, index: ProjectIndex
+    source: SourceFile, class_index: int, index: ProjectIndex
 ) -> List[FunctionNode]:
-    """FunctionNodes passed as ``Thread(target=...)`` inside ``node``."""
+    """FunctionNodes passed as ``Thread(target=...)`` inside the class at
+    ``nodes[class_index]``."""
+    class_name = source.nodes[class_index].name
     entries: List[FunctionNode] = []
-    for stmt in ast.walk(node):
+    for stmt in source.subtree(class_index):
         if not isinstance(stmt, ast.Call):
             continue
         ctor = call_name(stmt.func)
@@ -486,7 +493,7 @@ def _thread_targets(
                 and isinstance(value.value, ast.Name)
                 and value.value.id == "self"
             ):
-                resolved = index.function_node(node.name, value.attr)
+                resolved = index.function_node(class_name, value.attr)
                 if resolved is not None:
                     entries.append(resolved)
     return entries
@@ -497,7 +504,7 @@ def _pool_entries(
 ) -> List[FunctionNode]:
     """Functions handed to ``pool.submit(f, ...)`` / ``pool.map(f, ...)``."""
     entries: List[FunctionNode] = []
-    for stmt in ast.walk(source.tree):
+    for stmt in source.nodes:
         if not isinstance(stmt, ast.Call):
             continue
         func = stmt.func
@@ -562,7 +569,7 @@ def _global_mutators(
                 )
             ).args
         }
-        for stmt in ast.walk(fn.node):
+        for stmt in source.subtree(fn.index):
             mutated: Optional[str] = None
             if isinstance(stmt, (ast.Assign, ast.AugAssign)):
                 targets = (

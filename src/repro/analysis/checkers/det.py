@@ -25,7 +25,7 @@ instances and that nothing order-unstable feeds simulated results.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from ..core import Checker, Finding, Rule, SourceFile, call_name
 
@@ -81,7 +81,7 @@ class DeterminismChecker(Checker):
     # -- DET001 / DET002 ------------------------------------------------
 
     def _check_rng(self, source: SourceFile) -> Iterable[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if isinstance(node, ast.ImportFrom):
                 if node.module == "random":
                     for alias in node.names:
@@ -127,9 +127,10 @@ class DeterminismChecker(Checker):
     # -- DET003 ---------------------------------------------------------
 
     def _check_set_iteration(self, source: SourceFile) -> Iterable[Finding]:
-        for scope in _scopes(source.tree):
-            set_locals = _set_typed_locals(scope)
-            for node in _walk_scope(scope):
+        for scope in source.scopes():
+            own = source.own(scope)
+            set_locals = _set_typed_locals(own)
+            for node in own:
                 for iter_node, context in _iteration_sites(node):
                     reason = _set_valued(iter_node, set_locals)
                     if reason is not None:
@@ -141,35 +142,10 @@ class DeterminismChecker(Checker):
                         )
 
 
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _scopes(tree: ast.AST) -> List[ast.AST]:
-    """The module plus every (possibly nested) function definition."""
-    return [tree] + [
-        node for node in ast.walk(tree) if isinstance(node, _SCOPE_NODES)
-    ]
-
-
-def _walk_scope(scope: ast.AST) -> List[ast.AST]:
-    """All nodes of ``scope`` without descending into nested functions
-    (each nested function is its own scope and is visited separately)."""
-    collected: List[ast.AST] = []
-    stack: List[ast.AST] = [scope]
-    while stack:
-        node = stack.pop()
-        collected.append(node)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, _SCOPE_NODES):
-                continue
-            stack.append(child)
-    return collected
-
-
-def _set_typed_locals(func: ast.AST) -> Set[str]:
-    """Local names bound to a set expression directly in ``func``."""
+def _set_typed_locals(own: List[ast.AST]) -> Set[str]:
+    """Local names bound to a set expression directly in a scope."""
     names: Set[str] = set()
-    for node in _walk_scope(func):
+    for node in own:
         value: Optional[ast.AST] = None
         targets: List[ast.AST] = []
         if isinstance(node, ast.Assign):

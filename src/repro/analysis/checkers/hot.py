@@ -39,7 +39,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..core import Checker, Finding, Rule, SourceFile, call_name
+from ..core import (
+    SCOPE_NODES, Checker, Finding, Rule, SourceFile, call_name,
+)
 from ..index import FunctionNode, ProjectIndex
 
 #: Method names that make a class's method a hot root when its class
@@ -96,6 +98,13 @@ class HotPathChecker(Checker):
         chains_seen: Set[Tuple[int, str]] = set()
         loop_bound: Dict[int, Set[str]] = {}
 
+        def bound_names(loop: ast.AST) -> Set[str]:
+            if id(loop) not in loop_bound:
+                # The loop's table index, found by identity in fn's range.
+                at = source.nodes.index(loop, fn.index, source.end[fn.index])
+                loop_bound[id(loop)] = _bound_names(source.subtree(at))
+            return loop_bound[id(loop)]
+
         def handle(node: ast.AST, in_loop: bool, in_raise: bool,
                    loop: Optional[ast.AST]) -> Iterable[Finding]:
             if isinstance(node, (ast.Raise, ast.Assert)):
@@ -120,10 +129,7 @@ class HotPathChecker(Checker):
                     # The subtree is pure attribute hops; flag the
                     # maximal chain once and do not descend (the
                     # sub-chains would double-report).
-                    bound = loop_bound.setdefault(
-                        id(loop), _bound_names(loop)
-                    )
-                    if chain.split(".", 1)[0] not in bound:
+                    if chain.split(".", 1)[0] not in bound_names(loop):
                         yield from self._check_chain(
                             source, label, node, chain, loop,
                             chains_seen,
@@ -151,6 +157,7 @@ class HotPathChecker(Checker):
                 ):
                     yield from handle(stmt, True, in_raise, node)
                 return
+            # A recursion, not a table slice: loop/raise context descends.
             for child in ast.iter_child_nodes(node):
                 yield from handle(child, in_loop, in_raise, loop)
 
@@ -314,16 +321,16 @@ def _hot_functions(index: ProjectIndex) -> Dict[str, FunctionNode]:
     )
 
 
-def _bound_names(loop: ast.AST) -> Set[str]:
-    """Names (re)bound anywhere inside ``loop`` -- chains rooted at
+def _bound_names(loop: List[ast.AST]) -> Set[str]:
+    """Names (re)bound anywhere in a loop's subtree -- chains rooted at
     these are loop-varying, so "hoist before the loop" does not apply."""
     bound: Set[str] = set()
-    for node in ast.walk(loop):
+    for node in loop:
         if isinstance(node, ast.Name) and isinstance(
             node.ctx, (ast.Store, ast.Del)
         ):
             bound.add(node.id)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        elif isinstance(node, SCOPE_NODES):
             bound.add(node.name)
     return bound
 

@@ -49,9 +49,6 @@ MUTATOR_METHODS = frozenset({
     "pop", "popitem", "remove", "discard", "clear", "sort", "reverse",
 })
 
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
 class PurityChecker(Checker):
     name = "pure"
     rules = (
@@ -64,9 +61,11 @@ class PurityChecker(Checker):
         if not source.in_domain("delaymodel", "surrogate"):
             return
         module_names = _module_level_names(source.tree)
-        for func in _functions(source.tree):
-            local_names = _local_bindings(func)
-            for node in _walk_scope(func):
+        for scope in source.scopes()[1:]:
+            func = source.nodes[scope]
+            own = source.own(scope)
+            local_names = _local_bindings(func, own)
+            for node in own:
                 if isinstance(node, ast.Global):
                     yield self.finding(
                         "PURE001", source, node,
@@ -167,26 +166,7 @@ def _module_level_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-def _functions(tree: ast.AST) -> List[ast.AST]:
-    return [
-        node for node in ast.walk(tree) if isinstance(node, _SCOPE_NODES)
-    ]
-
-
-def _walk_scope(scope: ast.AST) -> List[ast.AST]:
-    collected: List[ast.AST] = []
-    stack: List[ast.AST] = [scope]
-    while stack:
-        node = stack.pop()
-        collected.append(node)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, _SCOPE_NODES):
-                continue
-            stack.append(child)
-    return collected
-
-
-def _local_bindings(func: ast.AST) -> Set[str]:
+def _local_bindings(func: ast.AST, own: List[ast.AST]) -> Set[str]:
     """Names bound locally in ``func`` (params, assignments, loops)."""
     names: Set[str] = set()
     args = func.args
@@ -198,7 +178,7 @@ def _local_bindings(func: ast.AST) -> Set[str]:
         names.add(args.vararg.arg)
     if args.kwarg:
         names.add(args.kwarg.arg)
-    for node in _walk_scope(func):
+    for node in own:
         if isinstance(node, ast.Name) and isinstance(
             node.ctx, (ast.Store, ast.Del)
         ):

@@ -21,7 +21,7 @@ Three ways a slotted or pool-pickled class silently loses data:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..core import Checker, Finding, Rule, SourceFile, call_name
 from ..index import ClassInfo, ProjectIndex
@@ -119,9 +119,9 @@ class SlotsChecker(Checker):
     def _check_pickled_instances(
         self, source: SourceFile, index: ProjectIndex
     ) -> Iterable[Finding]:
-        for scope in _scopes(source.tree):
+        for scope in source.scopes():
             bindings: Dict[str, str] = {}
-            for node in _ordered_scope_nodes(scope):
+            for node in source.own(scope):
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
                     target = node.targets[0]
                     if isinstance(target, ast.Name):
@@ -164,48 +164,17 @@ def _pickled_ctor(value: ast.AST) -> Optional[str]:
     return None
 
 
-def _scopes(tree: ast.AST) -> List[ast.AST]:
-    scope_nodes = (ast.FunctionDef, ast.AsyncFunctionDef)
-    return [tree] + [
-        node for node in ast.walk(tree) if isinstance(node, scope_nodes)
-    ]
-
-
-def _ordered_scope_nodes(scope: ast.AST) -> List[ast.AST]:
-    """Source-ordered nodes of ``scope``, excluding nested functions."""
-    scope_nodes = (ast.FunctionDef, ast.AsyncFunctionDef)
-    collected: List[ast.AST] = []
-
-    def visit(node: ast.AST) -> None:
-        collected.append(node)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, scope_nodes):
-                continue
-            visit(child)
-
-    for child in ast.iter_child_nodes(scope):
-        if isinstance(child, scope_nodes):
-            continue
-        visit(child)
-    return collected
-
-
 def _self_store_line(index: ProjectIndex, info: ClassInfo,
                      attr: str) -> int:
     """Line of the first ``self.<attr>`` store inside ``info``'s body."""
-    for source in index.files:
-        if source.relpath != info.relpath:
-            continue
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef) and node.name == info.name:
-                for sub in ast.walk(node):
-                    if (
-                        isinstance(sub, ast.Attribute)
-                        and isinstance(sub.ctx, (ast.Store, ast.Del))
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id == "self"
-                        and sub.attr == attr
-                    ):
-                        return sub.lineno
-                return node.lineno
+    source = index.modules[info.relpath].source
+    for sub in source.subtree(info.index):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, (ast.Store, ast.Del))
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+            and sub.attr == attr
+        ):
+            return sub.lineno
     return info.line

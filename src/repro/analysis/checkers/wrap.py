@@ -49,10 +49,11 @@ class WrapSite:
 def collect_wrap_sites(source: SourceFile) -> List[WrapSite]:
     """Every wrap target named in ``source`` (a wrap-site module)."""
     sites: List[WrapSite] = []
-    for scope in _scopes(source.tree):
-        loads: Dict[Tuple[str, str], int] = {}
+    for scope in source.scopes():
+        loads: Set[Tuple[str, str]] = set()
+        # The last store in source order names a monkeypatch site.
         stores: Dict[Tuple[str, str], int] = {}
-        for node in _walk_scope(scope):
+        for node in source.own(scope):
             if isinstance(node, ast.Call):
                 dotted = call_name(node)
                 if dotted in ("getattr", "setattr", "delattr") and len(
@@ -79,12 +80,12 @@ def collect_wrap_sites(source: SourceFile) -> List[WrapSite]:
                     continue
                 key = (base, node.attr)
                 if isinstance(node.ctx, ast.Load):
-                    loads.setdefault(key, node.lineno)
+                    loads.add(key)
                 else:  # Store or Del: both are instance patches
-                    stores.setdefault(key, node.lineno)
+                    stores[key] = node.lineno
             elif isinstance(node, ast.Compare):
                 sites.extend(_dict_probe_sites(node, source))
-        for key in sorted(set(loads) & set(stores)):
+        for key in sorted(loads & set(stores)):
             base, attr = key
             if attr.startswith("__"):
                 continue
@@ -123,27 +124,6 @@ def _dict_probe_sites(
                 kind="dict-probe",
             ))
     return sites
-
-
-def _scopes(tree: ast.AST) -> List[ast.AST]:
-    scope_nodes = (ast.FunctionDef, ast.AsyncFunctionDef)
-    return [tree] + [
-        node for node in ast.walk(tree) if isinstance(node, scope_nodes)
-    ]
-
-
-def _walk_scope(scope: ast.AST) -> List[ast.AST]:
-    scope_nodes = (ast.FunctionDef, ast.AsyncFunctionDef)
-    collected: List[ast.AST] = []
-    stack: List[ast.AST] = [scope]
-    while stack:
-        node = stack.pop()
-        collected.append(node)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, scope_nodes):
-                continue
-            stack.append(child)
-    return collected
 
 
 def all_wrap_sites(index: ProjectIndex) -> List[WrapSite]:

@@ -4,6 +4,14 @@ Everything here is pure stdlib (``ast`` + ``re``): the analyzer must be
 importable and fast in any environment the simulator runs in, including
 the dependency-free CI container.
 
+The node table
+--------------
+Each :class:`SourceFile` is traversed once, into ``nodes`` (preorder)
+and ``end`` (``nodes[i:end[i]]`` is what ``ast.walk(nodes[i])`` visits).
+Scopes are the module and every function; a scope's ``own`` nodes skip
+the functions nested in it.  Facts carry preorder indices, so no
+node-to-index map exists.
+
 Suppressions
 ------------
 A finding is suppressed by an inline comment on the finding's line or on
@@ -39,9 +47,14 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple,
+)
 
 #: Basenames whose modules are order-sensitive hot paths: routers,
 #: allocators, arbiters, and the stepper -- anywhere unordered iteration
@@ -65,6 +78,9 @@ _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_-]+)\]\s*(\S?)")
 _HOT_OK_RE = re.compile(r"#\s*repro:\s*hot-ok\[([^\]]*)\]")
 _SCOPE_RE = re.compile(r"#\s*repro:\s*scope\[([A-Za-z0-9_,\s-]+)\]")
 _COMMENT_ONLY_RE = re.compile(r"^\s*#")
+
+#: Definitions that open a scope of their own (see "The node table").
+SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 @dataclass(frozen=True)
@@ -112,8 +128,10 @@ class Finding:
             "checker": self.checker,
         }
 
-    def sort_key(self) -> Tuple[str, int, str]:
-        return (self.path, self.line, self.rule)
+    def sort_key(self) -> Tuple[str, int, str, str]:
+        # Total over distinct findings: report order never depends on
+        # the order a checker happened to visit nodes in.
+        return (self.path, self.line, self.rule, self.message)
 
     def __str__(self) -> str:
         return (
@@ -176,13 +194,55 @@ class SourceFile:
             _derive_domains(self.relpath) | _explicit_scopes(comments)
         )
 
+    # -- the node table (built on first use) ----------------------------
+
+    @cached_property
+    def _table(self) -> Tuple[List[ast.AST], array, List[int]]:
+        return _preorder(self.tree)
+
+    @property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree in preorder; ``nodes[0]`` is the module."""
+        return self._table[0]
+
+    @property
+    def end(self) -> array:
+        """``end[i]``: one past the last node of ``nodes[i]``'s subtree."""
+        return self._table[1]
+
+    def scopes(self) -> List[int]:
+        """Indices of the module and of every function definition."""
+        return [0] + self._table[2]
+
+    def subtree(self, i: int) -> List[ast.AST]:
+        """``nodes[i]`` and every node below it, in source order."""
+        return self.nodes[i:self.end[i]]
+
+    def own(self, i: int) -> List[ast.AST]:
+        """:meth:`subtree` without the function definitions nested in it."""
+        nodes, end, defs = self._table
+        collected: List[ast.AST] = []
+        start, stop = i, end[i]
+        for k in range(bisect_right(defs, i), len(defs)):
+            nested = defs[k]
+            if nested >= stop:
+                break
+            if nested >= start:  # else inside an already-skipped def
+                collected += nodes[start:nested]
+                start = end[nested]
+        collected += nodes[start:stop]
+        return collected
+
+    def children(self, i: int) -> Iterator[int]:
+        """Indices of ``nodes[i]``'s direct children, in field order."""
+        end = self.end
+        child, stop = i + 1, end[i]
+        while child < stop:
+            yield child
+            child = end[child]
+
     def in_domain(self, *domains: str) -> bool:
         return any(d in self.domains for d in domains)
-
-    def suppressed(self, rule: str, line: int) -> bool:
-        """True if ``rule`` is allowed on ``line`` (or the comment line
-        directly above it)."""
-        return bool(self.suppressors(rule, line))
 
     def suppressors(self, rule: str, line: int) -> List[Suppression]:
         """Every suppression that allows ``rule`` on ``line``.
@@ -203,23 +263,46 @@ class SourceFile:
                     found.append(sup)
         return found
 
-    def segment(self, node: ast.AST) -> str:
-        """Best-effort source text for ``node`` (for messages)."""
-        try:
-            return ast.unparse(node)
-        except Exception:  # pragma: no cover - unparse is total on 3.9+
-            return "<expr>"
+
+def _preorder(tree: ast.AST) -> Tuple[List[ast.AST], array, List[int]]:
+    """The node table: preorder nodes, subtree ends, function indices."""
+    nodes: List[ast.AST] = []
+    end = array("i")
+    defs: List[int] = []
+    node_type = ast.AST
+
+    def visit(node: ast.AST) -> None:
+        i = len(nodes)
+        nodes.append(node)
+        end.append(0)
+        if isinstance(node, SCOPE_NODES):
+            defs.append(i)
+        # ast.iter_child_nodes, inlined: this is the one full traversal.
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, node_type):
+                visit(value)
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, node_type):
+                        visit(item)
+        end[i] = len(nodes)
+
+    visit(tree)
+    return nodes, end, defs
 
 
 def _comments(text: str, lines: List[str]) -> List[Tuple[int, str]]:
-    """``(lineno, comment_text)`` for every real comment token.
+    """``(lineno, comment_text)`` for every comment that may be a marker.
 
-    Tokenizing (rather than regexing raw lines) sees through string
-    literals, so a marker-*shaped* string -- e.g. a bad-code snippet
-    embedded in a checker test -- is not treated as a marker.  Files
-    that do not tokenize fall back to whole-line scanning; they are
-    reported as PARSE001 regardless.
+    Both consumers drop comments without ``repro:``, so a file without
+    that text is not tokenized at all.  Tokenizing (rather than regexing
+    raw lines) sees through string literals, so a marker-*shaped* string
+    is not a marker.  Files that do not tokenize fall back to whole-line
+    scanning; they are reported as PARSE001 regardless.
     """
+    if "repro:" not in text:
+        return []
     try:
         return [
             (token.start[0], token.string)

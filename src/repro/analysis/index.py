@@ -60,6 +60,8 @@ class ClassInfo:
     name: str
     relpath: str
     line: int
+    #: Preorder index of the ``class`` statement in its source's table.
+    index: int
     bases: Tuple[str, ...] = ()
     #: Literal ``__slots__`` entries, or None when the class declares no
     #: ``__slots__`` (or declares one the analyzer cannot read
@@ -73,10 +75,8 @@ class ClassInfo:
     #: Dataclass fields in declaration order: name -> annotation source.
     fields: Dict[str, str] = field(default_factory=dict)
     #: ``self.x = Ctor(...)`` assignments: attr -> dotted constructor
-    #: name.  How CONC finds the locks/conditions a class owns.
+    #: name (the first in source order across the methods).
     attr_ctors: Dict[str, str] = field(default_factory=dict)
-    #: Method name -> its AST node (first definition wins).
-    method_nodes: Dict[str, ast.AST] = field(default_factory=dict)
 
     def provides(self, attr: str) -> bool:
         """Does an instance of this class expose ``attr``?"""
@@ -97,6 +97,7 @@ class FunctionInfo:
     name: str
     source: SourceFile
     node: ast.FunctionDef
+    index: int
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,8 @@ class FunctionNode:
     relpath: str
     name: str
     node: ast.AST
+    #: Preorder index of ``node`` in its source's table.
+    index: int
     class_name: Optional[str] = None
     nested: bool = False
     calls: Tuple[CallRef, ...] = ()
@@ -163,14 +166,15 @@ class ProjectIndex:
             fingerprint=hashlib.sha256(source.text.encode()).hexdigest(),
             source=source,
         )
-        for node in ast.walk(source.tree):
+        for i, node in enumerate(source.nodes):
             if isinstance(node, ast.ClassDef):
-                info = _class_info(node, source)
+                info = _class_info(source, i)
                 self.classes.setdefault(info.name, []).append(info)
-        for node in source.tree.body:
+        for i in source.children(0):
+            node = source.nodes[i]
             if isinstance(node, ast.FunctionDef):
                 self.functions.setdefault(node.name, []).append(
-                    FunctionInfo(node.name, source, node)
+                    FunctionInfo(node.name, source, node, i)
                 )
         self._index_call_graph(source)
 
@@ -386,19 +390,23 @@ class ProjectIndex:
         return props
 
 
-def _class_info(node: ast.ClassDef, source: SourceFile) -> ClassInfo:
+def _class_info(source: SourceFile, index: int) -> ClassInfo:
+    node = source.nodes[index]
     decorators = decorator_names(node)
     info = ClassInfo(
         name=node.name,
         relpath=source.relpath,
         line=node.lineno,
+        index=index,
         bases=tuple(
             n for n in (call_name(b) for b in node.bases) if n is not None
         ),
         is_dataclass="dataclass" in decorators
         or any(d.endswith(".dataclass") for d in decorators),
     )
-    for item in node.body:
+    # The statement children of a class are exactly its body.
+    for child in source.children(index):
+        item = source.nodes[child]
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             item_decos = decorator_names(item)
             if "property" in item_decos or any(
@@ -408,10 +416,9 @@ def _class_info(node: ast.ClassDef, source: SourceFile) -> ClassInfo:
                 info.properties.add(item.name)
             else:
                 info.methods.add(item.name)
-                info.method_nodes.setdefault(item.name, item)
-            for attr in _self_stores(item):
-                info.self_attrs.add(attr)
-            for attr, ctor in _self_ctor_stores(item).items():
+            method = source.subtree(child)
+            info.self_attrs |= _self_stores(method)
+            for attr, ctor in _self_ctor_stores(method).items():
                 info.attr_ctors.setdefault(attr, ctor)
         elif isinstance(item, ast.Assign):
             for target in item.targets:
@@ -433,14 +440,14 @@ def _class_info(node: ast.ClassDef, source: SourceFile) -> ClassInfo:
     return info
 
 
-def _self_stores(func: ast.AST) -> Set[str]:
-    """Attribute names assigned on ``self`` anywhere inside ``func``.
+def _self_stores(method: List[ast.AST]) -> Set[str]:
+    """Attribute names assigned on ``self`` anywhere in a method subtree.
 
     Includes nested closures: a probe's ``attach`` assigning
     ``self._wrapped`` from inside a wrapper function still counts.
     """
     stores: Set[str] = set()
-    for node in ast.walk(func):
+    for node in method:
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.ctx, (ast.Store, ast.Del))
@@ -451,10 +458,11 @@ def _self_stores(func: ast.AST) -> Set[str]:
     return stores
 
 
-def _self_ctor_stores(func: ast.AST) -> Dict[str, str]:
-    """``self.x = Ctor(...)`` assignments: attr -> dotted ctor name."""
+def _self_ctor_stores(method: List[ast.AST]) -> Dict[str, str]:
+    """``self.x = Ctor(...)`` assignments: attr -> dotted ctor name
+    (the first assignment in source order wins)."""
     ctors: Dict[str, str] = {}
-    for node in ast.walk(func):
+    for node in method:
         if isinstance(node, ast.Assign):
             targets = node.targets
             value = node.value
@@ -479,17 +487,19 @@ def _self_ctor_stores(func: ast.AST) -> Dict[str, str]:
 
 
 def _function_defs(source: SourceFile) -> List[FunctionNode]:
-    """Every function definition in ``source`` as a FunctionNode."""
+    """Every function definition in ``source`` as a FunctionNode: in
+    def and class bodies, and in if/try/with bodies outside functions."""
     nodes: List[FunctionNode] = []
     taken: Set[str] = set()
 
     def visit(
-        body: Iterable[ast.stmt],
+        parent: int,
         class_name: Optional[str],
         prefix: str,
         nested: bool,
     ) -> None:
-        for stmt in body:
+        for i in source.children(parent):
+            stmt = source.nodes[i]
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{source.relpath}::{prefix}{stmt.name}"
                 if qual in taken:
@@ -501,72 +511,63 @@ def _function_defs(source: SourceFile) -> List[FunctionNode]:
                         relpath=source.relpath,
                         name=stmt.name,
                         node=stmt,
+                        index=i,
                         class_name=class_name,
                         nested=nested,
-                        calls=_call_refs(stmt),
+                        calls=_call_refs(source, i),
                     )
                 )
-                visit(
-                    stmt.body, class_name,
-                    f"{prefix}{stmt.name}.<locals>.", True,
-                )
+                visit(i, class_name, f"{prefix}{stmt.name}.<locals>.", True)
             elif isinstance(stmt, ast.ClassDef):
-                visit(stmt.body, stmt.name, f"{prefix}{stmt.name}.", nested)
+                visit(i, stmt.name, f"{prefix}{stmt.name}.", nested)
             elif not nested and isinstance(
                 stmt, (ast.If, ast.Try, ast.With)
             ):
-                for inner in ast.iter_child_nodes(stmt):
-                    if isinstance(inner, ast.stmt):
-                        visit([inner], class_name, prefix, nested)
+                visit(i, class_name, prefix, nested)
 
-    visit(source.tree.body, None, "", False)
+    visit(0, None, "", False)
     return nodes
 
 
-def _call_refs(func: ast.AST) -> Tuple[CallRef, ...]:
-    """Call references made directly by ``func`` (not its nested defs)."""
-    refs: List[CallRef] = []
-    seen: Set[Tuple[str, str]] = set()
+#: Nodes whose bodies run in a call of their own, not the enclosing one.
+_OPAQUE = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _call_refs(source: SourceFile, index: int) -> Tuple[CallRef, ...]:
+    """Call references made directly by the body of ``nodes[index]``
+    (not its nested defs, lambdas, or classes)."""
+    refs: Dict[CallRef, None] = {}  # an insertion-ordered set
 
     def add(kind: str, name: str) -> None:
-        if (kind, name) not in seen:
-            seen.add((kind, name))
-            refs.append(CallRef(kind, name))
+        refs.setdefault(CallRef(kind, name))
 
-    def walk(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-                        ast.ClassDef)
-            ):
+    nodes, end = source.nodes, source.end
+    for stmt in source.children(index):
+        if not isinstance(nodes[stmt], ast.stmt):
+            continue  # arguments, decorators, return annotation
+        i, stop = stmt, end[stmt]
+        while i < stop:
+            node = nodes[i]
+            i = end[i] if isinstance(node, _OPAQUE) else i + 1
+            if not isinstance(node, ast.Call):
                 continue
-            if isinstance(child, ast.Call):
-                target = child.func
-                if isinstance(target, ast.Name):
-                    add("bare", target.id)
-                elif isinstance(target, ast.Attribute):
-                    receiver = target.value
-                    if (
-                        isinstance(receiver, ast.Name)
-                        and receiver.id == "self"
-                    ):
-                        add("self", target.attr)
-                    elif isinstance(receiver, ast.Name):
-                        add("dotted", f"{receiver.id}.{target.attr}")
-                    elif isinstance(receiver, ast.Call):
-                        ctor = call_name(receiver.func)
-                        if ctor is not None:
-                            cls = ctor.rpartition(".")[2]
-                            add("ctor", f"{cls}.{target.attr}")
-                        else:
-                            add("method", target.attr)
-                    else:
-                        add("method", target.attr)
-            walk(child)
-
-    body = getattr(func, "body", [])
-    for stmt in body if isinstance(body, list) else [body]:
-        walk(stmt)
+            target = node.func
+            if isinstance(target, ast.Name):
+                add("bare", target.id)
+            elif isinstance(target, ast.Attribute):
+                receiver = target.value
+                ctor = (
+                    call_name(receiver.func)
+                    if isinstance(receiver, ast.Call) else None
+                )
+                if isinstance(receiver, ast.Name) and receiver.id == "self":
+                    add("self", target.attr)
+                elif isinstance(receiver, ast.Name):
+                    add("dotted", f"{receiver.id}.{target.attr}")
+                elif ctor is not None:
+                    add("ctor", f"{ctor.rpartition('.')[2]}.{target.attr}")
+                else:
+                    add("method", target.attr)
     return tuple(refs)
 
 

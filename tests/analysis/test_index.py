@@ -88,6 +88,30 @@ def test_nested_functions_get_locals_qualnames(tmp_path):
     )
 
 
+def test_call_refs_leave_nested_defs_to_their_own_nodes(tmp_path):
+    index = _index(
+        tmp_path,
+        mod=(
+            "def outer(flag):\n"
+            "    def inner():\n"
+            "        from_inner()\n"
+            "    if flag:\n"
+            "        def guarded():\n"
+            "            from_guarded()\n"
+            "    class Local:\n"
+            "        made = from_class_body()\n"
+            "    from_outer(lambda: from_lambda())\n"
+            "    return inner\n"
+        ),
+    )
+    outer = index.function_node(None, "outer")
+    assert [(ref.kind, ref.name) for ref in outer.calls] == [
+        ("bare", "from_outer"),
+    ]
+    inner = index.function_node(None, "inner")
+    assert [ref.name for ref in inner.calls] == ["from_inner"]
+
+
 def test_module_fingerprint_tracks_any_byte(tmp_path):
     index_a = _index(tmp_path, mod=GRAPH)
     fp_a = index_a.modules["mod.py"].fingerprint
