@@ -187,18 +187,26 @@ class SweepManifest:
         self.points = points
         self._done: Set[str] = set()
         self._complete = False
+        #: Whether the ledger file already holds records (so :meth:`start`
+        #: writes no header and needs no second look at the disk).
+        self._started = False
+        #: Whether its last line lacks a newline -- an append torn by a
+        #: killed process, which the next append must not run on from.
+        self._torn = False
         self._load()
 
     def _load(self) -> None:
         try:
-            lines = self.path.read_text().splitlines()
+            text = self.path.read_text()
         except OSError:
             return
-        for line in lines:
+        self._started = bool(text)
+        self._torn = self._started and not text.endswith("\n")
+        for line in text.splitlines():
             try:
                 record = json.loads(line)
             except ValueError:
-                continue  # a torn trailing write from a killed process
+                continue  # a torn write from a killed process
             if not isinstance(record, dict):
                 continue  # valid JSON, but no record this ledger writes
             done = record.get("done")
@@ -209,7 +217,7 @@ class SweepManifest:
 
     def start(self) -> "SweepManifest":
         """Write the header if this is a fresh ledger; no-op on resume."""
-        if not self.path.exists():
+        if not self._started:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._append({
                 "format": CACHE_FORMAT,
@@ -219,8 +227,13 @@ class SweepManifest:
         return self
 
     def _append(self, record: Dict[str, Any]) -> None:
+        line = json.dumps(record, sort_keys=True) + "\n"
+        if self._torn:
+            line = "\n" + line
+            self._torn = False
         with open(self.path, "a") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(line)
+        self._started = True
 
     def record(self, key: str) -> None:
         """One point's result is in the cache: append its done record."""
@@ -281,10 +294,12 @@ class ResultCache:
         A missing, torn or wrong-shaped entry is a miss all the same:
         the point re-simulates and the atomic :meth:`put` overwrites it.
 
+        A hit comes back stamped ``source="cached"`` -- the stamp is set
+        on the decoded entry, so no caller copies the result to set it.
         Entries are content-addressed and never change once written, so
         a decoded hit is kept in memory and the next ``get`` of that key
-        costs no disk read; treat the returned object as read-only (both
-        callers in this package ``replace()`` it).  Only hits are kept
+        costs no disk read and returns the same object: it is shared, so
+        treat it as read-only.  Only hits are kept
         -- never "this key is absent" -- so an entry that lands later,
         from this process or any other, is seen by the very next
         ``get``.  :meth:`put` and :meth:`clear` drop what they replace.
@@ -303,8 +318,11 @@ class ResultCache:
                 with open(
                     f"{self.directory}/{key[:2]}/{key}.json", "rb"
                 ) as handle:
-                    data = json.loads(handle.read())
-                result = RunResult.from_dict(data["result"])
+                    entry = json.loads(handle.read())["result"]
+                # Provenance is stamped once, here: every caller answers
+                # a replayed entry as "cached".
+                entry["source"] = "cached"
+                result = RunResult.from_dict(entry)
             except (OSError, ValueError, LookupError, TypeError,
                     AttributeError):
                 self.misses += 1

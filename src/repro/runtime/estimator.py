@@ -221,7 +221,6 @@ class Estimator:
         result = cache.get(key) if cache is not None else None
         if result is not None:
             source = "cached"
-            result = replace(result, source="cached")
         elif wait:
             result = self.experiment.map([config])[0]
             source = result.source or "simulated"

@@ -39,7 +39,7 @@ from ..sim.instrumentation import NullProgress, ProgressHook
 from ..sim.metrics import AggregateResult, RunResult, SweepResult
 from ..telemetry.config import TelemetryConfig
 from .backends import ExecutionBackend, SerialBackend, resolve_backend
-from .cache import ResultCache, config_key
+from .cache import ResultCache, SweepManifest, config_key
 from .scheduler import Job, JobQueue, Plan, SchedulerStats
 
 #: Offered loads used when a sweep doesn't specify its own grid
@@ -318,8 +318,9 @@ class Experiment:
         each completed point streams into the cache (and the batch's
         sweep manifest) the moment it lands -- interrupting a batch
         keeps everything already finished, and re-running it executes
-        only the points still missing.  The result list is bit-identical
-        whatever the backend.
+        only the points still missing.  A batch with nothing to execute
+        costs its cache lookups only: no manifest, no queue, no backend
+        call.  The result list is bit-identical whatever the backend.
         """
         started = time.perf_counter()
         plan = plan or self.plan
@@ -345,45 +346,72 @@ class Experiment:
             config_key(config, self.measurement) for config in configs
         ]
         results: Dict[str, RunResult] = {}
-        cached_keys = set()
         use_cache = self.cache is not None and not self.checked
-        manifest = None
         if use_cache:
             for key in dict.fromkeys(keys):
+                # Shared, read-only, and already stamped "cached".
                 hit = self.cache.get(key)
                 if hit is not None:
-                    # Provenance: the engine stamps fresh results
-                    # "simulated"; a replayed entry answers as "cached".
-                    results[key] = replace(hit, source="cached")
-                    cached_keys.add(key)
-            manifest = self.cache.manifest(keys).start()
-            for key in cached_keys:
-                manifest.record(key)
+                    results[key] = hit
+        cached_keys = set(results)
 
-        pending = [
-            (index, key) for index, key in enumerate(keys)
-            if key not in results
-        ]
         # First occurrence of each missing key executes; the rest share.
-        to_run: List[Tuple[int, str]] = []
-        seen = set()
-        for index, key in pending:
-            if key not in seen:
-                seen.add(key)
-                to_run.append((index, key))
-        self.stats.deduplicated += len(pending) - len(to_run)
+        to_run: Dict[str, int] = {}
+        pending = 0
+        for index, key in enumerate(keys):
+            if key not in results:
+                pending += 1
+                to_run.setdefault(key, index)
+        self.stats.deduplicated += pending - len(to_run)
         self.stats.points_executed += len(to_run)
-        self.stats.cache_hits += sum(
-            1 for key in keys if key in cached_keys
-        )
+        self.stats.cache_hits += total - pending
 
+        try:
+            if to_run:
+                # Only a batch that executes something keeps a ledger.
+                manifest = None
+                if use_cache:
+                    manifest = self.cache.manifest(keys).start()
+                    for key in cached_keys:
+                        manifest.record(key)
+                self._execute(configs, to_run, results, plan, manifest)
+        finally:
+            self.stats.wall_seconds += time.perf_counter() - started
+
+        # Progress for points resolved without executing (cache/dedupe).
+        executed_indices = set(to_run.values())
+        for index, key in enumerate(keys):
+            if index not in executed_indices:
+                self.progress.on_point_done(
+                    index, total, configs[index], results[key],
+                    cached=key in cached_keys,
+                )
+        self.progress.on_batch_done(total)
+        ordered = [results[key] for key in keys]
+        for result in ordered:
+            self.stats.record_source(result.source)
+        return ordered
+
+    def _execute(
+        self,
+        configs: List[SimConfig],
+        to_run: Dict[str, int],
+        results: Dict[str, RunResult],
+        plan: Plan,
+        manifest: Optional[SweepManifest],
+    ) -> None:
+        """Run a batch's missing points (``to_run``: key -> first index)
+        on the backend, streaming each into ``results``, and -- when
+        caching, which ``manifest`` stands for -- into the cache and the
+        ledger as it lands."""
+        total = len(configs)
         jobs = [
             Job(
                 index=index,
                 key=key,
                 payload=(configs[index], self.measurement, self.checked),
             )
-            for index, key in to_run
+            for key, index in to_run.items()
         ]
         queue = JobQueue(
             jobs,
@@ -398,12 +426,18 @@ class Experiment:
             results[job.key] = result
             if result.counters is not None:
                 self.stats.record_counters(result.counters)
-            if use_cache:
-                self.cache.put(
-                    job.key, result,
-                    metadata={"label": repr(configs[job.index])},
-                )
-                manifest.record(job.key)
+            if manifest is not None:
+                try:
+                    self.cache.put(
+                        job.key, result,
+                        metadata={"label": repr(configs[job.index])},
+                    )
+                    manifest.record(job.key)
+                except OSError as error:
+                    raise OSError(
+                        f"could not store point {configs[job.index]!r} "
+                        f"in cache {self.cache.directory}: {error}"
+                    ) from error
                 queue.stats.record_stream_lag(
                     time.perf_counter() - arrived
                 )
@@ -412,34 +446,18 @@ class Experiment:
             )
 
         try:
-            if jobs:
-                for job in jobs:
-                    self.progress.on_point_start(
-                        job.index, total, configs[job.index]
-                    )
-                self.backend.execute(queue, on_result)
+            for job in jobs:
+                self.progress.on_point_start(
+                    job.index, total, configs[job.index]
+                )
+            self.backend.execute(queue, on_result)
         finally:
             # Keep the accounting even when a worker raised: the
             # streamed points are in the cache and the manifest says so.
             self.stats.scheduler.merge(queue.stats)
-            self.stats.wall_seconds += time.perf_counter() - started
 
         if manifest is not None:
             manifest.complete()
-
-        # Progress for points resolved without executing (cache/dedupe).
-        executed_indices = {index for index, _ in to_run}
-        for index, key in enumerate(keys):
-            if index not in executed_indices:
-                self.progress.on_point_done(
-                    index, total, configs[index], results[key],
-                    cached=key in cached_keys,
-                )
-        self.progress.on_batch_done(total)
-        ordered = [results[key] for key in keys]
-        for result in ordered:
-            self.stats.record_source(result.source)
-        return ordered
 
     # ------------------------------------------------------------------
     # The public façade: thin wrappers over map().

@@ -10,7 +10,8 @@ an alternative policy for ablation studies.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 
 class Arbiter:
@@ -34,6 +35,30 @@ class Arbiter:
                 raise ValueError(f"request index {r} out of range 0..{self.n - 1}")
 
 
+@lru_cache(maxsize=None)
+def _matrix_tables(
+    n: int,
+) -> Tuple[int, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """A size-``n`` matrix arbiter's initial state and rotation masks.
+
+    Initially lower indices have priority (all bits above the diagonal
+    set in each row).  ``shift[i]`` is row ``i``'s bit offset; OR-ing
+    ``col[w]`` sets bit ``w`` in every row, and AND-ing ``row_keep[w]``
+    then clears row ``w`` (including the diagonal bit the column OR just
+    set).
+    """
+    full = (1 << n) - 1
+    state = 0
+    for i in range(n):
+        state |= (full & ~((1 << (i + 1)) - 1)) << (i * n)
+    shift = tuple(i * n for i in range(n))
+    col = tuple(
+        sum(1 << (j * n + w) for j in range(n)) for w in range(n)
+    )
+    row_keep = tuple(~(full << (w * n)) for w in range(n))
+    return state, shift, col, row_keep
+
+
 class MatrixArbiter(Arbiter):
     """Least-recently-served matrix arbiter (Figure 10).
 
@@ -50,21 +75,13 @@ class MatrixArbiter(Arbiter):
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
-        # Initially, lower indices have priority (all bits above the
-        # diagonal set in each row).
-        full = (1 << n) - 1
-        state = 0
-        for i in range(n):
-            state |= (full & ~((1 << (i + 1)) - 1)) << (i * n)
+        # The masks are pure functions of ``n``, shared read-only by
+        # every arbiter of that size; only the int state is per arbiter.
+        state, shift, col, row_keep = _matrix_tables(n)
         self._state = state
-        self._shift = tuple(i * n for i in range(n))
-        #: OR-ing ``_col[w]`` sets bit ``w`` in every row; AND-ing
-        #: ``_row_keep[w]`` then clears row ``w`` (including the
-        #: diagonal bit the column OR just set).
-        self._col = tuple(
-            sum(1 << (j * n + w) for j in range(n)) for w in range(n)
-        )
-        self._row_keep = tuple(~(full << (w * n)) for w in range(n))
+        self._shift = shift
+        self._col = col
+        self._row_keep = row_keep
 
     def has_priority(self, i: int, j: int) -> bool:
         """True if requestor ``i`` currently beats requestor ``j``."""

@@ -7,7 +7,9 @@ only the points still missing -- with the merged result bit-identical
 to an uninterrupted run.
 """
 
+import errno
 import json
+import threading
 from dataclasses import replace
 
 import pytest
@@ -59,6 +61,59 @@ def _tripwire_chunk(payloads):
         if abs(cfg.injection_fraction - FAIL_LOAD) < 1e-9:
             raise RuntimeError("injected chunk failure")
     return [backends.run_payload(payload) for payload in payloads]
+
+
+def interrupt_after(count, tmp_path, monkeypatch):
+    """Run the LOADS grid serially into ``tmp_path``, killing it after
+    ``count`` points landed; the healthy worker is restored after."""
+    real = backends.run_payload
+    completed = {"count": 0}
+
+    def dies_after(payload):
+        if completed["count"] >= count:
+            raise RuntimeError("injected mid-flight failure")
+        completed["count"] += 1
+        return real(payload)
+
+    monkeypatch.setattr(backends, "run_payload", dies_after)
+    with pytest.raises(RuntimeError, match="mid-flight"):
+        Experiment(FAST, backend="serial", cache=tmp_path).grid(
+            config(), loads=LOADS
+        )
+    monkeypatch.setattr(backends, "run_payload", real)
+
+
+def assert_resumes(tmp_path, executed):
+    """A resumed grid runs only the ``executed`` missing points, matches
+    an uninterrupted run bit for bit, and completes its ledger."""
+    resumed = Experiment(FAST, backend="serial", cache=tmp_path)
+    merged = resumed.grid(config(), loads=LOADS)
+    assert resumed.stats.points_executed == executed
+    assert resumed.stats.cache_hits == len(LOADS) - executed
+    ledger = ResultCache(tmp_path).manifest(grid_keys())
+    assert ledger.is_complete
+    assert ledger.done == set(grid_keys())
+    baseline = Experiment(FAST, backend="serial").grid(config(), loads=LOADS)
+    assert merged.results == baseline.results
+
+
+def bounded(call, seconds=120):
+    """``call()`` on a watchdog thread: a hung pool fails, not blocks."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as error:   # handed to the test thread
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 class TestSweepManifest:
@@ -168,45 +223,46 @@ class TestInterruptedSerialSweep:
         )
         assert merged.results == baseline.results
 
-    @pytest.mark.parametrize(
-        "bad_line", ["7", '"undone"'], ids=["int", "string"]
-    )
+    @pytest.mark.parametrize("bad_line", [
+        "7", '"undone"', "not json", '{"done": "', "\x00\x01",
+    ], ids=["int", "string", "text", "torn-record", "binary"])
     def test_resume_past_a_corrupted_manifest_line(
         self, tmp_path, monkeypatch, bad_line
     ):
-        real = backends.run_payload
-        completed = {"count": 0}
-
-        def dies_after_three(payload):
-            if completed["count"] >= 3:
-                raise RuntimeError("injected mid-flight failure")
-            completed["count"] += 1
-            return real(payload)
-
-        monkeypatch.setattr(backends, "run_payload", dies_after_three)
-        with pytest.raises(RuntimeError, match="mid-flight"):
-            Experiment(FAST, backend="serial", cache=tmp_path).grid(
-                config(), loads=LOADS
-            )
-
+        interrupt_after(3, tmp_path, monkeypatch)
         # Corrupt the ledger between its first and second done record.
         path = ResultCache(tmp_path).manifest(grid_keys()).path
         lines = path.read_text().splitlines()
         lines.insert(2, bad_line)
         path.write_text("\n".join(lines) + "\n")
         assert len(ResultCache(tmp_path).manifest(grid_keys()).done) == 3
+        assert_resumes(tmp_path, executed=3)
 
-        monkeypatch.setattr(backends, "run_payload", real)
-        resumed = Experiment(FAST, backend="serial", cache=tmp_path)
-        merged = resumed.grid(config(), loads=LOADS)
-        assert resumed.stats.points_executed == 3
-        assert resumed.stats.cache_hits == 3
-        assert ResultCache(tmp_path).manifest(grid_keys()).is_complete
+    @pytest.mark.parametrize("header", [
+        "[1, 2]", "7", '{"format": 1, "sweep": "ab',
+    ], ids=["non-object", "int", "corrupt"])
+    def test_resume_past_a_bad_header(self, tmp_path, monkeypatch, header):
+        interrupt_after(3, tmp_path, monkeypatch)
+        path = ResultCache(tmp_path).manifest(grid_keys()).path
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header] + lines[1:]) + "\n")
+        assert len(ResultCache(tmp_path).manifest(grid_keys()).done) == 3
+        assert_resumes(tmp_path, executed=3)
 
-        baseline = Experiment(FAST, backend="serial").grid(
-            config(), loads=LOADS
-        )
-        assert merged.results == baseline.results
+    def test_resume_past_a_header_torn_mid_write(self, tmp_path, monkeypatch):
+        # Killed while writing the header: the next record must start a
+        # line of its own instead of running on from the torn one.
+        interrupt_after(0, tmp_path, monkeypatch)
+        path = ResultCache(tmp_path).manifest(grid_keys()).path
+        path.write_text(path.read_text()[:20])
+        assert_resumes(tmp_path, executed=len(LOADS))
+
+    def test_resume_past_a_torn_trailing_record(self, tmp_path, monkeypatch):
+        interrupt_after(3, tmp_path, monkeypatch)
+        path = ResultCache(tmp_path).manifest(grid_keys()).path
+        with open(path, "a") as handle:
+            handle.write('{"done": "' + grid_keys()[3][:9])
+        assert_resumes(tmp_path, executed=3)
 
     def test_interrupted_batch_keeps_scheduler_accounting(
         self, tmp_path, monkeypatch
@@ -260,3 +316,65 @@ class TestInterruptedProcessSweep:
             config(), loads=LOADS
         )
         assert merged.results == baseline.results
+
+
+class TestStoreFailure:
+    """A full disk while streaming: the error names the point and the
+    cache, what landed stays landed, and a resume completes the grid."""
+
+    @staticmethod
+    def fail_on_call(monkeypatch, owner, name, call):
+        real = getattr(owner, name)
+        calls = {"count": 0}
+
+        def flaky(self, *args, **kwargs):
+            calls["count"] += 1
+            if calls["count"] == call:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, flaky)
+        return real
+
+    @pytest.mark.parametrize("backend", ["serial", "process:2"])
+    def test_full_disk_on_put(self, tmp_path, monkeypatch, backend):
+        real = self.fail_on_call(monkeypatch, ResultCache, "put", call=3)
+        experiment = Experiment(FAST, backend=backend, cache=tmp_path)
+        with pytest.raises(OSError) as raised:
+            bounded(lambda: experiment.grid(
+                config(), loads=LOADS, plan=Plan(chunk_size=1)
+            ))
+        self.assert_names_point_and_cache(raised.value, tmp_path)
+        # The two points streamed before the failing one stayed.
+        assert len(ResultCache(tmp_path)) == 2
+        assert len(ResultCache(tmp_path).manifest(grid_keys()).done) == 2
+
+        monkeypatch.setattr(ResultCache, "put", real)
+        assert_resumes(tmp_path, executed=len(LOADS) - 2)
+
+    @pytest.mark.parametrize("backend", ["serial", "process:2"])
+    def test_full_disk_on_ledger_append(self, tmp_path, monkeypatch, backend):
+        # Call 1 is the header, calls 2 and 3 the first two done records:
+        # the third point is in the cache but not in the ledger.
+        real = self.fail_on_call(
+            monkeypatch, SweepManifest, "_append", call=4
+        )
+        experiment = Experiment(FAST, backend=backend, cache=tmp_path)
+        with pytest.raises(OSError) as raised:
+            bounded(lambda: experiment.grid(
+                config(), loads=LOADS, plan=Plan(chunk_size=1)
+            ))
+        self.assert_names_point_and_cache(raised.value, tmp_path)
+        assert len(ResultCache(tmp_path)) == 3
+        assert len(ResultCache(tmp_path).manifest(grid_keys()).done) == 2
+
+        monkeypatch.setattr(SweepManifest, "_append", real)
+        assert_resumes(tmp_path, executed=len(LOADS) - 3)
+
+    @staticmethod
+    def assert_names_point_and_cache(error, tmp_path):
+        message = str(error)
+        assert str(tmp_path) in message
+        assert any(repr(config(load)) in message for load in LOADS)
+        assert isinstance(error.__cause__, OSError)
+        assert error.__cause__.errno == errno.ENOSPC

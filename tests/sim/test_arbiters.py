@@ -75,6 +75,39 @@ class TestMatrixArbiter:
         assert sorted(recent) == everyone
 
 
+class TestSharedTables:
+    """Matrix arbiters of one size share their masks, never their state."""
+
+    def test_same_size_shares_tables_but_not_state(self):
+        first, second = MatrixArbiter(5), MatrixArbiter(5)
+        assert first._shift is second._shift
+        assert first._col is second._col
+        assert first._row_keep is second._row_keep
+        untouched = second._state
+        assert first.arbitrate([0, 1, 2]) == 0
+        assert first._state != untouched
+        assert second._state == untouched
+        assert second.check_invariant()
+        assert second.arbitrate([0, 1]) == 0    # still index order
+        assert first.arbitrate([0, 1]) == 1     # 0 dropped to lowest
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_are_the_per_size_formulas(self, n):
+        full = (1 << n) - 1
+        arbiter = MatrixArbiter(n)
+        assert arbiter._state == sum(
+            (full & ~((1 << (i + 1)) - 1)) << (i * n) for i in range(n)
+        )
+        assert arbiter._shift == tuple(i * n for i in range(n))
+        assert arbiter._col == tuple(
+            sum(1 << (j * n + w) for j in range(n)) for w in range(n)
+        )
+        assert arbiter._row_keep == tuple(
+            ~(full << (w * n)) for w in range(n)
+        )
+        assert arbiter.check_invariant()
+
+
 class TestRoundRobinArbiter:
     def test_rotation(self):
         arbiter = RoundRobinArbiter(3)
