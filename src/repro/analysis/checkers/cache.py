@@ -28,16 +28,6 @@ class attribute or ``ClassVar`` is not a dataclass field, so
 even though it can steer behaviour.  Such a knob must become a real
 field, be read into the key explicitly, or be exempted like a field.
 
-``CACHE003`` guards the scheduler's purity contract from the other
-side.  Execution-plan dataclasses (``Plan``) deliberately stay *out* of
-the cache key -- scheduling must never change results -- so every one
-of their fields must be accounted for explicitly: either it rides the
-key (a param of the key function reads it), or it is declared
-scheduling-only in a module-level ``RESULT_NEUTRAL = {"Plan.field",
-...}`` set next to the class.  A new Plan knob that is neither keyed
-nor declared fails the lint, so a future field that *does* change
-results cannot silently alias cached entries.
-
 If the analyzed set contains tracked dataclasses but no key function
 (e.g. linting a single file), the checker stays silent rather than
 flagging everything: completeness is only decidable over a set that
@@ -59,18 +49,11 @@ TRACKED_CONFIG_CLASSES = (
     "TelemetryConfig",
 )
 
-#: Execution-plan dataclasses: fields steer scheduling, never results,
-#: and each must be keyed or declared in ``RESULT_NEUTRAL`` (CACHE003).
-SCHEDULER_CONFIG_CLASSES = ("Plan",)
-
 #: Name of the function that builds the cache key payload.
 KEY_FUNCTION = "config_key"
 
 #: Module-level set naming deliberately-unfingerprinted fields.
 EXEMPT_SET_NAME = "CACHE_KEY_EXEMPT"
-
-#: Module-level set declaring scheduling-only plan fields.
-NEUTRAL_SET_NAME = "RESULT_NEUTRAL"
 
 
 class CacheKeyChecker(Checker):
@@ -81,9 +64,6 @@ class CacheKeyChecker(Checker):
         Rule("CACHE002",
              "class-level state on a config dataclass is invisible to "
              "asdict() and so to the cache key"),
-        Rule("CACHE003",
-             "execution-plan field neither rides the cache key nor is "
-             "declared result-neutral"),
     )
 
     def finalize(self, index: ProjectIndex) -> Iterable[Finding]:
@@ -92,20 +72,11 @@ class CacheKeyChecker(Checker):
             info = index.resolve_base(name)
             if info is not None and info.is_dataclass:
                 tracked[name] = info
-        plans: Dict[str, ClassInfo] = {}
-        for name in SCHEDULER_CONFIG_CLASSES:
-            info = index.resolve_base(name)
-            if info is not None and info.is_dataclass:
-                plans[name] = info
-        if not tracked and not plans:
+        if not tracked:
             return
 
         key_functions = index.functions.get(KEY_FUNCTION, [])
         if not key_functions:
-            return
-
-        yield from self._plan_findings(index, plans, key_functions)
-        if not tracked:
             return
 
         covered_classes: Set[str] = set()
@@ -165,39 +136,6 @@ class CacheKeyChecker(Checker):
                     f"{KEY_FUNCTION}() even though it can steer behaviour "
                     f"(make it a field, key it explicitly, or add it to "
                     f"{EXEMPT_SET_NAME})",
-                )
-
-    def _plan_findings(
-        self,
-        index: ProjectIndex,
-        plans: Dict[str, ClassInfo],
-        key_functions: List[FunctionInfo],
-    ) -> Iterable[Finding]:
-        """CACHE003: each plan field is keyed or declared result-neutral."""
-        covered_classes: Set[str] = set()
-        covered_fields: Set[Tuple[str, str]] = set()
-        for func in key_functions:
-            file_classes, file_fields = _coverage(func, plans)
-            covered_classes |= file_classes
-            covered_fields |= file_fields
-        for name, info in sorted(plans.items()):
-            neutral = _neutral_declarations(index, info)
-            for field_name in info.fields:
-                if name in covered_classes:
-                    continue
-                if (name, field_name) in covered_fields:
-                    continue
-                if f"{name}.{field_name}" in neutral:
-                    continue
-                yield self.finding_at(
-                    "CACHE003", info.relpath,
-                    _field_line(index, info, field_name),
-                    f"{name}.{field_name} neither rides the cache key "
-                    f"built by {KEY_FUNCTION}() nor is declared "
-                    f"scheduling-only in {NEUTRAL_SET_NAME}; a knob that "
-                    f"changes results outside the key would alias cached "
-                    f"entries (key it, or declare "
-                    f"'{name}.{field_name}' in {NEUTRAL_SET_NAME})",
                 )
 
 
@@ -279,17 +217,6 @@ def _asdict_classes(
 def _exemptions(func: FunctionInfo) -> Set[str]:
     """``CACHE_KEY_EXEMPT`` entries from the key function's module."""
     return _string_set(func.source.tree, EXEMPT_SET_NAME)
-
-
-def _neutral_declarations(index: ProjectIndex, info: ClassInfo) -> Set[str]:
-    """``RESULT_NEUTRAL`` entries from the plan class's own module.
-
-    The declaration must sit next to the class it describes -- a neutral
-    set in some other file does not count -- so adding a plan field and
-    blessing it are always one reviewable diff.
-    """
-    source = index.modules[info.relpath].source
-    return _string_set(source.tree, NEUTRAL_SET_NAME)
 
 
 def _string_set(tree: ast.Module, set_name: str) -> Set[str]:

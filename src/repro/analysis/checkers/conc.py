@@ -22,8 +22,8 @@ RacerD-style race detectors use:
   from a process-pool worker entry (``pool.submit(f, ...)``) silently
   forks per process.
 
-Declarations mirror the scheduler's ``RESULT_NEUTRAL`` convention --
-plain module-level literals the analyzer reads syntactically::
+Declarations mirror the cache checker's ``CACHE_KEY_EXEMPT`` convention
+-- plain module-level literals the analyzer reads syntactically::
 
     LOCKED_BY = {"Estimator.calibration": "_lock"}
     THREAD_CONFINED = {"Estimator._local_scratch"}

@@ -205,14 +205,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="execution backend: serial or process[:N] (chunked "
-             "work-stealing pool); default $REPRO_BACKEND or inferred "
-             "from --workers",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="POINTS",
-        help="grid points per scheduler chunk (default: automatic, "
-             "~4 chunks per worker)",
+        help="execution backend: serial or process[:N] (one pool task "
+             "per point); default $REPRO_BACKEND or inferred from "
+             "--workers",
     )
     parser.add_argument(
         "--cache", action="store_true",
@@ -243,10 +238,6 @@ def main(argv=None) -> int:
     overrides = {"workers": args.workers}
     if args.backend is not None:
         overrides["backend"] = args.backend
-    if args.chunk_size is not None:
-        from ..runtime.scheduler import Plan
-
-        overrides["plan"] = Plan(chunk_size=args.chunk_size)
     if args.cache:
         overrides["cache"] = True
     if args.progress:
@@ -267,7 +258,6 @@ def main(argv=None) -> int:
     if args.simulate or args.ablations:
         stats = experiment.stats
         if stats.points_requested:
-            scheduler = stats.scheduler
             print(
                 f"\n[runtime] {stats.points_requested} points, "
                 f"{stats.points_executed} executed, "
@@ -275,8 +265,7 @@ def main(argv=None) -> int:
                 f"[{stats.describe_sources()}] "
                 f"{stats.wall_seconds:.1f}s "
                 f"[{experiment.backend.name}: "
-                f"{scheduler.chunks_completed} chunks, "
-                f"{scheduler.steals} steals, "
+                f"{stats.scheduler.jobs_completed} points, "
                 f"{stats.mean_worker_utilization:.0%} worker utilization] "
                 f"[{stats.describe_specialization()}]"
             )

@@ -8,7 +8,7 @@
     grid = exp.grid(configs, loads=(0.05, 0.25, 0.45), seeds=(1, 2, 3))
 
 :class:`Experiment` owns the measurement scale, the execution backend
-(serial or chunked work-stealing process pool), the content-addressed
+(serial, or a process pool running one task per point), the content-addressed
 on-disk :class:`ResultCache`, and progress reporting.  Its core is
 :meth:`Experiment.map`; ``point`` / ``sweep`` / ``sweeps`` / ``grid`` /
 ``aggregate`` are thin wrappers over it, completed points stream into
@@ -48,10 +48,9 @@ from .experiment import (
     GridPoint,
     GridResult,
 )
-from .scheduler import Chunk, Job, JobQueue, Plan, SchedulerStats
+from .scheduler import Job, SchedulerStats
 
 __all__ = [
-    "Chunk",
     "DEFAULT_LOADS",
     "EstimateAnswer",
     "Estimator",
@@ -61,9 +60,7 @@ __all__ = [
     "GridPoint",
     "GridResult",
     "Job",
-    "JobQueue",
     "NullProgress",
-    "Plan",
     "PrintProgress",
     "ProcessBackend",
     "ProgressHook",

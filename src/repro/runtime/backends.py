@@ -1,8 +1,8 @@
-"""Execution backends: where and how a :class:`JobQueue` actually runs.
+"""Execution backends: where and how a batch of :class:`Job` s runs.
 
-Every backend implements the same tiny protocol -- drain a
-:class:`~repro.runtime.scheduler.JobQueue`, calling ``on_result(job,
-result)`` for each finished point *as it lands* -- so the
+Every backend implements the same tiny protocol -- run a list of jobs,
+calling ``on_result(job, result, worker, seconds)`` for each finished
+point *as it lands* -- so the
 :class:`~repro.runtime.experiment.Experiment` façade can stream results
 into the cache and fire progress hooks identically whatever the
 execution substrate:
@@ -10,10 +10,9 @@ execution substrate:
 * :class:`SerialBackend` -- in-process, one point at a time.  The
   determinism baseline and the zero-overhead path for small batches.
 * :class:`ProcessBackend` -- a :class:`~concurrent.futures.\
-  ProcessPoolExecutor` fed by the work-stealing pull loop: each idle
-  worker takes the next *chunk* of points (one pickle/spawn round-trip
-  per chunk, not per point), and the tail of the queue is split so the
-  last chunks are shared instead of straggling.
+  ProcessPoolExecutor` with one task per point.  The pool hands the
+  next point to whichever worker goes idle; an error cancels every
+  point that has not started.
 
 Backends are selected by :class:`~repro.runtime.experiment.Experiment`
 via ``backend=`` or ``$REPRO_BACKEND`` (see :func:`resolve_backend`).
@@ -26,13 +25,16 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
+from typing import (
+    Any, Dict, Optional, Protocol, Sequence, Tuple, runtime_checkable,
+)
 
 from ..sim.config import MeasurementConfig, SimConfig
 from ..sim.engine import Simulator
 from ..sim.metrics import RunResult
-from .scheduler import Chunk, JobQueue, OnResult
+from .scheduler import Job, OnResult
 
 #: Environment variable naming the default backend.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -41,76 +43,57 @@ BACKEND_ENV = "REPRO_BACKEND"
 def run_payload(
     payload: Tuple[SimConfig, Optional[MeasurementConfig], bool]
 ) -> RunResult:
-    """Worker entry point: run one point (top level so it pickles)."""
+    """Run one point: the unit of work every backend executes."""
     config, measurement, checked = payload
     return Simulator(config, measurement, checked=checked).run()
 
 
-def run_chunk(
-    payloads: Sequence[Tuple[SimConfig, Optional[MeasurementConfig], bool]]
-) -> List[RunResult]:
-    """Worker entry point: run one chunk of points in submission order.
+def _run_in_worker(
+    payload: Tuple[SimConfig, Optional[MeasurementConfig], bool]
+) -> Tuple[RunResult, int, float]:
+    """Pool task: one point, the worker's pid and its seconds on it.
 
-    One of these per pickle/spawn round-trip is the whole point of
-    chunked scheduling: the per-task overhead that made unchunked
-    process fan-out lose to serial is paid once per chunk.
+    Top level so it pickles; it looks :func:`run_payload` up when
+    called, so a forked worker runs whatever the parent bound there.
     """
-    return [run_payload(payload) for payload in payloads]
+    started = time.perf_counter()
+    result = run_payload(payload)
+    return result, os.getpid(), time.perf_counter() - started
 
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """Drains a :class:`JobQueue`, streaming completions to ``on_result``."""
+    """Runs a batch of jobs, streaming completions to ``on_result``."""
 
     #: Short name used in configuration and stats (``serial``/``process``/...).
     name: str
 
-    @property
-    def slots(self) -> int:
-        """Concurrent execution slots (sizes automatic chunking)."""
-
-    def execute(self, queue: JobQueue, on_result: OnResult) -> None:
-        """Run every chunk, calling ``on_result(job, result)`` per point
-        in completion order.  Raises the first worker exception after
-        accounting for everything that already finished."""
+    def execute(self, jobs: Sequence[Job], on_result: OnResult) -> None:
+        """Run every job, calling ``on_result(job, result, worker,
+        seconds)`` per point in completion order.  An exception ends
+        the batch: points not yet started never run."""
 
 
 class SerialBackend:
-    """In-process execution, one point at a time, in queue order."""
+    """In-process execution, one point at a time, in batch order."""
 
     name = "serial"
 
-    @property
-    def slots(self) -> int:
-        return 1
-
-    def execute(self, queue: JobQueue, on_result: OnResult) -> None:
-        started = time.perf_counter()
-        try:
-            while True:
-                chunk = queue.pull(0)
-                if chunk is None:
-                    break
-                chunk_started = time.perf_counter()
-                try:
-                    for job in chunk.jobs:
-                        on_result(job, run_payload(job.payload))
-                finally:
-                    queue.chunk_done(
-                        chunk, 0, time.perf_counter() - chunk_started
-                    )
-        finally:
-            queue.stats.dispatch_seconds += time.perf_counter() - started
+    def execute(self, jobs: Sequence[Job], on_result: OnResult) -> None:
+        for job in jobs:
+            started = time.perf_counter()
+            result = run_payload(job.payload)
+            on_result(job, result, 0, time.perf_counter() - started)
 
 
 class ProcessBackend:
-    """Chunked fan-out over a process pool with work-stealing dispatch.
+    """One pool task per point, each result streamed as it completes.
 
-    Workers are fed by pulling: each finished worker takes the next
-    chunk off the shared queue, so a slow chunk delays only its own
-    worker while the others drain the rest.  When fewer chunks remain
-    than idle workers the queue's tail is split (see
-    :meth:`JobQueue.rebalance`) so the final points finish in parallel.
+    A worker's exception propagates unchanged.  A worker that dies
+    breaks the pool; that surfaces as a :class:`RuntimeError` naming how
+    many points did not finish and the first of them in batch order.
+    Either way, and on any exception raised by ``on_result`` (a full
+    disk, Ctrl-C), points that have not started are cancelled.
     """
 
     name = "process"
@@ -120,46 +103,33 @@ class ProcessBackend:
             raise ValueError(f"process backend needs >= 1 worker, got {workers}")
         self.workers = workers
 
-    @property
-    def slots(self) -> int:
-        return self.workers
-
-    def execute(self, queue: JobQueue, on_result: OnResult) -> None:
-        started = time.perf_counter()
+    def execute(self, jobs: Sequence[Job], on_result: OnResult) -> None:
+        pool = ProcessPoolExecutor(max_workers=self.workers)
+        finished = set()
+        # Worker pids differ from pool to pool; report each worker as
+        # its 0-based order of first result, so stats merge across
+        # batches per worker rather than per process ever started.
+        slots: Dict[int, int] = {}
         try:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                in_flight: Dict[Any, Tuple[int, Chunk, float]] = {}
-
-                def feed(worker: int) -> bool:
-                    queue.rebalance(self.workers - len(in_flight))
-                    chunk = queue.pull(worker)
-                    if chunk is None:
-                        return False
-                    future = pool.submit(
-                        run_chunk, [job.payload for job in chunk.jobs]
-                    )
-                    in_flight[future] = (worker, chunk, time.perf_counter())
-                    return True
-
-                for worker in range(self.workers):
-                    if not feed(worker):
-                        break
-                while in_flight:
-                    done, _ = wait(
-                        set(in_flight), return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        worker, chunk, chunk_started = in_flight.pop(future)
-                        results = future.result()
-                        queue.chunk_done(
-                            chunk, worker,
-                            time.perf_counter() - chunk_started,
-                        )
-                        for job, result in zip(chunk.jobs, results):
-                            on_result(job, result)
-                        feed(worker)
+            futures = {
+                pool.submit(_run_in_worker, job.payload): job for job in jobs
+            }
+            for future in as_completed(futures):
+                job = futures[future]
+                result, pid, seconds = future.result()
+                on_result(
+                    job, result, slots.setdefault(pid, len(slots)), seconds
+                )
+                finished.add(job.index)
+        except BrokenProcessPool as error:
+            unfinished = [job for job in jobs if job.index not in finished]
+            raise RuntimeError(
+                f"a pool worker died; {len(unfinished)} points did not "
+                f"finish, the first in batch order being "
+                f"{unfinished[0].payload[0]!r}"
+            ) from error
         finally:
-            queue.stats.dispatch_seconds += time.perf_counter() - started
+            pool.shutdown(cancel_futures=True)
 
 
 def resolve_backend(

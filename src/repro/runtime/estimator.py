@@ -6,7 +6,7 @@ queries" scenario needs.  :meth:`Estimator.query` answers a
 result cache when the exact point was ever simulated, otherwise from
 the analytical surrogate (:mod:`repro.surrogate`) -- and, for
 surrogate answers, schedules the real simulation as background
-refinement through the ordinary chunked work-stealing scheduler.  The
+refinement through an ordinary :meth:`Experiment.map` batch.  The
 refined result lands in the shared cache, so the *next* identical
 query upgrades from ``surrogate`` to ``cached`` for free.
 
@@ -49,8 +49,8 @@ from .experiment import Experiment
 
 __all__ = ["EstimateAnswer", "Estimator"]
 
-#: Refinement points batched into one scheduler submission: large
-#: enough to amortize chunking, small enough that the backlog gauge
+#: Refinement points batched into one backend call: large enough to
+#: keep a process pool's workers busy, small enough that the backlog gauge
 #: moves while a burst of queries drains.
 _REFINE_BATCH = 8
 

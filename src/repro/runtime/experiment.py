@@ -4,7 +4,7 @@
 the result cache, and progress reporting.  Its core is a single method:
 
 * :meth:`Experiment.map` -- run a batch of configs, in input order,
-  through the chunked job scheduler.
+  one backend task per missing point.
 
 Everything else is a thin, keyword-only convenience wrapper over it:
 
@@ -16,7 +16,7 @@ Everything else is a thin, keyword-only convenience wrapper over it:
 * :meth:`Experiment.aggregate` -- one point across seeds, with a CI.
 
 Execution goes through an :class:`~repro.runtime.backends.\
-ExecutionBackend` (``serial`` or the chunked work-stealing ``process``
+ExecutionBackend` (``serial`` or a one-task-per-point ``process``
 pool) selected via ``backend=`` or ``$REPRO_BACKEND``; results are
 bit-identical across backends since each point is a pure function of
 config + seed.  Completed points stream into the content-addressed
@@ -40,11 +40,10 @@ from ..sim.metrics import AggregateResult, RunResult, SweepResult
 from ..telemetry.config import TelemetryConfig
 from .backends import ExecutionBackend, SerialBackend, resolve_backend
 from .cache import ResultCache, SweepManifest, config_key
-from .scheduler import Job, JobQueue, Plan, SchedulerStats
+from .scheduler import Job, SchedulerStats
 
-#: Offered loads used when a sweep doesn't specify its own grid
-#: (mirrors ``experiments.sweep.DEFAULT_LOADS``; duplicated to keep the
-#: runtime layer importable without the experiments layer).
+#: Offered loads used when a sweep doesn't specify its own grid; the
+#: experiments layer's ``sweep.DEFAULT_LOADS`` is this same constant.
 DEFAULT_LOADS: Sequence[float] = (0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75)
 
 
@@ -105,8 +104,7 @@ class ExperimentStats:
     """Cumulative accounting across an :class:`Experiment`'s batches.
 
     The scheduler sub-record carries the dispatch-level observability
-    the job queue collects -- chunk latency, steal/split counts, worker
-    busy time, cache-stream lag.
+    -- per-point worker seconds, worker busy time, cache-stream lag.
     """
 
     points_requested: int = 0
@@ -131,10 +129,6 @@ class ExperimentStats:
         if not self.points_requested:
             return 0.0
         return self.cache_hits / self.points_requested
-
-    @property
-    def steals(self) -> int:
-        return self.scheduler.steals
 
     @property
     def mean_worker_utilization(self) -> float:
@@ -199,12 +193,9 @@ class Experiment:
         reads ``$REPRO_WORKERS`` (default serial).
     backend:
         Execution strategy: an :class:`ExecutionBackend` instance or a
-        name -- ``"serial"`` or ``"process"``/``"process:N"`` (chunked
-        work-stealing pool).  ``None`` reads ``$REPRO_BACKEND`` and
+        name -- ``"serial"`` or ``"process"``/``"process:N"`` (one pool
+        task per point).  ``None`` reads ``$REPRO_BACKEND`` and
         otherwise infers from ``workers``.
-    plan:
-        Default :class:`~repro.runtime.scheduler.Plan` for every batch
-        (chunk sizing); per-call ``plan=`` wins.
     cache:
         ``None`` disables caching; ``True`` uses the default directory
         (``$REPRO_CACHE_DIR`` or ``~/.cache/repro-sim``); a path or a
@@ -236,7 +227,6 @@ class Experiment:
         *,
         workers: Optional[int] = None,
         backend: Union[ExecutionBackend, str, None] = None,
-        plan: Optional[Plan] = None,
         cache: Union[ResultCache, str, Path, bool, None] = None,
         progress: Optional[ProgressHook] = None,
         checked: Optional[bool] = None,
@@ -251,7 +241,6 @@ class Experiment:
         self.backend: ExecutionBackend = resolve_backend(
             backend, workers=workers
         )
-        self.plan = plan or Plan()
         self.cache = self._resolve_cache(cache)
         self.progress: ProgressHook = progress or NullProgress()
         if checked is None:
@@ -305,25 +294,23 @@ class Experiment:
         return cls(measurement, **overrides)
 
     # ------------------------------------------------------------------
-    # The core: one batch through the job scheduler.
+    # The core: one batch through the backend.
     # ------------------------------------------------------------------
 
-    def map(self, configs: Sequence[SimConfig], *,
-            plan: Optional[Plan] = None) -> List[RunResult]:
+    def map(self, configs: Sequence[SimConfig]) -> List[RunResult]:
         """Run a batch of points, returning results in input order.
 
         Every config is validated up front; identical points execute
-        once; cached points never execute.  The batch is chunked onto
-        the execution backend by a work-stealing :class:`JobQueue`, and
-        each completed point streams into the cache (and the batch's
-        sweep manifest) the moment it lands -- interrupting a batch
-        keeps everything already finished, and re-running it executes
-        only the points still missing.  A batch with nothing to execute
-        costs its cache lookups only: no manifest, no queue, no backend
-        call.  The result list is bit-identical whatever the backend.
+        once; cached points never execute.  Each missing point is one
+        task on the execution backend, and each completed point streams
+        into the cache (and the batch's sweep manifest) the moment it
+        lands -- interrupting a batch keeps everything already finished,
+        and re-running it executes only the points still missing.  A
+        batch with nothing to execute costs its cache lookups only: no
+        manifest, no backend call.  The result list is bit-identical
+        whatever the backend.
         """
         started = time.perf_counter()
-        plan = plan or self.plan
         configs = list(configs)
         if self.telemetry is not None:
             # Stamp the experiment-level telemetry request onto configs
@@ -374,7 +361,7 @@ class Experiment:
                     manifest = self.cache.manifest(keys).start()
                     for key in cached_keys:
                         manifest.record(key)
-                self._execute(configs, to_run, results, plan, manifest)
+                self._execute(configs, to_run, results, manifest)
         finally:
             self.stats.wall_seconds += time.perf_counter() - started
 
@@ -397,7 +384,6 @@ class Experiment:
         configs: List[SimConfig],
         to_run: Dict[str, int],
         results: Dict[str, RunResult],
-        plan: Plan,
         manifest: Optional[SweepManifest],
     ) -> None:
         """Run a batch's missing points (``to_run``: key -> first index)
@@ -413,16 +399,13 @@ class Experiment:
             )
             for key, index in to_run.items()
         ]
-        queue = JobQueue(
-            jobs,
-            chunk_size=plan.resolve_chunk_size(
-                len(jobs), self.backend.slots
-            ),
-            workers=self.backend.slots,
-        )
+        stats = SchedulerStats()
 
-        def on_result(job: Job, result: RunResult) -> None:
+        def on_result(
+            job: Job, result: RunResult, worker: int, seconds: float
+        ) -> None:
             arrived = time.perf_counter()
+            stats.record_point(worker, seconds)
             results[job.key] = result
             if result.counters is not None:
                 self.stats.record_counters(result.counters)
@@ -438,23 +421,21 @@ class Experiment:
                         f"could not store point {configs[job.index]!r} "
                         f"in cache {self.cache.directory}: {error}"
                     ) from error
-                queue.stats.record_stream_lag(
-                    time.perf_counter() - arrived
-                )
+                stats.record_stream_lag(time.perf_counter() - arrived)
             self.progress.on_point_done(
                 job.index, total, configs[job.index], result, cached=False
             )
 
+        for job in jobs:
+            self.progress.on_point_start(job.index, total, configs[job.index])
+        started = time.perf_counter()
         try:
-            for job in jobs:
-                self.progress.on_point_start(
-                    job.index, total, configs[job.index]
-                )
-            self.backend.execute(queue, on_result)
+            self.backend.execute(jobs, on_result)
         finally:
             # Keep the accounting even when a worker raised: the
             # streamed points are in the cache and the manifest says so.
-            self.stats.scheduler.merge(queue.stats)
+            stats.dispatch_seconds = time.perf_counter() - started
+            self.stats.scheduler.merge(stats)
 
         if manifest is not None:
             manifest.complete()
@@ -474,7 +455,6 @@ class Experiment:
         label: str,
         loads: Iterable[float] = DEFAULT_LOADS,
         stop_after_saturation: bool = True,
-        plan: Optional[Plan] = None,
     ) -> SweepResult:
         """One latency-throughput curve over ``loads``.
 
@@ -486,7 +466,7 @@ class Experiment:
         """
         return self.sweeps(
             [(label, config)], loads=loads,
-            stop_after_saturation=stop_after_saturation, plan=plan,
+            stop_after_saturation=stop_after_saturation,
         )[0]
 
     def sweeps(
@@ -495,7 +475,6 @@ class Experiment:
         *,
         loads: Iterable[float] = DEFAULT_LOADS,
         stop_after_saturation: bool = True,
-        plan: Optional[Plan] = None,
     ) -> List[SweepResult]:
         """Several curves over a shared load grid, batched together.
 
@@ -510,7 +489,7 @@ class Experiment:
                 for _, config in labeled_configs
                 for load in load_grid
             ]
-            flat_results = self.map(flat, plan=plan)
+            flat_results = self.map(flat)
             count = len(load_grid)
             return [
                 SweepResult(
@@ -527,9 +506,7 @@ class Experiment:
         for label, config in labeled_configs:
             curve = SweepResult(label=label)
             for load in load_grid:
-                point = self.map(
-                    [replace(config, injection_fraction=load)], plan=plan
-                )[0]
+                point = self.map([replace(config, injection_fraction=load)])[0]
                 curve.points.append(point)
                 if stop_after_saturation and point.saturated:
                     break
@@ -542,7 +519,6 @@ class Experiment:
         *,
         loads: Optional[Iterable[float]] = None,
         seeds: Optional[Sequence[int]] = None,
-        plan: Optional[Plan] = None,
     ) -> GridResult:
         """The cartesian config x load x seed grid, as one batch.
 
@@ -564,7 +540,7 @@ class Experiment:
                     flat.append(replace(
                         config, injection_fraction=load, seed=seed
                     ))
-        results = self.map(flat, plan=plan)
+        results = self.map(flat)
         return GridResult(points=[
             GridPoint(config=config, result=result)
             for config, result in zip(flat, results)

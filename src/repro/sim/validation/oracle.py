@@ -11,9 +11,8 @@ found:
   (the speculative router's shallower pipeline means lower latency; only
   it issues speculative grants).
 * :func:`oracle_serial_vs_parallel` -- the same sweep through the
-  serial backend and the chunked work-stealing process pool must
-  produce bit-identical curves (each point is a pure function of
-  config + seed).
+  serial backend and the process pool must produce bit-identical
+  curves (each point is a pure function of config + seed).
 * :func:`oracle_cached_vs_uncached` -- a point served from the result
   cache must equal the freshly executed one, whichever backend wrote
   the entry.
@@ -212,9 +211,8 @@ def oracle_serial_vs_parallel(
 ) -> OracleReport:
     """``Experiment.sweep`` on the serial backend vs the process pool.
 
-    Each point is a pure function of config + seed, so the chunked
-    work-stealing process pool must reproduce the serial curve bit for
-    bit.
+    Each point is a pure function of config + seed, so the process
+    pool must reproduce the serial curve bit for bit.
     """
     from ...runtime.backends import ProcessBackend
     from ...runtime.experiment import Experiment
@@ -247,7 +245,7 @@ def oracle_cached_vs_uncached(
     """A cache-served result must equal the freshly executed one.
 
     Runs the fresh-then-cached round trip once per execution backend
-    (serial, chunked process pool): both stream results into the same
+    (serial, process pool): both stream results into the same
     content-addressed store, so a cache entry written by either must be
     served back bit-identical to a fresh execution.  ``cache_dir=None``
     uses throwaway temporary directories (one per backend).

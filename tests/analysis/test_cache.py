@@ -145,83 +145,6 @@ def test_exempt_field_via_module_set(tmp_path):
     assert result.ok, [str(f) for f in result.new_findings]
 
 
-def test_plan_bad_fixture_flags_undeclared_field():
-    result = _cache_only("cache_plan_bad.py")
-    assert rules_of(result) == ["CACHE003"]
-    finding = result.new_findings[0]
-    assert "Plan.retry_limit" in finding.message
-    text = (FIXTURES / "cache_plan_bad.py").read_text().splitlines()
-    assert "retry_limit" in text[finding.line - 1]
-
-
-def test_plan_good_fixture_is_silent():
-    # chunk_size/label are declared result-neutral; fault_rate rides
-    # the key via the plan parameter -- all three accounted for.
-    result = _cache_only("cache_plan_good.py")
-    assert result.ok, [str(f) for f in result.new_findings]
-
-
-def test_neutral_declaration_must_sit_next_to_the_class(tmp_path):
-    # A RESULT_NEUTRAL set in a different module does not bless the
-    # field: the declaration and the knob must be one reviewable diff.
-    (tmp_path / "plan.py").write_text(
-        "from dataclasses import dataclass\n"
-        "@dataclass\n"
-        "class Plan:\n"
-        "    chunk_size: int = 1\n"
-    )
-    (tmp_path / "keys.py").write_text(
-        "import hashlib\n"
-        "RESULT_NEUTRAL = {'Plan.chunk_size'}\n"
-        "def config_key(seed: int) -> str:\n"
-        "    return hashlib.sha256(str(seed).encode()).hexdigest()\n"
-    )
-    result = _cache_only(tmp_path, root=tmp_path)
-    assert rules_of(result) == ["CACHE003"]
-    assert "Plan.chunk_size" in result.new_findings[0].message
-
-
-def test_adding_plan_field_to_real_tree_fails(tmp_path):
-    """The scheduler drift test: copy the real scheduler + cache modules
-    and add one undeclared Plan knob; the lint must fail on exactly it."""
-    repo_src = Path(__file__).resolve().parent.parent.parent / "src"
-    tree = tmp_path / "mini"
-    tree.mkdir()
-    for rel, name in (
-        ("repro/runtime/scheduler.py", "scheduler.py"),
-        ("repro/runtime/cache.py", "cache.py"),
-        ("repro/sim/config.py", "config.py"),
-        ("repro/telemetry/config.py", "telemetry_config.py"),
-    ):
-        shutil.copy(repo_src / rel, tree / name)
-
-    clean = _cache_only(tree, root=tmp_path)
-    assert clean.ok, [str(f) for f in clean.new_findings]
-
-    scheduler = tree / "scheduler.py"
-    text = scheduler.read_text()
-    anchor = "    chunk_size: Optional[int] = None\n"
-    assert anchor in text
-    scheduler.write_text(text.replace(
-        anchor, anchor + "    speculative_retry: int = 0\n", 1
-    ))
-    dirty = _cache_only(tree, root=tmp_path)
-    assert rules_of(dirty) == ["CACHE003"]
-    assert "Plan.speculative_retry" in dirty.new_findings[0].message
-
-
-def test_plan_silent_without_key_function(tmp_path):
-    snippet = tmp_path / "plan.py"
-    snippet.write_text(
-        "from dataclasses import dataclass\n"
-        "@dataclass\n"
-        "class Plan:\n"
-        "    chunk_size: int = 1\n"
-    )
-    result = _cache_only(snippet, root=tmp_path)
-    assert result.ok
-
-
 def test_silent_without_key_function(tmp_path):
     # Completeness is undecidable without the key construction in view.
     snippet = tmp_path / "configs.py"

@@ -116,18 +116,17 @@ class TestSimFiguresSmoke:
         """A ``measurement=`` that differs from the passed experiment's
         changes the scale only: the points still run on its backend,
         checked, with telemetry, and land in its stats."""
-        from repro.runtime import Experiment, Plan, SerialBackend
+        from repro.runtime import Experiment, SerialBackend
 
         class Recording(SerialBackend):
             batches = 0
 
-            def execute(self, queue, on_result):
+            def execute(self, jobs, on_result):
                 self.batches += 1
-                super().execute(queue, on_result)
+                super().execute(jobs, on_result)
 
         experiment = Experiment(
-            backend=Recording(), plan=Plan(chunk_size=1), checked=True,
-            telemetry=True,
+            backend=Recording(), checked=True, telemetry=True,
         )
         result = figures.fig13(
             measurement=TINY, loads=(0.05,), experiment=experiment

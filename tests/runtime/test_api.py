@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro.runtime import Experiment, ExperimentStats, Plan
+from repro.runtime import Experiment
 from repro.sim.config import MeasurementConfig, RouterKind, SimConfig
 
 FAST = MeasurementConfig(
@@ -28,17 +28,6 @@ class TestMap:
         assert len(results) == 3
         assert results[0] == results[2]  # identical configs share a run
         assert results[0] != results[1]
-
-    def test_per_call_plan_overrides_default(self):
-        exp = Experiment(FAST, plan=Plan(chunk_size=4))
-        exp.map([config(load) for load in (0.05, 0.1, 0.15)],
-                plan=Plan(chunk_size=1))
-        assert exp.stats.scheduler.chunks_completed == 3
-
-    def test_default_plan_applies(self):
-        exp = Experiment(FAST, plan=Plan(chunk_size=3))
-        exp.map([config(load) for load in (0.05, 0.1, 0.15)])
-        assert exp.stats.scheduler.chunks_completed == 1
 
 
 class TestKeywordOnlyWrappers:
@@ -88,8 +77,3 @@ class TestStatsExport:
         assert scheduler.stream_lag_count == 3
         assert exp.stats.mean_worker_utilization > 0
         assert sum(scheduler.worker_busy_seconds.values()) > 0
-
-    def test_steals_property_mirrors_scheduler(self):
-        stats = ExperimentStats()
-        stats.scheduler.steals = 7
-        assert stats.steals == 7

@@ -35,11 +35,11 @@ class TestResolveBackend:
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         backend = resolve_backend(None, workers=3)
         assert isinstance(backend, ProcessBackend)
-        assert backend.slots == 3
+        assert backend.workers == 3
 
     def test_name_strings(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert resolve_backend("process:5").slots == 5
+        assert resolve_backend("process:5").workers == 5
 
     @pytest.mark.parametrize(
         "spec", ["process:x", "process:2.5", "process:-1", "serial:3"]
@@ -53,14 +53,14 @@ class TestResolveBackend:
             resolve_backend(None)
 
     def test_bare_process_defaults_to_two_workers(self):
-        assert resolve_backend("process", workers=0).slots == 2
-        assert resolve_backend("process", workers=6).slots == 6
+        assert resolve_backend("process", workers=0).workers == 2
+        assert resolve_backend("process", workers=6).workers == 6
 
     def test_environment_selects(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "process:2")
         backend = resolve_backend(None, workers=0)
         assert isinstance(backend, ProcessBackend)
-        assert backend.slots == 2
+        assert backend.workers == 2
 
     def test_instances_pass_through(self):
         backend = ProcessBackend(2)
@@ -91,14 +91,26 @@ class TestBackendEquivalence:
         ).map(configs)
         assert by_process == baseline
 
-    def test_process_backend_reports_chunks(self):
-        configs = [config(load) for load in (0.05, 0.1, 0.15, 0.2)]
-        from repro.runtime import Plan
-
-        exp = Experiment(FAST, backend=ProcessBackend(2))
-        exp.map(configs, plan=Plan(chunk_size=1))
+    @pytest.mark.parametrize("backend", ["serial", "process:2"])
+    def test_scheduler_stats_are_well_formed(self, backend):
+        configs = [config(step / 100) for step in range(2, 18)]
+        exp = Experiment(FAST, backend=backend)
+        exp.map(configs)
         scheduler = exp.stats.scheduler
-        assert scheduler.chunks_completed == 4
-        assert scheduler.jobs_completed == 4
-        assert scheduler.dispatch_seconds > 0
+        assert scheduler.chunks_completed == scheduler.jobs_completed == 16
+        assert scheduler.steals == scheduler.splits == 0
+        busy = scheduler.worker_busy_seconds
+        if backend == "serial":
+            assert list(busy) == [0]
+        else:
+            assert set(busy) in ({0}, {0, 1})
+        assert all(
+            seconds <= scheduler.dispatch_seconds for seconds in busy.values()
+        )
+        assert all(
+            0.0 <= share <= 1.0
+            for share in scheduler.worker_utilization().values()
+        )
+        # The next batch's pool has new processes; they reuse the keys.
+        exp.map([config(step / 100) for step in range(18, 22)])
         assert set(scheduler.worker_busy_seconds) <= {0, 1}

@@ -110,9 +110,8 @@ class TestRefinement:
     def test_failed_refinement_is_counted_and_drains(self, tmp_path):
         class Unplugged:
             name = "unplugged"
-            slots = 1
 
-            def execute(self, queue, on_result):
+            def execute(self, jobs, on_result):
                 raise OSError("worker host unplugged")
 
         with Estimator(
@@ -151,9 +150,8 @@ class TestRefinement:
         # A poisoned point must not be re-simulated on every query.
         class Unplugged:
             name = "unplugged"
-            slots = 1
 
-            def execute(self, queue, on_result):
+            def execute(self, jobs, on_result):
                 raise OSError("worker host unplugged")
 
         with Estimator(

@@ -9,14 +9,17 @@ to an uninterrupted run.
 
 import errno
 import json
+import os
+import re
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
 
 from repro.runtime import (
     Experiment,
-    Plan,
     ProcessBackend,
     ResultCache,
     SweepManifest,
@@ -25,6 +28,7 @@ from repro.runtime import (
 )
 from repro.runtime import backends
 from repro.sim.config import MeasurementConfig, RouterKind, SimConfig
+from repro.sim.instrumentation import NullProgress
 
 FAST = MeasurementConfig(
     warmup_cycles=50, sample_packets=60, max_cycles=3_000, drain_cycles=1_000
@@ -32,7 +36,7 @@ FAST = MeasurementConfig(
 
 LOADS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 
-#: The injection fraction whose chunk the patched process worker kills.
+#: The injection fraction the patched process worker dies or raises on.
 FAIL_LOAD = 0.25
 
 
@@ -50,17 +54,21 @@ def grid_keys(loads=LOADS):
     ]
 
 
-def _tripwire_chunk(payloads):
-    """A worker that dies when its chunk contains the poisoned load.
+def poison(monkeypatch, failure):
+    """Make pool workers call ``failure()`` on the FAIL_LOAD point.
 
-    Module-level and data-driven so it survives the pickle round-trip
-    into pool workers (the failure condition rides the payloads, not
-    parent-process state the child cannot see).
+    Forked workers inherit the patched ``run_payload``; the healthy one
+    is returned for restoring.
     """
-    for cfg, *_ in payloads:
-        if abs(cfg.injection_fraction - FAIL_LOAD) < 1e-9:
-            raise RuntimeError("injected chunk failure")
-    return [backends.run_payload(payload) for payload in payloads]
+    real = backends.run_payload
+
+    def poisoned(payload):
+        if abs(payload[0].injection_fraction - FAIL_LOAD) < 1e-9:
+            failure()
+        return real(payload)
+
+    monkeypatch.setattr(backends, "run_payload", poisoned)
+    return real
 
 
 def interrupt_after(count, tmp_path, monkeypatch):
@@ -288,27 +296,36 @@ class TestInterruptedSerialSweep:
 
 class TestInterruptedProcessSweep:
     def test_resume_after_worker_death(self, tmp_path, monkeypatch):
-        real_chunk = backends.run_chunk
-        monkeypatch.setattr(backends, "run_chunk", _tripwire_chunk)
+        real = poison(monkeypatch, lambda: os._exit(1))
         interrupted = Experiment(
             FAST, backend=ProcessBackend(2), cache=tmp_path,
         )
-        with pytest.raises(RuntimeError, match="injected chunk failure"):
-            interrupted.grid(
-                config(), loads=LOADS, plan=Plan(chunk_size=2)
-            )
+        with pytest.raises(RuntimeError, match="pool worker died") as raised:
+            bounded(lambda: interrupted.grid(config(), loads=LOADS))
+        assert isinstance(raised.value.__cause__, BrokenProcessPool)
 
-        # At least one chunk landed before the poisoned one was even
-        # pulled (the pull loop only feeds after a completion streamed),
-        # and the poisoned chunk's points are missing.
-        survivors = len(ResultCache(tmp_path))
+        # Every point streamed before the death is in the cache and in
+        # the ledger; the error counts the rest and names the first of
+        # them in batch order.
+        cache = ResultCache(tmp_path)
+        survivors = len(cache)
         assert 2 <= survivors < len(LOADS)
+        done = cache.manifest(grid_keys()).done
+        cached = {key for key in grid_keys() if cache.get(key) is not None}
+        assert done == cached and len(cached) == survivors
+        missing = [
+            load for load, key in zip(LOADS, grid_keys()) if key not in done
+        ]
+        message = str(raised.value)
+        count = re.search(r"(\d+) points did not finish", message)
+        assert count and int(count.group(1)) == len(missing)
+        assert repr(config(missing[0])) in message
 
-        monkeypatch.setattr(backends, "run_chunk", real_chunk)
+        monkeypatch.setattr(backends, "run_payload", real)
         resumed = Experiment(
             FAST, backend=ProcessBackend(2), cache=tmp_path,
         )
-        merged = resumed.grid(config(), loads=LOADS, plan=Plan(chunk_size=2))
+        merged = resumed.grid(config(), loads=LOADS)
         assert resumed.stats.points_executed == len(LOADS) - survivors
         assert resumed.stats.cache_hits == survivors
 
@@ -316,6 +333,62 @@ class TestInterruptedProcessSweep:
             config(), loads=LOADS
         )
         assert merged.results == baseline.results
+
+    def test_resume_after_worker_error(self, tmp_path, monkeypatch):
+        def fail():
+            raise ValueError("injected point failure")
+
+        real = poison(monkeypatch, fail)
+        interrupted = Experiment(
+            FAST, backend=ProcessBackend(2), cache=tmp_path,
+        )
+        # A worker's own exception is not a dead worker: it propagates
+        # as it was raised.
+        with pytest.raises(ValueError) as raised:
+            bounded(lambda: interrupted.grid(config(), loads=LOADS))
+        assert str(raised.value) == "injected point failure"
+        survivors = len(ResultCache(tmp_path))
+        assert survivors < len(LOADS)
+
+        monkeypatch.setattr(backends, "run_payload", real)
+        assert_resumes(tmp_path, executed=len(LOADS) - survivors)
+
+
+class TestInterruptedBatch:
+    def test_interrupt_cancels_points_not_started(
+        self, tmp_path, monkeypatch
+    ):
+        # Each started point appends its load to a file the forked
+        # workers share, and holds its worker for 0.2 s so the count is
+        # not a race.  The first point is not held: it finishes alone,
+        # while its peer is still held, and fires the interrupt.
+        started = tmp_path / "started.txt"
+        real = backends.run_payload
+        loads = [step / 100 for step in range(2, 18)]
+
+        def counted(payload):
+            with open(started, "a") as handle:
+                handle.write(f"{payload[0].injection_fraction}\n")
+            if payload[0].injection_fraction != loads[0]:
+                time.sleep(0.2)
+            return real(payload)
+
+        class Interrupt(NullProgress):
+            def on_point_done(self, *args, **kwargs):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(backends, "run_payload", counted)
+        experiment = Experiment(
+            FAST, backend="process:2", progress=Interrupt(),
+        )
+        with pytest.raises(KeyboardInterrupt):
+            bounded(
+                lambda: experiment.map([config(load) for load in loads]),
+                seconds=60,
+            )
+        # One finished, two running, and the pool's call queue of
+        # workers + 1: nothing else ever starts.
+        assert 1 <= len(started.read_text().splitlines()) <= 6
 
 
 class TestStoreFailure:
@@ -341,9 +414,7 @@ class TestStoreFailure:
         real = self.fail_on_call(monkeypatch, ResultCache, "put", call=3)
         experiment = Experiment(FAST, backend=backend, cache=tmp_path)
         with pytest.raises(OSError) as raised:
-            bounded(lambda: experiment.grid(
-                config(), loads=LOADS, plan=Plan(chunk_size=1)
-            ))
+            bounded(lambda: experiment.grid(config(), loads=LOADS))
         self.assert_names_point_and_cache(raised.value, tmp_path)
         # The two points streamed before the failing one stayed.
         assert len(ResultCache(tmp_path)) == 2
@@ -361,9 +432,7 @@ class TestStoreFailure:
         )
         experiment = Experiment(FAST, backend=backend, cache=tmp_path)
         with pytest.raises(OSError) as raised:
-            bounded(lambda: experiment.grid(
-                config(), loads=LOADS, plan=Plan(chunk_size=1)
-            ))
+            bounded(lambda: experiment.grid(config(), loads=LOADS))
         self.assert_names_point_and_cache(raised.value, tmp_path)
         assert len(ResultCache(tmp_path)) == 3
         assert len(ResultCache(tmp_path).manifest(grid_keys()).done) == 2

@@ -1,10 +1,10 @@
 """The warm path: a cached point costs a lookup.
 
 A batch whose every point is in the cache executes nothing, so
-:meth:`Experiment.map` opens no sweep manifest, builds no job queue and
-never calls the backend; the directory it serves from is left exactly
-as it was.  :meth:`ResultCache.get` stamps provenance once, at decode,
-so the shared read-only results it hands out already say ``cached``.
+:meth:`Experiment.map` opens no sweep manifest and never calls the
+backend; the directory it serves from is left exactly as it was.
+:meth:`ResultCache.get` stamps provenance once, at decode, so the
+shared read-only results it hands out already say ``cached``.
 """
 
 import json
@@ -14,7 +14,6 @@ import pytest
 
 from repro.experiments.figures import fig13
 from repro.runtime import Experiment, ResultCache, config_key
-from repro.runtime import experiment as experiment_module
 from repro.runtime.scheduler import SchedulerStats
 from repro.sim.config import MeasurementConfig, RouterKind, SimConfig
 from repro.sim.engine import simulate
@@ -45,7 +44,7 @@ def snapshot(directory: Path):
 
 
 def forbid_execution(monkeypatch, experiment):
-    """Fail the test if ``experiment`` opens a ledger, queues or executes."""
+    """Fail the test if ``experiment`` opens a ledger or executes."""
 
     def forbidden(what):
         def fail(*args, **kwargs):
@@ -54,9 +53,6 @@ def forbid_execution(monkeypatch, experiment):
 
     monkeypatch.setattr(
         ResultCache, "manifest", forbidden("opened its manifest")
-    )
-    monkeypatch.setattr(
-        experiment_module, "JobQueue", forbidden("built a job queue")
     )
     monkeypatch.setattr(
         experiment.backend, "execute", forbidden("called the backend")
