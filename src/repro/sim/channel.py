@@ -17,7 +17,7 @@ credit propagation + credit pipeline (processing) cycles.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, List, Sequence, Tuple, TypeVar
+from typing import Deque, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -35,27 +35,36 @@ class PipelinedChannel(Generic[T]):
     during cycle ``t`` is available for processing at cycle
     ``t + delay + 1``.
 
-    A channel may additionally be bound to a :class:`network event
-    wheel <repro.sim.network._EventWheel>`: ``send()`` then registers
-    the channel's drain entry in the bucket for the arrival cycle, so
-    the fast stepper touches only channels with due arrivals instead of
-    polling ``deliver()`` on every channel every cycle.
+    A channel may additionally be bound to one ring of a :class:`network
+    event wheel <repro.sim.network._EventWheel>`: ``send()`` then
+    appends the channel's drain entry to the ring's bucket for the
+    arrival cycle, so the fast stepper touches only channels with due
+    arrivals instead of polling ``deliver()`` on every channel every
+    cycle.  The entry names the receiving endpoint by index, never
+    holds it, so a channel keeps no reference to a router.
     """
 
-    __slots__ = ("delay", "_in_flight", "_wheel", "_wheel_entry")
+    __slots__ = ("delay", "_in_flight", "_ring", "_ring_mask", "_wheel_entry")
 
     def __init__(self, delay: int) -> None:
         if delay < 0:
             raise ValueError(f"channel delay must be >= 0, got {delay}")
         self.delay = delay
         self._in_flight: Deque[Tuple[int, T]] = deque()
-        self._wheel = None
-        self._wheel_entry = None
+        self._ring: Optional[List[list]] = None
+        self._ring_mask = 0
+        self._wheel_entry: Optional[tuple] = None
 
-    def bind_wheel(self, wheel, handler) -> None:
-        """Register arrivals with ``wheel``; drains call ``handler(item, cycle)``."""
-        self._wheel = wheel
-        self._wheel_entry = (self._in_flight, handler)
+    def bind_wheel(self, ring: List[list], endpoint: Tuple[int, ...]) -> None:
+        """Register arrivals on ``ring``, a power-of-two list of buckets.
+
+        Each ``send()`` appends ``(in_flight, *endpoint)`` to the bucket
+        of its arrival cycle; ``endpoint`` is the receiver's node index
+        (and input port) that the wheel resolves when it drains.
+        """
+        self._ring = ring
+        self._ring_mask = len(ring) - 1
+        self._wheel_entry = (self._in_flight, *endpoint)
 
     def send(self, item: T, cycle: int) -> None:
         """Inject an item at cycle ``cycle``; it arrives at ``cycle+delay+1``."""
@@ -63,9 +72,9 @@ class PipelinedChannel(Generic[T]):
         if self._in_flight and self._in_flight[-1][0] > arrival:
             raise ValueError("channel sends must be in non-decreasing cycle order")
         self._in_flight.append((arrival, item))
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.schedule(arrival, self._wheel_entry)
+        ring = self._ring
+        if ring is not None:
+            ring[arrival & self._ring_mask].append(self._wheel_entry)
 
     def deliver(self, cycle: int) -> Sequence[T]:
         """Pop every item whose arrival cycle is <= ``cycle``.

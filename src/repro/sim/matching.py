@@ -33,7 +33,7 @@ had been made.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .allocators import Grant, Request
 
@@ -155,27 +155,39 @@ class MaximumMatchingAllocator:
         groups = groups[offset:] + groups[:offset]
 
         match_group: Dict[int, int] = {}  # resource *bit* -> group
-        visited = 0
-
-        # repro: hot-ok[recursive augmenting-path helper closing over per-call matching state]
-        def augment(group: int) -> bool:
-            nonlocal visited
-            mask = adjacency[group]
-            while mask:
+        # The depth-first search for an augmenting path, as a loop over
+        # an explicit stack: each frame is a group being displaced, its
+        # still-untried resources and the resource its child holds.
+        # Frames try resources lowest bit first, exactly the recursive
+        # formulation's order, so the matching is the same.
+        path: List[Tuple[int, int, int]] = []
+        for root in groups:
+            visited = 0
+            group = root
+            mask = adjacency[root]
+            while True:
+                if not mask:
+                    if not path:
+                        break  # no augmenting path from ``root``
+                    group, mask, _ = path.pop()
+                    continue
                 low = mask & -mask
                 mask -= low
                 if visited & low:
                     continue
                 visited |= low
                 holder = match_group.get(low)
-                if holder is None or augment(holder):
+                if holder is not None:
+                    path.append((group, mask, low))
+                    group = holder
+                    mask = adjacency[holder]
+                    continue
+                # ``low`` is free: flip the path ending here.
+                match_group[low] = group
+                for group, _, low in path:
                     match_group[low] = group
-                    return True
-            return False
-
-        for group in groups:
-            visited = 0
-            augment(group)
+                path.clear()
+                break
 
         nr = self.num_resources
         grants = []

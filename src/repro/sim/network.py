@@ -58,9 +58,24 @@ from .traffic import (
 class _EventWheel:
     """Power-of-two timing wheel scheduling channel arrivals.
 
-    ``PipelinedChannel.send`` registers its bound ``(in_flight, handler)``
-    entry in the bucket for the arrival cycle; ``drain(cycle)`` visits
-    only that bucket and delivers every payload whose arrival is due.
+    One ring of buckets per endpoint kind: router flit inputs
+    (``flits``), router credit inputs (``credits``), source credit
+    refills (``refills``) and sink ejections (``ejections``).  Each
+    ``send()`` on a bound channel appends the channel's entry -- its
+    ``_in_flight`` deque followed by the endpoint's node index (and,
+    for routers, input port) -- to its ring's bucket for the arrival
+    cycle; ``drain`` visits only that cycle's four buckets and
+    delivers every payload whose arrival is due.
+
+    Entries name their endpoint instead of holding it: ``drain``
+    resolves ``routers[node].accept_flit`` / ``receive_credit``,
+    ``sources[node].restore_credit`` and ``sinks[node].accept`` at
+    call time.  So instance-level wrappers (tracers and in-order probes
+    around ``Sink.accept``) and class-level monkeypatches keep
+    intercepting deliveries exactly as they do under the reference
+    stepper, and no channel refers back to a router: the network's
+    object graph has no reference cycle, and dropping the last
+    reference to it frees it at once.
 
     The wheel has ``>= max_delay + 2`` slots, so an arrival offset
     (``delay + 1``, in ``[1, max_delay + 1]``) can never alias the slot
@@ -69,59 +84,74 @@ class _EventWheel:
     than individual payloads, so delivery order *within* a channel is
     the channel's FIFO order, and a duplicate entry (or one whose
     payloads were already consumed via ``deliver()``) is a harmless
-    no-op.
+    no-op.  Same-cycle deliveries commute (each touches a distinct
+    buffer, credit counter or sink), so draining kind by kind is
+    unobservable.
     """
 
-    __slots__ = ("_buckets", "_mask")
+    __slots__ = ("flits", "credits", "refills", "ejections", "_mask")
 
     def __init__(self, max_delay: int) -> None:
         size = 1
         while size < max_delay + 2:
             size <<= 1
         self._mask = size - 1
-        self._buckets: List[list] = [[] for _ in range(size)]
+        self.flits: List[list] = [[] for _ in range(size)]
+        self.credits: List[list] = [[] for _ in range(size)]
+        self.refills: List[list] = [[] for _ in range(size)]
+        self.ejections: List[list] = [[] for _ in range(size)]
 
-    def schedule(self, arrival: int, entry: tuple) -> None:
-        self._buckets[arrival & self._mask].append(entry)
+    def drain(
+        self,
+        cycle: int,
+        routers: List[BaseRouter],
+        sinks: List["Sink"],
+        sources: List["Source"],
+    ) -> None:
+        slot = cycle & self._mask
+        bucket = self.flits[slot]
+        if bucket:
+            for in_flight, node, port in bucket:
+                while in_flight and in_flight[0][0] <= cycle:
+                    routers[node].accept_flit(
+                        port, in_flight.popleft()[1], cycle
+                    )
+            bucket.clear()
+        bucket = self.credits[slot]
+        if bucket:
+            for in_flight, node, port in bucket:
+                while in_flight and in_flight[0][0] <= cycle:
+                    routers[node].receive_credit(port, in_flight.popleft()[1])
+            bucket.clear()
+        bucket = self.refills[slot]
+        if bucket:
+            for in_flight, node in bucket:
+                while in_flight and in_flight[0][0] <= cycle:
+                    sources[node].restore_credit(in_flight.popleft()[1])
+            bucket.clear()
+        bucket = self.ejections[slot]
+        if bucket:
+            for in_flight, node in bucket:
+                while in_flight and in_flight[0][0] <= cycle:
+                    sinks[node].accept(in_flight.popleft()[1], cycle)
+            bucket.clear()
 
-    def drain(self, cycle: int) -> None:
-        bucket = self._buckets[cycle & self._mask]
-        if not bucket:
-            return
-        for in_flight, handler in bucket:
-            while in_flight and in_flight[0][0] <= cycle:
-                handler(in_flight.popleft()[1], cycle)
-        bucket.clear()
 
+class _FlitTotals:
+    """Network-wide flit counters, kept by the sources and sinks.
 
-# Handler factories for the event wheel.  Each handler resolves the
-# endpoint method *at call time* (attribute lookup inside the closure),
-# so instance-level wrappers (tracers, in-order probes around
-# ``Sink.accept``) and class-level monkeypatches keep intercepting
-# deliveries exactly as they do under the reference stepper.
+    One instance is shared by a network and its sources and sinks, so
+    ``Network.drained()`` and the ``total_*`` reads are O(1) per cycle
+    without any endpoint referring back to the network.  A source or
+    sink built on its own keeps a private instance.
+    """
 
-def _flit_handler(router: BaseRouter, port: int) -> Callable[[Flit, int], None]:
-    def handle(flit: Flit, cycle: int) -> None:
-        router.accept_flit(port, flit, cycle)
-    return handle
+    __slots__ = ("injected", "ejected", "measured_ejected")
 
-
-def _credit_handler(router: BaseRouter, port: int) -> Callable[[int, int], None]:
-    def handle(vc: int, cycle: int) -> None:
-        router.receive_credit(port, vc)
-    return handle
-
-
-def _source_credit_handler(source: "Source") -> Callable[[int, int], None]:
-    def handle(vc: int, cycle: int) -> None:
-        source.restore_credit(vc)
-    return handle
-
-
-def _ejection_handler(sink: "Sink") -> Callable[[Flit, int], None]:
-    def handle(flit: Flit, cycle: int) -> None:
-        sink.accept(flit, cycle)
-    return handle
+    def __init__(self) -> None:
+        self.injected = 0
+        self.ejected = 0
+        self.measured_ejected = 0
 
 
 class Source:
@@ -132,7 +162,13 @@ class Source:
     moves into the router, round-robin across VCs with buffer space.
     """
 
-    def __init__(self, node: int, num_vcs: int, buffer_capacity: int) -> None:
+    def __init__(
+        self,
+        node: int,
+        num_vcs: int,
+        buffer_capacity: int,
+        totals: Optional[_FlitTotals] = None,
+    ) -> None:
         self.node = node
         self.num_vcs = num_vcs
         self.pending: Deque[Packet] = deque()
@@ -143,8 +179,8 @@ class Source:
         #: Flits waiting here, maintained incrementally so the stepper's
         #: "anything to inject?" test is O(1).
         self._backlog = 0
-        #: Owning network (if any) whose aggregate counters we maintain.
-        self._network: Optional["Network"] = None
+        #: Aggregate counters shared with the owning network.
+        self._totals = totals if totals is not None else _FlitTotals()
 
     def enqueue(self, packet: Packet) -> None:
         self.pending.append(packet)
@@ -179,9 +215,7 @@ class Source:
                 router.accept_flit(LOCAL, flit, cycle)
                 self.flits_injected += 1
                 self._backlog -= 1
-                network = self._network
-                if network is not None:
-                    network._flits_injected_total += 1
+                self._totals.injected += 1
                 self._round_robin = (vc + 1) % self.num_vcs
                 if flit.is_head:
                     flit.packet.injection_cycle = cycle
@@ -200,15 +234,15 @@ class Sink:
     wrap ``accept`` as an instance attribute.
     """
 
-    def __init__(self, node: int) -> None:
+    def __init__(self, node: int, totals: Optional[_FlitTotals] = None) -> None:
         self.node = node
         self.flits_ejected = 0
         self.packets_ejected = 0
         self.measured_ejected = 0
         self.delivered: List[Packet] = []
         self.delivered_measured: List[Packet] = []
-        #: Owning network (if any) whose aggregate counters we maintain.
-        self._network: Optional["Network"] = None
+        #: Aggregate counters shared with the owning network.
+        self._totals = totals if totals is not None else _FlitTotals()
 
     def accept(self, flit: Flit, cycle: int) -> None:
         if flit.destination != self.node:
@@ -216,9 +250,8 @@ class Sink:
                 f"flit for node {flit.destination} ejected at node {self.node}"
             )
         self.flits_ejected += 1
-        network = self._network
-        if network is not None:
-            network._flits_ejected_total += 1
+        totals = self._totals
+        totals.ejected += 1
         if flit.is_tail:
             packet = flit.packet
             packet.ejection_cycle = cycle
@@ -226,8 +259,7 @@ class Sink:
             if packet.measured:
                 self.measured_ejected += 1
                 self.delivered_measured.append(packet)
-                if network is not None:
-                    network._measured_ejected_total += 1
+                totals.measured_ejected += 1
             self.delivered.append(packet)
 
 
@@ -243,21 +275,14 @@ class Network:
         self.routers: List[BaseRouter] = [
             make_router(node, self.mesh, config) for node in self.mesh.nodes()
         ]
-        self.sources = [
-            Source(node, config.num_vcs, config.buffers_per_vc)
-            for node in self.mesh.nodes()
-        ]
-        self.sinks = [Sink(node) for node in self.mesh.nodes()]
-
         # Aggregate flit counters, maintained by sources/sinks as flits
         # move, so draining/sampling tests are O(1) per cycle.
-        self._flits_injected_total = 0
-        self._flits_ejected_total = 0
-        self._measured_ejected_total = 0
-        for source in self.sources:
-            source._network = self
-        for sink in self.sinks:
-            sink._network = self
+        self._totals = _FlitTotals()
+        self.sources = [
+            Source(node, config.num_vcs, config.buffers_per_vc, self._totals)
+            for node in self.mesh.nodes()
+        ]
+        self.sinks = [Sink(node, self._totals) for node in self.mesh.nodes()]
 
         pattern = make_destination_pattern(config.traffic_pattern)
         rate = rate_from_capacity_fraction(
@@ -312,7 +337,8 @@ class Network:
 
         # (channel, destination router, input port) for link delivery.
         self._flit_links: List[Tuple[PipelinedChannel, BaseRouter, int]] = []
-        # (channel, handler) pairs for credits; handler takes the vc index.
+        # (channel, upstream router or source, output port) for credits;
+        # the port is None for a source's injection credits.
         self._credit_links: List[Tuple[PipelinedChannel, object, int]] = []
         # (channel, sink) for ejection.
         self._ejection_links: List[Tuple[PipelinedChannel, Sink]] = []
@@ -323,11 +349,13 @@ class Network:
         self.packets_generated = 0
         self.measuring_generation = True
 
-        #: Per-instance step dispatch, bound once: the hot loop pays no
-        #: per-cycle branch for the stepper choice.
-        self.step = (
-            self._step_fast if config.stepper == "fast"
-            else self._step_reference
+        #: The stepper, chosen once so the hot loop pays no per-cycle
+        #: branch for it.  A plain function, called with the network:
+        #: a bound method stored on the instance would be a reference
+        #: cycle that only the cyclic collector could free.
+        self._stepper: Callable[["Network"], None] = (
+            type(self)._step_fast if config.stepper == "fast"
+            else type(self)._step_reference
         )
 
         #: Why the routers run the generic ``cycle`` path instead of a
@@ -336,28 +364,34 @@ class Network:
         #: Routers currently bound to a compiled step closure (the rest
         #: run the generic path); surfaced on ``RunCounters``.
         self.routers_specialized: int = 0
+        #: Per router (indexed by ``router.node``), the config-specialized
+        #: step function compiled at wiring time by
+        #: :mod:`repro.sim.routers.specialized` (fast stepper only);
+        #: ``None`` means the router's generic ``cycle`` runs.  The
+        #: closures capture their router, so they live here rather than
+        #: on it: a router never refers to its own step.
+        self._step_fns: List[Optional[Callable[[int], None]]] = (
+            [None] * len(self.routers)
+        )
         if config.stepper == "fast":
             self._specialize_routers()
         else:
             self.generic_step_reason = "reference-stepper"
 
     def _specialize_routers(self) -> None:
-        """Bind a config-specialized step function to each router.
+        """Compile a config-specialized step function for each router.
 
         Runs once at wiring time (channels must already be connected).
         Every built-in config compiles; a router whose instance state
-        :func:`compile_step` refuses keeps ``_step_fn = None`` and runs
-        the generic path.
+        :func:`compile_step` refuses keeps a ``None`` entry in
+        ``_step_fns`` and runs the generic path.
         """
         from .routers.specialized import compile_step
 
-        count = 0
-        for router in self.routers:
-            step_fn = compile_step(router)
-            router._step_fn = step_fn
-            if step_fn is not None:
-                count += 1
-        self.routers_specialized = count
+        self._step_fns = [compile_step(router) for router in self.routers]
+        self.routers_specialized = sum(
+            step_fn is not None for step_fn in self._step_fns
+        )
 
     def force_generic_step(self, reason: str) -> None:
         """Drop every compiled step function; the generic path runs.
@@ -371,8 +405,7 @@ class Network:
         """
         self.generic_step_reason = reason
         self.routers_specialized = 0
-        for router in self.routers:
-            router._step_fn = None
+        self._step_fns = [None] * len(self.routers)
 
     # ------------------------------------------------------------------
 
@@ -409,24 +442,22 @@ class Network:
 
         if self.config.stepper != "fast":
             return
-        # Bind every channel to the arrival wheel.  Handlers wake the
-        # receiving router through accept_flit/receive_credit, so a
-        # sleeping router is reactivated by exactly the events that can
-        # give it work.
+        # Bind every channel to the arrival wheel, naming its endpoint
+        # by node index (and port).  Deliveries wake the receiving
+        # router through accept_flit/receive_credit, so a sleeping
+        # router is reactivated by exactly the events that can give it
+        # work.
         max_delay = max(flit_delay, credit_delay + 1)
-        self._wheel = _EventWheel(max_delay)
+        wheel = self._wheel = _EventWheel(max_delay)
         for flit_channel, dst_router, dst_port in self._flit_links:
-            flit_channel.bind_wheel(
-                self._wheel, _flit_handler(dst_router, dst_port)
-            )
+            flit_channel.bind_wheel(wheel.flits, (dst_router.node, dst_port))
         for credit_channel, endpoint, port in self._credit_links:
             if port is None:
-                handler = _source_credit_handler(endpoint)
+                credit_channel.bind_wheel(wheel.refills, (endpoint.node,))
             else:
-                handler = _credit_handler(endpoint, port)
-            credit_channel.bind_wheel(self._wheel, handler)
+                credit_channel.bind_wheel(wheel.credits, (endpoint.node, port))
         for ejection, sink in self._ejection_links:
-            ejection.bind_wheel(self._wheel, _ejection_handler(sink))
+            ejection.bind_wheel(wheel.ejections, (sink.node,))
 
     # ------------------------------------------------------------------
 
@@ -438,11 +469,11 @@ class Network:
         # visited; same-cycle deliveries commute (disjoint endpoints and
         # additive stats), so bucket order vs. link-list order is
         # unobservable.
-        self._wheel.drain(cycle)
+        routers = self.routers
+        self._wheel.drain(cycle, routers, self.sinks, self.sources)
 
         # Phase 2: generation and injection.
         measuring = self.measuring_generation
-        routers = self.routers
         if self._poll_generators:
             for generator, source in zip(self.generators, self.sources):
                 packet = generator.maybe_generate(cycle)
@@ -480,9 +511,10 @@ class Network:
         # Phase 3: router pipelines, skipping provably idle routers.
         # Every built-in allocator is pure on an empty request set, so
         # an idle router's cycle is a no-op; only accept_flit wakes one.
+        step_fns = self._step_fns
         for router in routers:
             if router.active:
-                step_fn = router._step_fn
+                step_fn = step_fns[router.node]
                 if step_fn is not None:
                     step_fn(cycle)
                 else:
@@ -524,10 +556,14 @@ class Network:
 
         self.cycle += 1
 
+    def step(self) -> None:
+        """Advance one clock with the configured stepper."""
+        self._stepper(self)
+
     def run(self, cycles: int) -> None:
-        step = self.step
+        stepper = self._stepper
         for _ in range(cycles):
-            step()
+            stepper(self)
 
     # ------------------------------------------------------------------
     # Introspection / invariants.
@@ -547,14 +583,14 @@ class Network:
         return buffered + on_links + ejecting
 
     def total_flits_injected(self) -> int:
-        return self._flits_injected_total
+        return self._totals.injected
 
     def total_flits_ejected(self) -> int:
-        return self._flits_ejected_total
+        return self._totals.ejected
 
     def total_measured_ejected(self) -> int:
         """Measured packets fully delivered (tail ejected), O(1)."""
-        return self._measured_ejected_total
+        return self._totals.measured_ejected
 
     def check_conservation(self) -> None:
         """No flit is ever created or destroyed inside the network."""
@@ -573,6 +609,7 @@ class Network:
 
     def drained(self) -> bool:
         """True when no traffic remains anywhere in the system."""
-        if self._flits_injected_total != self._flits_ejected_total:
+        totals = self._totals
+        if totals.injected != totals.ejected:
             return False
         return all(not s._backlog for s in self.sources)

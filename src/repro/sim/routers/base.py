@@ -22,6 +22,7 @@ flit STing upstream at cycle ``t`` (processable here at ``t + 2`` with
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import List, Optional, Tuple
 
 from ..buffers import FlitBuffer
@@ -62,21 +63,25 @@ class InputVC:
     """One input virtual channel: its FIFO and channel state.
 
     ``flat`` is the VC's port-major index (``port * v + vc``) into the
-    ``owner`` router's struct-of-arrays views (flat VC list, flat buffer
+    owning router's struct-of-arrays views (flat VC list, flat buffer
     list, and the per-state bitmasks).  The VC's state is stored only
     there: :attr:`state` reads bit ``flat`` of the owner's three masks
     and assigning it rewrites that bit, so ``ivc.state = _ACTIVE`` is
     the whole transition.
+
+    The owner is held through a weak reference: the router holds its
+    input VCs, and a strong back-reference would put every router in a
+    reference cycle that only the cyclic collector could free.
     """
 
     __slots__ = (
         "port", "vc", "buffer", "route", "out_vc", "routing_ready",
-        "reroute_count", "va_ready", "flat", "owner",
+        "reroute_count", "va_ready", "flat", "_owner",
     )
 
     def __init__(self, owner: "BaseRouter", port: int, vc: int,
                  capacity: int) -> None:
-        self.owner = owner
+        self._owner = weakref.ref(owner)
         self.port = port
         self.vc = vc
         self.flat = port * owner.num_vcs + vc
@@ -89,7 +94,7 @@ class InputVC:
 
     @property
     def state(self) -> VCState:
-        owner = self.owner
+        owner = self._owner()
         bit = 1 << self.flat
         if owner._active_mask & bit:
             return _ACTIVE
@@ -101,7 +106,7 @@ class InputVC:
 
     @state.setter
     def state(self, state: VCState) -> None:
-        owner = self.owner
+        owner = self._owner()
         bit = 1 << self.flat
         keep = ~bit
         owner._routing_mask &= keep
@@ -245,12 +250,6 @@ class BaseRouter:
         self.pending_st: List[Tuple[int, int]] = []
         #: Optional :class:`repro.sim.trace.Tracer` (set via Tracer.attach).
         self.tracer = None
-        #: Config-specialized step function compiled at wiring time by
-        #: :mod:`repro.sim.routers.specialized` (fast stepper only);
-        #: ``None`` means the generic :meth:`cycle` runs.  The network
-        #: clears this on every router when probes or a tracer attach,
-        #: so wrap-based instrumentation keeps intercepting that path.
-        self._step_fn = None
         self._routing_name = config.routing_function
         #: The routing function as a table, built once here and never
         #: reassigned: per destination, the output port (xy/yx), the

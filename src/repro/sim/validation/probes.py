@@ -523,17 +523,24 @@ class InOrderDeliveryProbe(Probe):
         self._originals = []
         for sink in network.sinks:
             original = sink.accept
+            # The instance-level ``accept`` being wrapped, if any.
+            shadowed = vars(sink).get("accept")
 
             def wrapped(flit, cycle, _sink=sink, _original=original):
                 self._observe(_sink, flit, cycle)
                 _original(flit, cycle)
 
             sink.accept = wrapped
-            self._originals.append((sink, original))
+            self._originals.append((sink, shadowed))
 
     def detach(self, network) -> None:
-        for sink, original in self._originals:
-            sink.accept = original
+        for sink, shadowed in self._originals:
+            if shadowed is None:
+                # Storing the bound method back would tie the sink to
+                # itself; dropping the wrapper unshadows the class's.
+                del sink.accept
+            else:
+                sink.accept = shadowed
         self._originals = []
 
     def _observe(self, sink, flit, cycle: int) -> None:

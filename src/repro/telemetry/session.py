@@ -59,8 +59,10 @@ class TelemetrySession:
         if self.config.capture_trace:
             from ..sim.trace import Tracer
 
+            # The instance-level ``accept`` each sink had before the
+            # tracer wraps it (None: the class's method).
             self._wrapped_sinks = [
-                (sink, sink.accept) for sink in network.sinks
+                (sink, vars(sink).get("accept")) for sink in network.sinks
             ]
             self.tracer = Tracer.attach(network, self.config.trace_max_events)
         self._attached = True
@@ -70,7 +72,12 @@ class TelemetrySession:
             for router in network.routers:
                 router.tracer = None
             for sink, accept in self._wrapped_sinks:
-                sink.accept = accept
+                if accept is None:
+                    # Storing the bound method back would tie the sink
+                    # to itself; dropping the wrapper unshadows it.
+                    del sink.accept
+                else:
+                    sink.accept = accept
             self._wrapped_sinks = []
         self._attached = False
 

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.allocators import Request, SeparableAllocator
+from repro.sim.allocators import Grant, Request, SeparableAllocator
 from repro.sim.matching import MaximumMatchingAllocator, make_allocator
 
 request_lists = st.lists(
@@ -15,6 +15,59 @@ request_lists = st.lists(
     ),
     max_size=20,
 )
+
+#: Wider request sets (10 groups x 4 members x 10 resources), so the
+#: augmenting paths get long enough to displace several holders.
+wide_request_lists = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=9),
+    ),
+    max_size=40,
+)
+
+
+class RecursiveMatcher(MaximumMatchingAllocator):
+    """The augmenting-path search written recursively: the reference
+    the allocator's loop over an explicit stack must reproduce grant
+    for grant, rotation step for rotation step."""
+
+    def _match(self, adjacency, chooser):
+        rotation = self._rotation
+        self._rotation = rotation + 1
+        if not adjacency:
+            return []
+        groups = sorted(adjacency)
+        offset = rotation % len(groups)
+        groups = groups[offset:] + groups[:offset]
+        match_group = {}
+        visited = 0
+
+        def augment(group):
+            nonlocal visited
+            mask = adjacency[group]
+            while mask:
+                low = mask & -mask
+                mask -= low
+                if visited & low:
+                    continue
+                visited |= low
+                holder = match_group.get(low)
+                if holder is None or augment(holder):
+                    match_group[low] = group
+                    return True
+            return False
+
+        for group in groups:
+            visited = 0
+            augment(group)
+        nr = self.num_resources
+        return [
+            Grant(group, chooser[group * nr + bit.bit_length() - 1],
+                  bit.bit_length() - 1)
+            for bit, group in sorted(match_group.items())
+        ]
 
 
 class TestMaximumMatchingAllocator:
@@ -72,6 +125,14 @@ class TestMaximumMatchingAllocator:
         separable = SeparableAllocator(5, 2, 5)
         maximum = MaximumMatchingAllocator(5, 2, 5)
         assert len(maximum.allocate(requests)) >= len(separable.allocate(requests))
+
+    @given(st.lists(wide_request_lists, min_size=1, max_size=4))
+    def test_same_grants_as_the_recursive_search(self, batches):
+        iterative = MaximumMatchingAllocator(10, 4, 10)
+        recursive = RecursiveMatcher(10, 4, 10)
+        for triples in batches:
+            requests = [Request(*t) for t in triples]
+            assert iterative.allocate(requests) == recursive.allocate(requests)
 
     @given(request_lists)
     @settings(deadline=None)

@@ -56,16 +56,16 @@ class TestNetworkBinding:
     def test_fast_stepper_compiles_every_router(self, override):
         network = Network(spec_config(**override))
         assert network.generic_step_reason is None
-        assert all(r._step_fn is not None for r in network.routers)
+        assert all(fn is not None for fn in network._step_fns)
         assert network.routers_specialized == len(network.routers)
         # Each router gets its own closure over its own state arrays.
-        fns = {id(r._step_fn) for r in network.routers}
+        fns = {id(fn) for fn in network._step_fns}
         assert len(fns) == len(network.routers)
 
     def test_reference_stepper_never_compiles(self):
         network = Network(spec_config(stepper="reference"))
         assert network.generic_step_reason == "reference-stepper"
-        assert all(r._step_fn is None for r in network.routers)
+        assert all(fn is None for fn in network._step_fns)
         assert network.routers_specialized == 0
 
     def test_checked_attach_drops_compiled_steps(self):
@@ -74,7 +74,7 @@ class TestNetworkBinding:
         suite = ValidationSuite.default(network.config)
         suite.attach(network)
         assert network.generic_step_reason == "checked"
-        assert all(r._step_fn is None for r in network.routers)
+        assert all(fn is None for fn in network._step_fns)
 
     def test_telemetry_attach_keeps_compiled_steps(self):
         network = Network(spec_config())
@@ -82,13 +82,13 @@ class TestNetworkBinding:
         session.attach(network)
         assert network.generic_step_reason is None
         assert network.routers_specialized == len(network.routers)
-        assert all(r._step_fn is not None for r in network.routers)
+        assert all(fn is not None for fn in network._step_fns)
 
     def test_tracer_attach_drops_compiled_steps(self):
         network = Network(spec_config())
         Tracer.attach(network)
         assert network.generic_step_reason == "trace"
-        assert all(r._step_fn is None for r in network.routers)
+        assert all(fn is None for fn in network._step_fns)
 
 
 class TestCompileGuards:
