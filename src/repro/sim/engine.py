@@ -10,7 +10,8 @@ into ``saturated=True`` results (the vertical part of the curves).
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Union
+from array import array
+from typing import Optional, Union
 
 from ..telemetry.config import TelemetryConfig
 from ..telemetry.session import TelemetrySession, resolve_telemetry
@@ -105,13 +106,12 @@ class Simulator:
         wall["drain"] = t3 - t2
         wall["total"] = t3 - t0
 
-        delivered = self._delivered_sample()
-        saturated = len(delivered) < sample_size
+        saturated = network.total_measured_ejected() < sample_size
         # An undrained sample's mean is biased low (the missing packets
         # are the slow ones); such runs report latency=None/inf.
         latency = (
-            LatencyStats.from_packets(delivered)
-            if delivered and not saturated
+            LatencyStats.from_latencies(self._delivered_sample())
+            if sample_size and not saturated
             else None
         )
 
@@ -163,13 +163,13 @@ class Simulator:
         for _ in range(cycles):
             self._step()
 
-    def _delivered_sample(self) -> List:
-        # Sinks collect the measured subsequence at ejection time, so
-        # this is a concatenation, not a rescan of every delivery.
-        packets: List = []
+    def _delivered_sample(self) -> array:
+        # Sinks keep the measured packets' latencies at ejection time,
+        # so this is a concatenation, not a rescan of every delivery.
+        latencies = array("q")
         for sink in self.network.sinks:
-            packets.extend(sink.delivered_measured)
-        return packets
+            latencies.extend(sink.latencies)
+        return latencies
 
     def _sample_complete(self, sample_size: int) -> bool:
         return self.network.total_measured_ejected() >= sample_size

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..telemetry.summary import TelemetrySummary, merge_summaries
-from .flit import Packet
 from .instrumentation import RunCounters
 
 
 @dataclass
 class LatencyStats:
-    """Summary statistics over a set of delivered packets."""
+    """Summary statistics over the latencies of a packet sample."""
 
     count: int
     mean: float
@@ -31,8 +30,9 @@ class LatencyStats:
     p99: float
 
     @classmethod
-    def from_packets(cls, packets: Sequence[Packet]) -> "LatencyStats":
-        latencies = sorted(p.latency for p in packets)
+    def from_latencies(cls, values: Iterable[int]) -> "LatencyStats":
+        """Summarise creation-to-ejection latencies (cycles, any order)."""
+        latencies = sorted(values)
         if not latencies:
             raise ValueError("no delivered packets to summarise")
         return cls(

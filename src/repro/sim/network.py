@@ -10,7 +10,10 @@ and an ejection sink per node.  ``Network.step()`` advances one clock:
 
 Sources own per-VC views of the local input port's credits, injecting at
 most one flit per cycle (the injection channel has the same bandwidth as
-a network channel).  Sinks model the paper's "immediate ejection".
+a network channel).  Sinks model the paper's "immediate ejection": each
+counts what it ejects and keeps only the latencies of the measured
+sample, so a delivered packet is freed the moment its tail ejects and
+a point's memory is O(network) plus 8 bytes per sample packet.
 
 Two steppers implement the clock, selected by ``SimConfig.stepper``:
 
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
@@ -224,14 +228,18 @@ class Source:
 
 
 class Sink:
-    """Per-node ejection endpoint recording delivered packets.
+    """Per-node ejection endpoint: delivery counts and sample latencies.
 
-    ``delivered_measured`` keeps the measured subsequence of
-    ``delivered`` so the simulator's sample collection doesn't rescan
-    (and re-filter) every delivered packet after the run.
+    ``latencies`` holds ``ejection_cycle - creation_cycle`` of each
+    measured packet, in this sink's ejection order -- the only thing
+    the simulator reads back about delivered packets.  No ``Packet``
+    outlives its own delivery: the sink keeps counts and 8 bytes per
+    sample packet, so a point's memory does not grow with its length.
+    A test that needs the delivered packets themselves records them
+    with :func:`repro.sim.validation.oracle.record_deliveries`.
 
-    Deliberately *not* ``__slots__``-ed: tracers and in-order probes
-    wrap ``accept`` as an instance attribute.
+    Deliberately *not* ``__slots__``-ed: tracers, in-order probes and
+    delivery recorders wrap ``accept`` as an instance attribute.
     """
 
     def __init__(self, node: int, totals: Optional[_FlitTotals] = None) -> None:
@@ -239,8 +247,7 @@ class Sink:
         self.flits_ejected = 0
         self.packets_ejected = 0
         self.measured_ejected = 0
-        self.delivered: List[Packet] = []
-        self.delivered_measured: List[Packet] = []
+        self.latencies = array("q")
         #: Aggregate counters shared with the owning network.
         self._totals = totals if totals is not None else _FlitTotals()
 
@@ -258,9 +265,8 @@ class Sink:
             self.packets_ejected += 1
             if packet.measured:
                 self.measured_ejected += 1
-                self.delivered_measured.append(packet)
+                self.latencies.append(cycle - packet.creation_cycle)
                 totals.measured_ejected += 1
-            self.delivered.append(packet)
 
 
 class Network:

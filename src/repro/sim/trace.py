@@ -9,6 +9,7 @@ cycles) and handy when debugging router changes::
     net = Network(config)
     tracer = Tracer.attach(net)
     ...
+    tracer.detach(net)
     for event in tracer.packet_events(packet_id):
         print(event)
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Any, Iterable, List, Optional, Tuple
 
 
 class EventKind(enum.Enum):
@@ -57,6 +58,7 @@ class Tracer:
     def __init__(self, max_events: Optional[int] = None) -> None:
         self.events: List[TraceEvent] = []
         self.max_events = max_events
+        self._shadowed: List[Tuple[Any, Any]] = []
 
     # ------------------------------------------------------------------
 
@@ -71,6 +73,11 @@ class Tracer:
             force("trace")
         for router in network.routers:
             router.tracer = tracer
+        # The instance-level ``accept`` each sink had before the wrap
+        # (None: the class's method), for :meth:`detach`.
+        tracer._shadowed = [
+            (sink, vars(sink).get("accept")) for sink in network.sinks
+        ]
         for sink in network.sinks:
             original = sink.accept
 
@@ -83,6 +90,25 @@ class Tracer:
 
             sink.accept = accept
         return tracer
+
+    def detach(self, network) -> None:
+        """Unhook from ``network``; its routers and sinks stop tracing.
+
+        Each sink's wrapper refers back to the sink, so a network left
+        attached is freed only by the cyclic collector.  Recorded
+        events stay readable, and the network keeps running the
+        generic step ``attach`` forced.
+        """
+        for router in network.routers:
+            router.tracer = None
+        for sink, shadowed in self._shadowed:
+            if shadowed is None:
+                # Storing the bound method back would tie the sink to
+                # itself; dropping the wrapper unshadows the class's.
+                del sink.accept
+            else:
+                sink.accept = shadowed
+        self._shadowed = []
 
     def record(
         self, cycle: int, kind: EventKind, node: int, port: int, vc: int,

@@ -35,7 +35,7 @@ import itertools
 import tempfile
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Union
 
 from ..config import MeasurementConfig, RouterKind, SimConfig
 from ..metrics import RunResult
@@ -122,6 +122,55 @@ def diff_run_results(report: OracleReport, lhs: RunResult, rhs: RunResult,
         report.compare(
             f"{label}.{f.name}", getattr(lhs, f.name), getattr(rhs, f.name)
         )
+
+
+class Delivery(NamedTuple):
+    """One tail ejection as :func:`record_deliveries` logs it."""
+
+    packet_id: int
+    source: int
+    destination: int
+    length: int
+    creation_cycle: int
+    injection_cycle: Optional[int]
+    ejection_cycle: int
+    measured: bool
+
+    @property
+    def latency(self) -> int:
+        """Creation-to-ejection latency, as ``Packet.latency``."""
+        return self.ejection_cycle - self.creation_cycle
+
+
+def record_deliveries(network) -> List[List[Delivery]]:
+    """Log every packet each sink of ``network`` ejects, from now on.
+
+    Sinks keep only counts and sample latencies, so a delivery history
+    exists only where it is asked for.  This wraps each sink's
+    ``accept`` (as :class:`~repro.sim.validation.probes.InOrderDeliveryProbe`
+    does) and appends a :class:`Delivery` per tail ejection to that
+    sink's log.  Returns the logs, indexed by node, each in ejection
+    order.  Attach before ``run()``; the wrappers stay for the
+    network's lifetime (a test and oracle tool, not a run mode).
+    """
+    logs: List[List[Delivery]] = []
+    for sink in network.sinks:
+        log: List[Delivery] = []
+        logs.append(log)
+
+        def accept(flit, cycle, _original=sink.accept, _log=log):
+            _original(flit, cycle)
+            if flit.is_tail:
+                packet = flit.packet
+                _log.append(Delivery(
+                    packet.packet_id, packet.source, packet.destination,
+                    packet.length, packet.creation_cycle,
+                    packet.injection_cycle, packet.ejection_cycle,
+                    packet.measured,
+                ))
+
+        sink.accept = accept
+    return logs
 
 
 #: Small-but-nontrivial measurement scale the oracles default to.
@@ -323,23 +372,8 @@ def oracle_fast_vs_reference(
         # same id sequence: reset the counter before each run.
         flit_module._packet_ids = itertools.count()
         simulator = Simulator(replace(config, stepper=stepper), measurement)
+        deliveries = record_deliveries(simulator.network)
         result = simulator.run()
-        deliveries = [
-            [
-                (
-                    packet.packet_id,
-                    packet.source,
-                    packet.destination,
-                    packet.length,
-                    packet.creation_cycle,
-                    packet.injection_cycle,
-                    packet.ejection_cycle,
-                    packet.measured,
-                )
-                for packet in sink.delivered
-            ]
-            for sink in simulator.network.sinks
-        ]
         return result, deliveries
 
     for case in generate_cases(seed, cases):
@@ -401,23 +435,8 @@ def oracle_telemetry_on_vs_off(
             config, measurement,
             telemetry=telemetry if with_telemetry else False,
         )
+        deliveries = record_deliveries(simulator.network)
         result = simulator.run()
-        deliveries = [
-            [
-                (
-                    packet.packet_id,
-                    packet.source,
-                    packet.destination,
-                    packet.length,
-                    packet.creation_cycle,
-                    packet.injection_cycle,
-                    packet.ejection_cycle,
-                    packet.measured,
-                )
-                for packet in sink.delivered
-            ]
-            for sink in simulator.network.sinks
-        ]
         return result, deliveries
 
     for config in configs:

@@ -71,6 +71,9 @@ class ValidationSuite:
     def detach(self, network) -> None:
         for probe in self.probes:
             probe.detach(network)
+            # A bound probe and its suite refer to each other: unbind,
+            # so a finished checked point is freed by reference counting.
+            probe.suite = None
         self._attached = False
 
     def after_cycle(self, network) -> None:
@@ -84,9 +87,10 @@ class ValidationSuite:
             probe.check(network, cycle)
 
     def finalize(self, network) -> Dict[str, Any]:
-        """End-of-run probe checks, then the validation summary."""
+        """End-of-run probe checks, detach, then the validation summary."""
         for probe in self.probes:
             probe.finalize(network)
+        self.detach(network)
         return self.summary()
 
     # ------------------------------------------------------------------

@@ -44,7 +44,6 @@ class TelemetrySession:
         self._start_cycle = 0
         self._window_start = 0
         self._last_cycle = 0
-        self._wrapped_sinks: List[tuple] = []
 
     # ------------------------------------------------------------------
 
@@ -59,26 +58,12 @@ class TelemetrySession:
         if self.config.capture_trace:
             from ..sim.trace import Tracer
 
-            # The instance-level ``accept`` each sink had before the
-            # tracer wraps it (None: the class's method).
-            self._wrapped_sinks = [
-                (sink, vars(sink).get("accept")) for sink in network.sinks
-            ]
             self.tracer = Tracer.attach(network, self.config.trace_max_events)
         self._attached = True
 
     def detach(self, network) -> None:
         if self.tracer is not None:
-            for router in network.routers:
-                router.tracer = None
-            for sink, accept in self._wrapped_sinks:
-                if accept is None:
-                    # Storing the bound method back would tie the sink
-                    # to itself; dropping the wrapper unshadows it.
-                    del sink.accept
-                else:
-                    sink.accept = accept
-            self._wrapped_sinks = []
+            self.tracer.detach(network)
         self._attached = False
 
     # ------------------------------------------------------------------

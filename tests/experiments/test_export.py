@@ -14,7 +14,6 @@ from repro.experiments.export import (
     sweep_to_csv,
 )
 from repro.sim.config import MeasurementConfig
-from repro.sim.flit import Packet
 from repro.sim.metrics import LatencyStats, RunResult, SweepResult
 
 TINY = MeasurementConfig(
@@ -25,9 +24,7 @@ TINY = MeasurementConfig(
 def make_run(load, latency, saturated=False):
     stats = None
     if latency is not None:
-        packet = Packet(source=0, destination=1, length=5, creation_cycle=0)
-        packet.ejection_cycle = latency
-        stats = LatencyStats.from_packets([packet])
+        stats = LatencyStats.from_latencies([latency])
     return RunResult(
         injection_fraction=load, latency=stats, accepted_fraction=load,
         saturated=saturated, cycles_simulated=100, sample_packets=10,

@@ -8,6 +8,7 @@ from repro.sim.flit import Packet
 from repro.sim.network import Network
 from repro.sim.routing import dimension_order_route, productive_ports
 from repro.sim.topology import EAST, LOCAL, Mesh, SOUTH, Torus, WEST
+from repro.sim.validation.oracle import record_deliveries
 
 
 def adaptive_network(kind=RouterKind.SPECULATIVE_VC, vcs=2, radix=4,
@@ -151,8 +152,9 @@ class TestAdaptiveNetwork:
                 traffic_pattern="transpose", routing_function=routing,
                 seed=2,
             ))
+            logs = record_deliveries(network)
             network.run(3000)
-            delivered = [p for sink in network.sinks for p in sink.delivered]
+            delivered = [p for log in logs for p in log]
             assert delivered
             latencies[routing] = sum(p.latency for p in delivered) / len(delivered)
         assert latencies["adaptive"] < 0.6 * latencies["xy"]
@@ -161,9 +163,10 @@ class TestAdaptiveNetwork:
         """Minimal adaptive: every delivered packet's latency matches a
         minimal-path traversal (no detours at low load)."""
         network = adaptive_network(radix=4, bufs=8, load=0.1, seed=4)
+        logs = record_deliveries(network)
         network.run(600)
         mesh = network.mesh
-        delivered = [p for sink in network.sinks for p in sink.delivered]
+        delivered = [p for log in logs for p in log]
         assert len(delivered) > 10
         for packet in delivered:
             hops = mesh.hop_distance(packet.source, packet.destination)

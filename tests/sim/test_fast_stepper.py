@@ -23,6 +23,7 @@ from repro.sim.network import Network
 from repro.sim.snapshot import state_digest
 from repro.sim.topology import Mesh
 from repro.sim.traffic import PacketSource
+from repro.sim.validation.oracle import record_deliveries
 from repro.sim.validation.proptest import CASE_MEASUREMENT, generate_cases
 
 pytestmark = pytest.mark.sim
@@ -43,16 +44,8 @@ def run_both(config, measurement=MEASUREMENT):
         # routing off the id), so both sides must see the same sequence.
         flit_module._packet_ids = itertools.count()
         simulator = Simulator(replace(config, stepper=stepper), measurement)
+        deliveries = record_deliveries(simulator.network)
         result = simulator.run()
-        deliveries = [
-            [
-                (p.packet_id, p.source, p.destination, p.length,
-                 p.creation_cycle, p.injection_cycle, p.ejection_cycle,
-                 p.measured)
-                for p in sink.delivered
-            ]
-            for sink in simulator.network.sinks
-        ]
         out.append((result, deliveries))
     return out
 
@@ -127,6 +120,7 @@ def run_network_pair(config, cycles):
     for stepper in ("fast", "reference"):
         flit_module._packet_ids = itertools.count()
         network = Network(replace(config, stepper=stepper))
+        logs = record_deliveries(network)
         network.run(cycles)
         stats = tuple(
             (r.stats.flits_received, r.stats.flits_forwarded,
@@ -140,10 +134,7 @@ def run_network_pair(config, cycles):
             "injected": network.total_flits_injected(),
             "ejected": network.total_flits_ejected(),
             "router_stats": stats,
-            "deliveries": [
-                [p.packet_id for p in sink.delivered]
-                for sink in network.sinks
-            ],
+            "deliveries": [[p.packet_id for p in log] for log in logs],
             "digest": state_digest(network),
         })
     return out
@@ -429,12 +420,12 @@ class TestActivityTracking:
         packet = Packet(source=0, destination=15, length=5,
                         creation_cycle=network.cycle)
         network.sources[0].enqueue(packet)
+        log = record_deliveries(network)[15]
         for _ in range(200):
             network.step()
-            if network.sinks[15].delivered:
+            if log:
                 break
-        assert [p.packet_id for p in network.sinks[15].delivered] \
-            == [packet.packet_id]
+        assert [p.packet_id for p in log] == [packet.packet_id]
         assert network.drained()
         assert all(not router.active for router in network.routers)
 
@@ -453,6 +444,7 @@ class TestActivityTracking:
         for stepper in ("fast", "reference"):
             flit_module._packet_ids = itertools.count()
             network = Network(replace(config, stepper=stepper))
+            logs = record_deliveries(network)
             for _ in range(30):
                 network.step()
             if stepper == "fast":
@@ -464,7 +456,7 @@ class TestActivityTracking:
                 network.step()
             assert network.drained()
             results.append((
-                [p.packet_id for p in network.sinks[15].delivered],
+                [p.packet_id for p in logs[15]],
                 state_digest(network),
             ))
         fast, reference = results

@@ -5,19 +5,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.flit import Packet
 from repro.sim.metrics import LatencyStats, RunResult, SweepResult, _percentile
-
-
-def delivered_packet(latency, created=0):
-    packet = Packet(source=0, destination=1, length=5, creation_cycle=created)
-    packet.ejection_cycle = created + latency
-    return packet
 
 
 def run_result(load, latency, saturated=False, accepted=None):
     stats = (
-        LatencyStats.from_packets([delivered_packet(latency)])
+        LatencyStats.from_latencies([latency])
         if latency is not None
         else None
     )
@@ -33,32 +26,28 @@ def run_result(load, latency, saturated=False, accepted=None):
 
 class TestLatencyStats:
     def test_single_packet(self):
-        stats = LatencyStats.from_packets([delivered_packet(30)])
+        stats = LatencyStats.from_latencies([30])
         assert stats.mean == 30
         assert stats.minimum == stats.maximum == 30
 
     def test_mean_and_extremes(self):
-        packets = [delivered_packet(l) for l in (10, 20, 30, 40)]
-        stats = LatencyStats.from_packets(packets)
+        stats = LatencyStats.from_latencies([10, 20, 30, 40])
         assert stats.mean == 25
         assert stats.minimum == 10
         assert stats.maximum == 40
         assert stats.count == 4
 
     def test_median(self):
-        packets = [delivered_packet(l) for l in (1, 2, 3, 4, 100)]
-        assert LatencyStats.from_packets(packets).p50 == 3
+        assert LatencyStats.from_latencies([1, 2, 3, 4, 100]).p50 == 3
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            LatencyStats.from_packets([])
+            LatencyStats.from_latencies([])
 
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
                     max_size=50))
     def test_percentiles_ordered(self, latencies):
-        stats = LatencyStats.from_packets(
-            [delivered_packet(l) for l in latencies]
-        )
+        stats = LatencyStats.from_latencies(latencies)
         assert stats.minimum <= stats.p50 <= stats.p95 <= stats.p99 <= stats.maximum
         assert stats.minimum <= stats.mean <= stats.maximum
 

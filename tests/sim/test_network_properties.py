@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim.config import RouterKind, SimConfig
 from repro.sim.network import Network
+from repro.sim.validation.oracle import record_deliveries
 
 VC_KINDS = [
     RouterKind.VIRTUAL_CHANNEL,
@@ -71,6 +72,7 @@ def valid_configs():
 @given(valid_configs())
 def test_invariants_under_random_configs(config):
     network = Network(config)
+    logs = record_deliveries(network)
     for _ in range(6):
         network.run(40)
         network.check_conservation()
@@ -78,8 +80,8 @@ def test_invariants_under_random_configs(config):
 
     # Destination correctness is asserted inside Sink.accept; here we
     # check in-order, complete delivery per packet.
-    for sink in network.sinks:
-        for packet in sink.delivered:
+    for sink, log in zip(network.sinks, logs):
+        for packet in log:
             assert packet.ejection_cycle is not None
             assert packet.destination == sink.node
 
@@ -125,11 +127,12 @@ def test_latency_never_below_minimum(seed):
         router_kind=RouterKind.WORMHOLE, buffers_per_vc=8, mesh_radix=4,
         injection_fraction=0.3, seed=seed,
     ))
+    logs = record_deliveries(network)
     network.run(400)
     mesh = network.mesh
     checked = 0
-    for sink in network.sinks:
-        for packet in sink.delivered:
+    for log in logs:
+        for packet in log:
             hops = mesh.hop_distance(packet.source, packet.destination)
             minimum = 4 * hops + 3 + packet.length
             assert packet.latency >= minimum

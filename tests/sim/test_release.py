@@ -10,8 +10,12 @@ cyclic collector finds nothing.  Each case runs with the collector
 disabled, drops the simulator, then asks ``gc.collect()`` how much
 cyclic garbage the run left; a failure names the leaked types.
 
-Checked mode is outside this guarantee: ``ValidationSuite.finalize``
-leaves its probes attached.
+Checked and traced points are covered too: ``ValidationSuite.finalize``
+and ``Tracer.detach`` unwrap the sinks and routers they instrumented.
+
+Within a point, no packet outlives its delivery: sinks keep counts and
+sample latencies, so the live packets are exactly those generated and
+not yet fully ejected.
 """
 
 import gc
@@ -22,7 +26,9 @@ import pytest
 from repro.runtime import Experiment
 from repro.sim.config import MeasurementConfig, RouterKind, SimConfig
 from repro.sim.engine import Simulator
+from repro.sim.flit import Packet
 from repro.sim.network import Network
+from repro.sim.trace import Tracer
 from repro.telemetry import TelemetryConfig
 
 MEAS = MeasurementConfig(
@@ -101,6 +107,68 @@ def test_spec_vc_variants_are_released(override):
 def test_observed_runs_are_released(telemetry):
     cfg = config()
     assert_released(lambda: Simulator(cfg, MEAS, telemetry=telemetry).run())
+
+
+@pytest.mark.sim
+@pytest.mark.parametrize("stepper", ["fast", "reference"])
+@pytest.mark.parametrize(
+    "kind",
+    [RouterKind.WORMHOLE, RouterKind.VIRTUAL_CHANNEL,
+     RouterKind.SPECULATIVE_VC],
+    ids=lambda k: k.value,
+)
+def test_checked_runs_are_released(kind, stepper):
+    cfg = config(
+        router_kind=kind, num_vcs=2 if kind.uses_vcs else 1, stepper=stepper,
+    )
+    assert_released(lambda: Simulator(cfg, MEAS, checked=True).run())
+
+
+@pytest.mark.sim
+def test_detached_tracer_releases_network():
+    def run():
+        network = Network(config())
+        tracer = Tracer.attach(network)
+        network.run(200)
+        tracer.detach(network)
+        assert tracer.events
+
+    assert_released(run)
+
+
+def live_packets():
+    return sum(isinstance(obj, Packet) for obj in gc.get_objects())
+
+
+def assert_only_undelivered_packets_live(network, before):
+    ejected = sum(sink.packets_ejected for sink in network.sinks)
+    assert ejected > 0
+    assert live_packets() - before == network.packets_generated - ejected
+
+
+@pytest.mark.sim
+@pytest.mark.parametrize("stepper", ["fast", "reference"])
+def test_network_run_keeps_no_delivered_packet(stepper):
+    gc.collect()
+    before = live_packets()
+    network = Network(config(stepper=stepper))
+    network.run(1_500)
+    assert_only_undelivered_packets_live(network, before)
+
+
+@pytest.mark.sim
+def test_saturated_point_keeps_no_delivered_packet():
+    # Twice the saturation load, with a drain too short for the backlog.
+    saturating = MeasurementConfig(
+        warmup_cycles=600, sample_packets=200, max_cycles=4_000,
+        drain_cycles=200,
+    )
+    gc.collect()
+    before = live_packets()
+    simulator = Simulator(config(injection_fraction=0.9), saturating)
+    result = simulator.run()
+    assert result.saturated
+    assert_only_undelivered_packets_live(simulator.network, before)
 
 
 @pytest.mark.sim

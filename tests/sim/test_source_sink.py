@@ -98,12 +98,12 @@ class TestSource:
 class TestSink:
     def test_counts_flits_and_packets(self):
         sink = Sink(node=1)
-        flits = packet(length=3).make_flits()
-        for cycle, flit in enumerate(flits):
+        delivered = packet(length=3)
+        for cycle, flit in enumerate(delivered.make_flits()):
             sink.accept(flit, cycle)
         assert sink.flits_ejected == 3
         assert sink.packets_ejected == 1
-        assert sink.delivered[0].ejection_cycle == 2
+        assert delivered.ejection_cycle == 2
 
     def test_measured_counter(self):
         sink = Sink(node=1)
@@ -114,6 +114,22 @@ class TestSink:
         sink.accept(unmeasured.make_flits()[0], 1)
         assert sink.packets_ejected == 2
         assert sink.measured_ejected == 1
+
+    def test_keeps_measured_latencies_not_packets(self):
+        sink = Sink(node=1)
+        measured = Packet(source=0, destination=1, length=1,
+                          creation_cycle=3)
+        unmeasured = packet(length=1)
+        unmeasured.measured = False
+        sink.accept(unmeasured.make_flits()[0], 4)
+        sink.accept(measured.make_flits()[0], 10)
+        assert list(sink.latencies) == [7]
+        assert measured.ejection_cycle == 10
+        # Counts and latencies only: nothing that could hold a packet.
+        assert set(vars(sink)) == {
+            "node", "flits_ejected", "packets_ejected", "measured_ejected",
+            "latencies", "_totals",
+        }
 
     def test_wrong_destination_raises(self):
         sink = Sink(node=9)

@@ -8,6 +8,7 @@ from repro.sim.flit import Packet
 from repro.sim.network import Network
 from repro.sim.topology import LOCAL, Torus, port_dimension
 from repro.sim.trace import EventKind, Tracer
+from repro.sim.validation.oracle import record_deliveries
 
 
 def torus_network(kind=RouterKind.SPECULATIVE_VC, vcs=2, radix=4, load=0.0,
@@ -73,10 +74,9 @@ class TestTorusDelivery:
                 buffers_per_vc=8, mesh_radix=8, injection_fraction=0.03,
                 topology=topology, seed=7,
             ))
+            logs = record_deliveries(network)
             network.run(2500)
-            delivered = [
-                p for sink in network.sinks for p in sink.delivered
-            ]
+            delivered = [p for log in logs for p in log]
             assert len(delivered) > 50
             results[topology] = sum(p.latency for p in delivered) / len(delivered)
         assert results["torus"] < results["mesh"] - 3.0
@@ -199,8 +199,9 @@ class TestO1TurnNetwork:
                 traffic_pattern="transpose", routing_function=routing,
                 seed=2,
             ))
+            logs = record_deliveries(network)
             network.run(3000)
-            delivered = [p for sink in network.sinks for p in sink.delivered]
+            delivered = [p for log in logs for p in log]
             assert delivered
             latencies[routing] = sum(p.latency for p in delivered) / len(delivered)
         assert latencies["o1turn"] < latencies["xy"]

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.sim.config import RouterKind, SimConfig
 from repro.sim.metrics import RunResult
+from repro.sim.network import Network
 from repro.sim.validation.oracle import (
     Mismatch,
     OracleReport,
@@ -12,6 +14,7 @@ from repro.sim.validation.oracle import (
     oracle_serial_vs_parallel,
     oracle_spec_vs_nonspec,
     oracle_telemetry_on_vs_off,
+    record_deliveries,
 )
 
 pytestmark = pytest.mark.sim
@@ -24,6 +27,36 @@ def run_result(**overrides):
     )
     defaults.update(overrides)
     return RunResult(**defaults)
+
+
+class TestRecordDeliveries:
+    """The delivery-history oracles are only as strong as the recorder:
+    a log that misses ejections would let two empty histories agree."""
+
+    def record(self, stepper):
+        network = Network(SimConfig(
+            router_kind=RouterKind.SPECULATIVE_VC, mesh_radix=4, num_vcs=2,
+            buffers_per_vc=4, injection_fraction=0.2, seed=5,
+            stepper=stepper,
+        ))
+        logs = record_deliveries(network)
+        network.run(400)
+        return network, logs
+
+    @pytest.mark.parametrize("stepper", ["fast", "reference"])
+    def test_logs_every_tail_ejection(self, stepper):
+        network, logs = self.record(stepper)
+        assert sum(map(len, logs)) > 50
+        for sink, log in zip(network.sinks, logs):
+            assert len(log) == sink.packets_ejected
+            assert all(entry.destination == sink.node for entry in log)
+            assert [e.latency for e in log if e.measured] \
+                == list(sink.latencies)
+
+    def test_steppers_record_the_same_history(self):
+        _, fast = self.record("fast")
+        _, reference = self.record("reference")
+        assert fast == reference
 
 
 class TestReportMechanics:
