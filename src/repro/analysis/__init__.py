@@ -10,8 +10,8 @@ steppers, telemetry-on-vs-off oracles, a content-addressed result cache
   where order can leak into simulated results);
 * every ``SimConfig`` / ``MeasurementConfig`` / ``TelemetryConfig``
   field participates in the result cache's content key;
-* the string-named attributes that validation probes and telemetry
-  collectors wrap keep matching real methods on the sim classes;
+* the string-named attributes that validation probes wrap keep
+  matching real methods on the sim classes;
 * ``__slots__`` declarations cover every assigned attribute, and
   slotted or pool-pickled classes are never patched per instance;
 * :mod:`repro.delaymodel` stays pure (no global writes, no module-state
@@ -34,14 +34,13 @@ content-addressed finding cache (:mod:`repro.analysis.driver` /
 
     python -m repro.analysis --check src tests benchmarks
 
-Findings can be suppressed inline with ``# repro: allow[RULE-ID] reason``
-or grandfathered in a committed JSON baseline (``analysis-baseline.json``).
-See ``docs/ANALYSIS.md`` for the rule catalogue.
+Findings are waived inline, one at a time and with a reason:
+``# repro: allow[RULE-ID] reason``.  See ``docs/ANALYSIS.md`` for the
+rule catalogue.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline
 from .cache import AnalysisCache
 from .checkers import default_checkers
 from .core import Checker, Finding, Rule, SourceFile
@@ -52,7 +51,6 @@ __all__ = [
     "AnalysisCache",
     "AnalysisResult",
     "AnalysisStats",
-    "Baseline",
     "Checker",
     "ClassInfo",
     "Finding",

@@ -5,17 +5,13 @@ Usage::
     python -m repro.analysis                          # lint src tests benchmarks
     python -m repro.analysis --check src tests        # CI gate (quiet)
     python -m repro.analysis --json src               # machine-readable
-    python -m repro.analysis --baseline b.json src    # explicit baseline
-    python -m repro.analysis --write-baseline src     # grandfather findings
     python -m repro.analysis --list-rules             # rule catalogue
     python -m repro.analysis --no-cache src           # force a cold run
     python -m repro.analysis --stats --check src      # timings to stderr
 
-Exit status is 0 when no *new* (non-baselined, non-suppressed) findings
-remain, 1 otherwise, 2 on usage errors.  The default baseline is
-``analysis-baseline.json`` in the current directory when it exists; the
-incremental finding cache lives in ``./.analysis-cache`` (override with
-``$REPRO_ANALYSIS_CACHE_DIR``).
+Exit status is 0 when no unsuppressed findings remain, 1 otherwise, 2
+on usage errors.  The incremental finding cache lives in
+``./.analysis-cache`` (override with ``$REPRO_ANALYSIS_CACHE_DIR``).
 """
 
 from __future__ import annotations
@@ -25,12 +21,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import Baseline
 from .cache import AnalysisCache
 from .driver import analyze, iter_rules
 from .reporters import render_json, render_stats, render_text
 
-DEFAULT_BASELINE = "analysis-baseline.json"
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
 
 
@@ -54,19 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
         help="emit the full report as JSON",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="PATH",
-        help=f"baseline of grandfathered findings "
-             f"(default: ./{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--verbose", action="store_true",
-        help="also list baselined findings in the text report",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -98,17 +79,9 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{', '.join(DEFAULT_PATHS)} exist", file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE).exists():
-        baseline_path = Path(DEFAULT_BASELINE)
-
-    baseline = None
-    if baseline_path is not None and baseline_path.exists():
-        baseline = Baseline.load(baseline_path)
-
     cache = None if args.no_cache else AnalysisCache()
     try:
-        result = analyze(paths, baseline=baseline, cache=cache)
+        result = analyze(paths, cache=cache)
     except FileNotFoundError as exc:
         print(f"repro.analysis: {exc}", file=sys.stderr)
         return 2
@@ -116,19 +89,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.stats:
         print(render_stats(result), file=sys.stderr)
 
-    if args.write_baseline:
-        target = baseline_path or Path(DEFAULT_BASELINE)
-        merged = Baseline.from_findings(result.all_findings)
-        merged.save(target)
-        print(
-            f"repro.analysis: wrote {len(merged)} finding(s) to {target}"
-        )
-        return 0
-
     if args.as_json:
         print(render_json(result))
     else:
-        print(render_text(result, verbose=args.verbose))
+        print(render_text(result))
     return 0 if result.ok else 1
 
 

@@ -6,7 +6,7 @@ file + rename) so concurrent runs cannot corrupt each other.
 
 Two kinds of entry share the store:
 
-* **per-module** -- the raw (pre-suppression, pre-baseline) findings
+* **per-module** -- the raw (pre-suppression) findings
   every checker's ``check_file`` produced for one module, keyed on the
   module's content fingerprint, the whole-project index signature, and
   the rule-set fingerprint;
@@ -22,8 +22,7 @@ rule-set fingerprint and with it every key, so a checker change can
 never serve stale findings -- the same invariant
 :func:`repro.runtime.cache.code_fingerprint` gives the result cache.
 
-Suppression filtering, SUP001/SUP002, and baseline matching are *not*
-cached: they are recomputed from the raw findings on every run, so a
+Suppression filtering and SUP001/SUP002 are *not* cached: they are recomputed from the raw findings on every run, so a
 warm run is byte-for-byte identical to a cold one.
 """
 

@@ -6,7 +6,7 @@ Three ways a slotted or pool-pickled class silently loses data:
   ``self.attr`` the slot tuple does not cover.  On a fully-slotted
   inheritance chain that assignment raises ``AttributeError`` at
   runtime -- but only on the (possibly rare) path that executes it.
-* ``SLOTS002`` -- a probe/collector wrap site patches an attribute on
+* ``SLOTS002`` -- a probe wrap site patches an attribute on
   instances whose every provider class is fully slotted: the patch
   raises at attach time.  The sim deliberately leaves router/sink/source
   classes un-slotted so wrappers can intercept them (see

@@ -7,9 +7,9 @@ those names to the definitions in ``sim/``: rename ``Sink.accept`` and
 the in-order probe silently stops probing -- the failure surfaces hours
 later as a vacuously passing oracle, not as a lint error.
 
-``WRAP001`` closes that gap.  In the wrap-site modules (``probes.py``,
-``collectors.py``, or any file scoped ``# repro: scope[wrap-site]``) it
-collects every wrap target:
+``WRAP001`` closes that gap.  In the wrap-site modules (``probes.py``
+or any file scoped ``# repro: scope[wrap-site]``) it collects every
+wrap target:
 
 * ``getattr(obj, "name", ...)`` / ``setattr(obj, "name", ...)`` with a
   literal name;
@@ -35,7 +35,7 @@ from ..index import ProjectIndex
 
 @dataclass(frozen=True)
 class WrapSite:
-    """One attribute name a probe/collector wraps, and where."""
+    """One attribute name a probe wraps, and where."""
 
     attr: str
     relpath: str

@@ -71,8 +71,8 @@ HOT_BASENAMES = (
 )
 
 #: Basenames of the modules that wrap string-named attributes on sim
-#: objects (probe/collector monkeypatch sites).
-WRAP_SITE_BASENAMES = ("probes.py", "collectors.py")
+#: objects (probe monkeypatch sites).
+WRAP_SITE_BASENAMES = ("probes.py",)
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_-]+)\]\s*(\S?)")
 _HOT_OK_RE = re.compile(r"#\s*repro:\s*hot-ok\[([^\]]*)\]")
@@ -96,9 +96,8 @@ class Rule:
 class Finding:
     """One rule violation at a location.
 
-    ``path`` is repository-relative (posix separators) so findings --
-    and the baseline keys derived from them -- are stable across
-    machines and working directories.
+    ``path`` is repository-relative (posix separators) so findings are
+    stable across machines and working directories.
     """
 
     rule: str
@@ -107,16 +106,6 @@ class Finding:
     line: int
     message: str
     checker: str = ""
-
-    @property
-    def key(self) -> str:
-        """Line-number-free identity used for baseline matching.
-
-        Unrelated edits shift line numbers constantly; keying on
-        (path, rule, message) keeps a grandfathered finding matched to
-        its baseline entry until the finding itself changes.
-        """
-        return f"{self.path}::{self.rule}::{self.message}"
 
     def to_dict(self) -> Dict[str, object]:
         return {

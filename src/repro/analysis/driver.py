@@ -14,8 +14,8 @@ a key built from the module's content fingerprint, the project index
 signature, and the rule-set fingerprint; the combined ``finalize``
 findings are cached per project under the sorted module-fingerprint
 set.  A warm run re-analyzes zero unchanged modules and renders
-byte-identical JSON, because suppression filtering, SUP001/SUP002, and
-baseline matching always run fresh over the (cached) raw findings.
+byte-identical JSON, because suppression filtering and SUP001/SUP002
+always run fresh over the (cached) raw findings.
 
 Checkers are stateless (``check_file`` is a pure function of the source
 and the completed index); cold modules are checked in one plain loop in
@@ -37,7 +37,6 @@ from typing import (
     Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from .baseline import Baseline
 from .cache import AnalysisCache, module_key, project_key, ruleset_fingerprint
 from .core import Checker, Finding, SourceFile, Suppression
 from .index import ProjectIndex
@@ -78,7 +77,6 @@ class AnalysisResult:
 
     files: List[SourceFile] = field(default_factory=list)
     new_findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed_count: int = 0
     checker_count: int = 0
     stats: AnalysisStats = field(default_factory=AnalysisStats)
@@ -89,7 +87,7 @@ class AnalysisResult:
 
     @property
     def all_findings(self) -> List[Finding]:
-        return self.new_findings + self.baselined
+        return list(self.new_findings)
 
     @property
     def elapsed_seconds(self) -> float:
@@ -119,7 +117,6 @@ def analyze(
     paths: Sequence[Union[str, Path]],
     checkers: Optional[Sequence[Checker]] = None,
     root: Union[str, Path, None] = None,
-    baseline: Optional[Baseline] = None,
     cache: Optional[AnalysisCache] = None,
 ) -> AnalysisResult:
     """Run ``checkers`` (default: the full project set) over ``paths``.
@@ -213,12 +210,10 @@ def analyze(
     kept.extend(_stale_suppressions(sources, used, active_rules))
     kept.sort(key=Finding.sort_key)
 
-    new, old = (baseline or Baseline()).split(kept)
     stats.elapsed_seconds = time.perf_counter() - started  # repro: allow[DET002] wall-clock stats reporting only
     return AnalysisResult(
         files=sources,
-        new_findings=new,
-        baselined=old,
+        new_findings=kept,
         suppressed_count=suppressed,
         checker_count=len(active),
         stats=stats,

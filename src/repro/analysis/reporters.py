@@ -8,18 +8,11 @@ from typing import Dict, List
 from .core import Finding
 
 
-def render_text(result, verbose: bool = False) -> str:
-    """Human-readable report: one line per new finding, then a summary.
-
-    ``verbose`` also lists baselined (grandfathered) findings, marked
-    so they are visually distinct from failures.
-    """
+def render_text(result) -> str:
+    """Human-readable report: one line per new finding, then a summary."""
     lines: List[str] = []
     for finding in sorted(result.new_findings, key=Finding.sort_key):
         lines.append(str(finding))
-    if verbose:
-        for finding in sorted(result.baselined, key=Finding.sort_key):
-            lines.append(f"{finding}  [baselined]")
     lines.append(render_summary(result))
     return "\n".join(lines)
 
@@ -36,8 +29,7 @@ def render_summary(result) -> str:
     )
     return (
         f"repro.analysis: {len(result.new_findings)} new finding(s)"
-        f"{breakdown}, {len(result.baselined)} baselined, "
-        f"{result.suppressed_count} suppressed, "
+        f"{breakdown}, {result.suppressed_count} suppressed, "
         f"{len(result.files)} file(s), "
         f"{result.checker_count} checker(s), "
         f"{result.elapsed_seconds:.2f}s"
@@ -51,15 +43,10 @@ def render_json(result) -> str:
             f.to_dict()
             for f in sorted(result.new_findings, key=Finding.sort_key)
         ],
-        "baselined": [
-            f.to_dict()
-            for f in sorted(result.baselined, key=Finding.sort_key)
-        ],
         "summary": {
             # No timings here: a warm (cached) run must render
             # byte-identically to a cold one; --stats carries them.
             "new": len(result.new_findings),
-            "baselined": len(result.baselined),
             "suppressed": result.suppressed_count,
             "files": len(result.files),
             "checkers": result.checker_count,

@@ -49,7 +49,7 @@ def code_fingerprint() -> str:
 
     Covers ``repro/sim`` (the engine and routers) and
     ``repro/telemetry`` (cached results embed telemetry summaries, so a
-    collector change must rotate the key too).  Computed once per
+    telemetry change must rotate the key too).  Computed once per
     process; survives process restarts unchanged as long as the sources
     do, which is exactly the invariant the cache needs.
     """

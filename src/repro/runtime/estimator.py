@@ -14,10 +14,10 @@ Every answer is stamped with its provenance (``surrogate`` /
 ``cached`` / ``simulated``) and an error estimate: the calibration's
 residual relative error for surrogate answers, zero for measured ones.
 Serving telemetry (query counts per source, refinement backlog,
-observed surrogate error against refinements that completed) lives in
-a :class:`~repro.telemetry.registry.MetricRegistry` exported by
-:attr:`Estimator.registry`, the same data model the simulator and the
-experiment runtime already export.
+observed surrogate error against refinements that completed) is one
+flat dict of numbers keyed by the telemetry summary's rendered metric
+names (``estimator_answers{source=cached}``); :meth:`Estimator.counters`
+returns a copy of it.
 
 Threading model: the caller's thread only ever touches the front
 :class:`~repro.runtime.experiment.Experiment` (used for ``wait=True``
@@ -43,7 +43,6 @@ from ..surrogate import (
     SurrogateEstimate,
     estimate,
 )
-from ..telemetry.registry import Counter, MetricRegistry
 from .cache import config_key
 from .experiment import Experiment
 
@@ -60,8 +59,7 @@ _REFINE_BATCH = 8
 #: guards the serving stats, ``_idle`` guards the refinement
 #: bookkeeping its Condition predicate reads.
 LOCKED_BY = {
-    "Estimator._queries": "_lock",
-    "Estimator._answer_counters": "_lock",
+    "Estimator._counts": "_lock",
     "Estimator._observed_count": "_lock",
     "Estimator._observed_max": "_lock",
     "Estimator._last_refine_error": "_lock",
@@ -174,7 +172,6 @@ class Estimator:
         )
         self.calibration = calibration or Calibration()
         self.refine_enabled = refine
-        self.registry = MetricRegistry()
         self._lock = threading.Lock()
         self._pending: (
             "queue.Queue[Optional[Tuple[str, SimConfig]]]"
@@ -185,10 +182,8 @@ class Estimator:
         self._worker: Optional[threading.Thread] = None
         self._closed = False
         self._started = time.perf_counter()
-        self._queries = 0
-        #: Per answer source, the (queries, answers{source}) counters,
-        #: bound in the registry the first time that source answers.
-        self._answer_counters: Dict[str, Tuple[Counter, Counter]] = {}
+        #: Serving counters and gauges: rendered name -> current value.
+        self._counts: Dict[str, float] = {}
         self._observed_count = 0
         self._observed_max = 0.0
         self._last_refine_error: Optional[str] = None
@@ -243,17 +238,10 @@ class Estimator:
         ):
             scheduled = self._schedule_refinement(config, key)
         with self._lock:
-            self._queries += 1
-            counters = self._answer_counters.get(source)
-            if counters is None:
-                counters = self._answer_counters[source] = (
-                    self.registry.counter("estimator_queries"),
-                    self.registry.counter(
-                        "estimator_answers", source=source
-                    ),
-                )
-            counters[0].inc()
-            counters[1].inc()
+            for name in (
+                "estimator_queries", f"estimator_answers{{source={source}}}"
+            ):
+                self._counts[name] = self._counts.get(name, 0) + 1
         if result is not None:
             return EstimateAnswer(
                 config=config,
@@ -304,8 +292,10 @@ class Estimator:
             backlog = self._inflight
         self._pending.put((key, config))
         with self._lock:
-            self.registry.counter("estimator_refinements_scheduled").inc()
-            self.registry.gauge("estimator_refine_backlog").set(backlog)
+            self._counts["estimator_refinements_scheduled"] = (
+                self._counts.get("estimator_refinements_scheduled", 0) + 1
+            )
+            self._counts["estimator_refine_backlog"] = backlog
         self._ensure_worker()
         return True
 
@@ -343,9 +333,10 @@ class Estimator:
                 # The serving loop outlives a failed batch: count it,
                 # keep the text for summary(), release the backlog below.
                 with self._lock:
-                    self.registry.counter(
-                        "estimator_refinements_failed"
-                    ).inc(len(batch))
+                    self._counts["estimator_refinements_failed"] = (
+                        self._counts.get("estimator_refinements_failed", 0)
+                        + len(batch)
+                    )
                     self._last_refine_error = f"{type(exc).__name__}: {exc}"
             else:
                 for config, result in zip(configs, results):
@@ -357,7 +348,7 @@ class Estimator:
                 self._scheduled_keys.difference_update(landed)
                 self._idle.notify_all()
             with self._lock:
-                self.registry.gauge("estimator_refine_backlog").set(backlog)
+                self._counts["estimator_refine_backlog"] = backlog
             if stop:
                 return
 
@@ -366,7 +357,9 @@ class Estimator:
     ) -> None:
         """Score the surrogate against one refined (simulated) point."""
         with self._lock:
-            self.registry.counter("estimator_refinements_completed").inc()
+            self._counts["estimator_refinements_completed"] = (
+                self._counts.get("estimator_refinements_completed", 0) + 1
+            )
             if result.latency is None:
                 return
             coefficients = self.calibration.for_config(config)
@@ -379,8 +372,8 @@ class Estimator:
             )
             self._observed_count += 1
             self._observed_max = max(self._observed_max, error)
-            self.registry.gauge("estimator_observed_rel_error").set(error)
-            self.registry.gauge("estimator_observed_max_rel_error").set(
+            self._counts["estimator_observed_rel_error"] = error
+            self._counts["estimator_observed_max_rel_error"] = (
                 self._observed_max
             )
 
@@ -438,43 +431,37 @@ class Estimator:
             return self._inflight
 
     def counters(self) -> Dict[str, float]:
-        """The serving counters as a flat dict (for tests/CLI)."""
+        """The serving counters and gauges as a flat dict (for tests/CLI)."""
         with self._lock:
-            flat: Dict[str, float] = {}
-            for key, metric in self.registry.to_dict().items():
-                flat[key] = metric.get("value", metric.get("total", 0.0))
-            return flat
+            return dict(self._counts)
 
     def summary(self) -> str:
         """One-paragraph serving summary for the CLI."""
         elapsed = time.perf_counter() - self._started
         with self._lock:
-            queries = self._queries
+            queries = self._counts.get("estimator_queries", 0)
             rate = queries / elapsed if elapsed > 0 else 0.0
-            self.registry.gauge("estimator_query_rate_hz").set(rate)
+            self._counts["estimator_query_rate_hz"] = rate
             sources = []
             for source in ("surrogate", "cached", "simulated"):
-                counter = self.registry.get(
-                    "estimator_answers", source=source
+                answered = self._counts.get(
+                    f"estimator_answers{{source={source}}}"
                 )
-                if counter is not None and counter.value:
-                    sources.append(f"{counter.value:.0f} {source}")
-            surrogate_counter = self.registry.get(
-                "estimator_answers", source="surrogate"
-            )
+                if answered:
+                    sources.append(f"{answered:.0f} {source}")
             surrogate_rate = (
-                surrogate_counter.value / queries
-                if surrogate_counter is not None and queries else 0.0
+                self._counts.get("estimator_answers{source=surrogate}", 0)
+                / queries if queries else 0.0
             )
             observed = (
                 f"{self._observed_max:.1%} max observed error "
                 f"over {self._observed_count} refinements"
                 if self._observed_count else "no refinements scored yet"
             )
-            failed = self.registry.get("estimator_refinements_failed")
+            failed = self._counts.get("estimator_refinements_failed")
             if failed is not None:
                 observed += (
-                    f", {failed.value:.0f} refinements failed "
+                    f", {failed:.0f} refinements failed "
                     f"(last: {self._last_refine_error})"
                 )
         backlog = self.backlog

@@ -35,7 +35,7 @@ class Simulator:
     ``telemetry`` enables the observability layer of
     :mod:`repro.telemetry` the same way: ``True`` (or a
     :class:`~repro.telemetry.TelemetryConfig` /
-    :class:`~repro.telemetry.TelemetrySession`) attaches collectors
+    :class:`~repro.telemetry.TelemetrySession`) attaches a session
     whose summary lands on ``RunResult.telemetry``; ``None`` defers to
     ``config.telemetry``.  Disabled, it is the same single attribute
     test per step and installs nothing.

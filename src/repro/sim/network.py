@@ -405,9 +405,9 @@ class Network:
         Called by ``ValidationSuite.attach`` and ``Tracer.attach``:
         their probes wrap or instrument the generic methods (allocator
         proxies, ``Sink.accept`` wraps, the ``tracer`` branches), which
-        the compiled closures would bypass.  Telemetry collectors only
-        read ``RouterStats`` and buffers, so a ``TelemetrySession``
-        never calls this (unless it captures a trace).
+        the compiled closures would bypass.  A ``TelemetrySession`` only
+        reads ``RouterStats`` and buffers, so it never calls this
+        (unless it captures a trace).
         """
         self.generic_step_reason = reason
         self.routers_specialized = 0

@@ -43,8 +43,8 @@ The generic path remains the executable spec and the fallback:
 
 * attaching probes or a tracer calls ``Network.force_generic_step``,
   clearing every compiled step so wrap-based instrumentation keeps
-  intercepting the generic methods (telemetry does not: its collectors
-  read the ``RouterStats`` rows the ST closure keeps, so an observed
+  intercepting the generic methods (telemetry does not: its session
+  reads the ``RouterStats`` rows the ST closure keeps, so an observed
   run executes the same compiled steps);
 * a router whose step methods were monkeypatched (instance or class
   level) refuses to specialize -- :func:`compile_step` verifies each

@@ -398,11 +398,11 @@ def oracle_telemetry_on_vs_off(
     """Telemetry must observe without perturbing: bit-identical results.
 
     Runs each configuration twice -- plain, and with a telemetry session
-    attached (aggressive sampling so every collector path executes) --
+    attached (aggressive sampling so every scan it makes executes) --
     and diffs the full :class:`RunResult` plus the per-sink delivery
     history.  ``RunResult.telemetry`` is a ``compare=False`` field, so
     any mismatch here is a real perturbation of the simulated machine
-    (e.g. a collector waking a sleeping router or consuming RNG draws),
+    (e.g. a scan waking a sleeping router or consuming RNG draws),
     not the summary itself.
     """
     from ...telemetry.config import TelemetryConfig

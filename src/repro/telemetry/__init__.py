@@ -1,10 +1,11 @@
 """Streaming observability for simulation runs.
 
-The telemetry subsystem watches a run from the outside: collectors hook
-the probe points the simulator already exposes (speculation counters,
-crossbar traversals, VC buffers, credit stalls), a windowed timeseries
-keeps a bounded-memory rate history, and the whole session folds into a
-serializable :class:`TelemetrySummary` that rides on
+The telemetry subsystem watches a run from the outside: a
+:class:`TelemetrySession` reads the counters the routers already keep
+(speculation, crossbar traversals, credit stalls), samples their VC
+buffers, keeps a bounded-memory history of windowed deltas, and folds
+it all into a serializable :class:`TelemetrySummary`, whose numbers
+sit in the plain mapping it writes out.  The summary rides on
 :class:`~repro.sim.metrics.RunResult` -- through the result cache,
 across process pools, and merged over sweeps.
 
@@ -26,16 +27,7 @@ model, and the Perfetto export walkthrough.
 """
 
 from .config import TelemetryConfig
-from .registry import Counter, Gauge, Histogram, MetricRegistry
-from .timeseries import Timeseries, Window
 from .summary import TelemetrySummary, merge_summaries
-from .collectors import (
-    Collector,
-    CrossbarActivityCollector,
-    OccupancyCollector,
-    ThroughputCollector,
-    default_collectors,
-)
 from .session import TelemetrySession, resolve_telemetry
 from .exporters import (
     chrome_trace_events,
@@ -47,19 +39,8 @@ from .exporters import (
 
 __all__ = [
     "TelemetryConfig",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "Timeseries",
-    "Window",
     "TelemetrySummary",
     "merge_summaries",
-    "Collector",
-    "CrossbarActivityCollector",
-    "OccupancyCollector",
-    "ThroughputCollector",
-    "default_collectors",
     "TelemetrySession",
     "resolve_telemetry",
     "chrome_trace_events",

@@ -4,7 +4,7 @@
 import: :class:`~repro.sim.config.SimConfig` embeds it as its
 ``telemetry`` field (so a telemetry request travels with the config
 through the result cache's content key and across process-pool hops),
-and the sim layer must stay importable without the collectors.
+and the sim layer must stay importable without the session.
 
 The defaults are the "default sampling" the overhead gate measures:
 occupancy sampled every 64 cycles, 1024-cycle windows, at most 64
@@ -31,7 +31,7 @@ class TelemetryConfig:
     #: settled end-of-cycle state; sleeping routers are never woken for
     #: it (their occupancy is provably zero and integrated analytically).
     sample_period: int = 64
-    #: Width of one timeseries window in cycles.
+    #: Width of one window of deltas in cycles.
     window_cycles: int = 1024
     #: Upper bound on retained windows; a full ring merges adjacent
     #: pairs, halving the count and doubling the early windows' span.

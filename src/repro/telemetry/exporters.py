@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from ..sim.trace import Tracer
-from .summary import TelemetrySummary
+from .summary import TelemetrySummary, _mean
 
 PathLike = Union[str, Path]
 
@@ -57,19 +57,20 @@ def export_csv(summary: TelemetrySummary, path: PathLike) -> Path:
         writer.writerow(
             ["name", "kind", "value", "samples", "mean", "min", "max"]
         )
-        for name, metric in summary.metrics.items():
-            if metric.kind == "counter":
-                writer.writerow([name, metric.kind, metric.value,
-                                 "", "", "", ""])
-            elif metric.kind == "gauge":
+        for name, metric in sorted(summary.metrics.items()):
+            kind = metric["kind"]
+            if kind == "counter":
+                writer.writerow([name, kind, metric["value"], "", "", "", ""])
+            elif kind == "gauge":
                 writer.writerow([
-                    name, metric.kind, metric.value, metric.samples,
-                    metric.mean, metric.minimum, metric.maximum,
+                    name, kind, metric["value"], metric["samples"],
+                    _mean(metric["total"], metric["samples"]),
+                    metric["minimum"], metric["maximum"],
                 ])
             else:  # histogram
                 writer.writerow([
-                    name, metric.kind, metric.total, metric.observations,
-                    metric.mean, "", "",
+                    name, kind, metric["total"], metric["observations"],
+                    _mean(metric["total"], metric["observations"]), "", "",
                 ])
     return path
 

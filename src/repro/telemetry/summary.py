@@ -7,6 +7,19 @@ measured), round-trips exactly through JSON for the on-disk result
 cache, pickles across process-pool hops, and merges across the points
 of a sweep.
 
+Its numbers live in :attr:`TelemetrySummary.metrics`, the plain mapping
+it serializes to: rendered name -> payload, where a name renders as
+``crossbar_traversals{port=east}`` (labels sorted) and a payload is one
+of
+
+* counter -- ``{"kind", "value"}``;
+* gauge -- ``{"kind", "value", "samples", "total", "minimum",
+  "maximum"}``, a sampled value with its running extrema;
+* histogram -- ``{"kind", "bounds", "counts", "total",
+  "observations"}``, where ``counts[i]`` tallies observations in
+  ``(bounds[i-1], bounds[i]]`` and the final slot everything above the
+  last bound.
+
 Naming scheme (see ``docs/OBSERVABILITY.md`` for the full catalogue):
 unlabeled counters are network-wide totals; ``{node=N}`` labels carry
 per-router detail; ``{port=<direction>}`` labels carry per-direction
@@ -21,9 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
-from .registry import MetricRegistry
-
-#: Canonical metric names recorded by the built-in collectors.
+#: Canonical metric names a session records.
 SPEC_ATTEMPTED = "speculation_attempted"
 SPEC_WON = "speculation_won"
 SPEC_LOST = "speculation_lost"
@@ -44,6 +55,53 @@ IDLE_ROUTER_SAMPLES = "idle_router_samples"
 OCCUPANCY_SAMPLES = "occupancy_samples"
 
 
+def _metric_key(name: str, **labels) -> str:
+    """The rendered name: ``name`` or ``name{a=1,b=x}`` (labels sorted)."""
+    if not labels:
+        return name
+    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+    return f"{name}{{{inner}}}"
+
+
+def _mean(total: float, count: int) -> float:
+    return total / count if count else 0.0
+
+
+def _copy(record: Dict[str, Any]) -> Dict[str, Any]:
+    """A metric payload or window, with its lists and dicts copied."""
+    return {
+        key: type(value)(value) if isinstance(value, (list, dict)) else value
+        for key, value in record.items()
+    }
+
+
+def _merge_metric(mine: Dict[str, Any], theirs: Dict[str, Any]) -> None:
+    """Fold ``theirs`` into ``mine`` (same rendered name, same kind)."""
+    if mine["kind"] == "counter":
+        mine["value"] += theirs["value"]
+    elif mine["kind"] == "gauge":
+        mine["samples"] += theirs["samples"]
+        mine["total"] += theirs["total"]
+        mine["value"] = theirs["value"]  # last writer wins
+        for extremum, pick in (("minimum", min), ("maximum", max)):
+            if theirs[extremum] is not None:
+                mine[extremum] = (
+                    theirs[extremum] if mine[extremum] is None
+                    else pick(mine[extremum], theirs[extremum])
+                )
+    else:
+        if mine["bounds"] != theirs["bounds"]:
+            raise ValueError(
+                "cannot merge histograms with different buckets: "
+                f"{mine['bounds']} vs {theirs['bounds']}"
+            )
+        mine["counts"] = [
+            a + b for a, b in zip(mine["counts"], theirs["counts"])
+        ]
+        mine["total"] += theirs["total"]
+        mine["observations"] += theirs["observations"]
+
+
 @dataclass
 class TelemetrySummary:
     """Everything one telemetry session observed, in mergeable form."""
@@ -53,26 +111,30 @@ class TelemetrySummary:
     cycles_observed: int
     #: How many runs were folded into this summary (sweep merges).
     runs: int = 1
-    metrics: MetricRegistry = field(default_factory=MetricRegistry)
-    #: Per-window delta dicts (see :mod:`repro.telemetry.timeseries`).
-    #: Window history is per-run; merged summaries drop it (cycle spans
-    #: of different runs are not comparable).
+    #: Rendered metric name -> payload (see the module docstring).
+    metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: ``{"start", "end", "values"}`` dicts: the deltas accumulated over
+    #: each ``[start, end)`` cycle span, oldest first.  Window history
+    #: is per-run; merged summaries drop it (cycle spans of different
+    #: runs are not comparable).
     windows: List[Dict[str, Any]] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     # Derived rates.
     # ------------------------------------------------------------------
 
-    def _value(self, name: str, **labels) -> float:
-        return self.metrics.value(name, **labels)
+    def value(self, name: str, **labels) -> float:
+        """A counter's or gauge's value (0.0 when it was never recorded)."""
+        payload = self.metrics.get(_metric_key(name, **labels))
+        return 0.0 if payload is None else payload["value"]
 
     @property
     def speculation_attempted(self) -> float:
-        return self._value(SPEC_ATTEMPTED)
+        return self.value(SPEC_ATTEMPTED)
 
     @property
     def speculation_won(self) -> float:
-        return self._value(SPEC_WON)
+        return self.value(SPEC_WON)
 
     @property
     def speculation_win_rate(self) -> float:
@@ -90,56 +152,58 @@ class TelemetrySummary:
     def channel_utilization(self) -> float:
         """Fraction of inter-router link-cycles carrying a flit."""
         link_cycles = sum(
-            self._value(LINK_CYCLES, port=port)
+            self.value(LINK_CYCLES, port=port)
             for port in self.directions()
         )
         if not link_cycles:
             return 0.0
         traversals = sum(
-            self._value(CROSSBAR_TRAVERSALS, port=port)
+            self.value(CROSSBAR_TRAVERSALS, port=port)
             for port in self.directions()
         )
         return traversals / link_cycles
 
     def port_utilization(self, port: str) -> float:
         """Link utilization of one direction (``east`` .. ``local``)."""
-        link_cycles = self._value(LINK_CYCLES, port=port)
+        link_cycles = self.value(LINK_CYCLES, port=port)
         if not link_cycles:
             return 0.0
-        return self._value(CROSSBAR_TRAVERSALS, port=port) / link_cycles
+        return self.value(CROSSBAR_TRAVERSALS, port=port) / link_cycles
 
     def directions(self) -> List[str]:
         """Non-local directions with recorded link capacity."""
         return [
             port for port in ("east", "west", "north", "south")
-            if self.metrics.get(LINK_CYCLES, port=port) is not None
+            if _metric_key(LINK_CYCLES, port=port) in self.metrics
         ]
 
     @property
     def mean_vc_occupancy(self) -> float:
         """Mean sampled flits per virtual-channel buffer."""
         histogram = self.metrics.get(VC_OCCUPANCY)
-        return histogram.mean if histogram is not None else 0.0
+        if histogram is None:
+            return 0.0
+        return _mean(histogram["total"], histogram["observations"])
 
     @property
     def peak_vc_occupancy(self) -> float:
         gauge = self.metrics.get(BUFFERED_FLITS)
-        if gauge is None or gauge.maximum is None:
+        if gauge is None or gauge["maximum"] is None:
             return 0.0
-        return gauge.maximum
+        return gauge["maximum"]
 
     @property
     def credit_stall_rate(self) -> float:
         """Credit-stall events per router-cycle."""
-        router_cycles = self._value(ROUTER_CYCLES)
+        router_cycles = self.value(ROUTER_CYCLES)
         if not router_cycles:
             return 0.0
-        return self._value(CREDIT_STALLS) / router_cycles
+        return self.value(CREDIT_STALLS) / router_cycles
 
     def grant_share_by_input(self) -> Dict[str, float]:
         """Fraction of switch grants won by each input direction."""
         shares = {
-            port: self._value(GRANTS_BY_INPUT, port=port)
+            port: self.value(GRANTS_BY_INPUT, port=port)
             for port in ("local", "east", "west", "north", "south")
         }
         total = sum(shares.values())
@@ -160,7 +224,12 @@ class TelemetrySummary:
             )
         self.cycles_observed += other.cycles_observed
         self.runs += other.runs
-        self.metrics.merge(other.metrics)
+        for name, theirs in other.metrics.items():
+            mine = self.metrics.get(name)
+            if mine is None:
+                self.metrics[name] = _copy(theirs)
+            else:
+                _merge_metric(mine, theirs)
         # Window timelines of distinct runs are not comparable.
         self.windows = []
         return self
@@ -171,8 +240,10 @@ class TelemetrySummary:
             "window_cycles": self.window_cycles,
             "cycles_observed": self.cycles_observed,
             "runs": self.runs,
-            "metrics": self.metrics.to_dict(),
-            "windows": [dict(w) for w in self.windows],
+            "metrics": {
+                name: _copy(payload) for name, payload in self.metrics.items()
+            },
+            "windows": [_copy(w) for w in self.windows],
         }
 
     @classmethod
@@ -182,8 +253,11 @@ class TelemetrySummary:
             window_cycles=data["window_cycles"],
             cycles_observed=data["cycles_observed"],
             runs=data.get("runs", 1),
-            metrics=MetricRegistry.from_dict(data["metrics"]),
-            windows=[dict(w) for w in data.get("windows", [])],
+            metrics={
+                name: _copy(payload)
+                for name, payload in data["metrics"].items()
+            },
+            windows=[_copy(w) for w in data.get("windows", [])],
         )
 
     def __eq__(self, other: object) -> bool:

@@ -13,7 +13,7 @@ def fixtures() -> Path:
     return FIXTURES
 
 
-def run_analysis(*paths, checkers=None, baseline=None, root=None):
+def run_analysis(*paths, checkers=None, root=None):
     """Analyze ``paths`` (absolute or fixture-relative) and return the
     result."""
     from repro.analysis import analyze
@@ -24,7 +24,6 @@ def run_analysis(*paths, checkers=None, baseline=None, root=None):
     return analyze(
         resolved,
         checkers=checkers,
-        baseline=baseline,
         root=root or REPO_ROOT,
     )
 

@@ -1,8 +1,8 @@
-"""Framework behaviour: suppressions, baseline round-trip, driver rules."""
+"""Framework behaviour: suppressions and driver rules."""
 
 from pathlib import Path
 
-from repro.analysis import Baseline, analyze
+from repro.analysis import analyze
 from repro.analysis.checkers.det import DeterminismChecker
 from repro.analysis.reporters import render_json, render_text
 
@@ -142,57 +142,6 @@ def test_syntax_error_reported_as_parse_finding(tmp_path):
     _write(tmp_path, "broken.py", "def half(:\n")
     result = analyze([tmp_path], checkers=[], root=tmp_path)
     assert [f.rule for f in result.new_findings] == ["PARSE001"]
-
-
-def test_baseline_round_trip(tmp_path):
-    _write(tmp_path, "mod.py", BAD_SNIPPET)
-    first = analyze(
-        [tmp_path], checkers=[DeterminismChecker()], root=tmp_path
-    )
-    assert len(first.new_findings) == 1
-
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(first.new_findings).save(baseline_path)
-    loaded = Baseline.load(baseline_path)
-    assert loaded == Baseline.from_findings(first.new_findings)
-
-    second = analyze(
-        [tmp_path], checkers=[DeterminismChecker()],
-        root=tmp_path, baseline=loaded,
-    )
-    assert second.ok
-    assert len(second.baselined) == 1
-
-    # Saving the unchanged baseline again is byte-identical.
-    again = tmp_path / "baseline2.json"
-    Baseline.from_findings(
-        [*second.new_findings, *second.baselined]
-    ).save(again)
-    assert again.read_text() == baseline_path.read_text()
-
-
-def test_baseline_absorbs_counts_not_rules(tmp_path):
-    # Two identical findings, baseline allows one: one is still new.
-    _write(
-        tmp_path, "mod.py",
-        "# repro: scope[sim]\n"
-        "import time\n"
-        "def a():\n"
-        "    return time.time()\n"
-        "def b():\n"
-        "    return time.time()\n",
-    )
-    result = analyze(
-        [tmp_path], checkers=[DeterminismChecker()], root=tmp_path
-    )
-    assert len(result.new_findings) == 2
-    one = Baseline.from_findings(result.new_findings[:1])
-    partial = analyze(
-        [tmp_path], checkers=[DeterminismChecker()],
-        root=tmp_path, baseline=one,
-    )
-    assert len(partial.new_findings) == 1
-    assert len(partial.baselined) == 1
 
 
 def test_fixture_directories_are_excluded(tmp_path):

@@ -7,7 +7,7 @@ ordinary pytest run too, with the findings in the assertion message.
 
 import time
 
-from repro.analysis import Baseline, analyze
+from repro.analysis import analyze
 from repro.analysis.__main__ import main
 from repro.analysis.driver import iter_rules
 
@@ -21,12 +21,12 @@ def _repo_paths():
 
 
 def test_repository_is_clean_and_fast():
-    baseline_path = REPO_ROOT / "analysis-baseline.json"
-    baseline = Baseline.load(baseline_path)
     started = time.perf_counter()
-    result = analyze(_repo_paths(), root=REPO_ROOT, baseline=baseline)
+    result = analyze(_repo_paths(), root=REPO_ROOT)
     elapsed = time.perf_counter() - started
-    assert result.ok, "\n".join(str(f) for f in result.new_findings)
+    assert result.all_findings == [], "\n".join(
+        str(f) for f in result.all_findings
+    )
     # All seven checker families ran.
     assert result.checker_count == 7
     # The CI budget is <10s cold over the full repo; leave headroom for
@@ -103,23 +103,6 @@ def test_cli_nonzero_on_findings(tmp_path, monkeypatch, capsys):
     assert "DET002" in out
 
 
-def test_cli_write_baseline_round_trip(tmp_path, monkeypatch, capsys):
-    bad = tmp_path / "mod.py"
-    bad.write_text(
-        "# repro: scope[sim]\n"
-        "import time\n"
-        "def now():\n"
-        "    return time.time()\n"
-    )
-    monkeypatch.chdir(tmp_path)
-    assert main(["--write-baseline", str(bad)]) == 0
-    assert (tmp_path / "analysis-baseline.json").exists()
-    capsys.readouterr()
-    # Baselined now: the same lint run exits clean.
-    assert main([str(bad)]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-
 def test_experiments_analyze_alias_stays_in_sync(monkeypatch, tmp_path,
                                                  capsys):
     """`python -m repro.experiments analyze` forwards argv verbatim, so
@@ -133,8 +116,8 @@ def test_experiments_analyze_alias_stays_in_sync(monkeypatch, tmp_path,
         opt for action in build_parser()._actions
         for opt in action.option_strings
     }
-    for flag in ("--check", "--json", "--baseline", "--write-baseline",
-                 "--list-rules", "--no-cache", "--stats", "--verbose"):
+    for flag in ("--check", "--json", "--list-rules", "--no-cache",
+                 "--stats"):
         assert flag in options, f"{flag} missing from repro.analysis CLI"
 
     # Behavioural parity: the alias and the direct CLI agree bytewise.

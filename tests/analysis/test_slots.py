@@ -40,7 +40,7 @@ def test_patching_fully_slotted_class_fires_slots002():
 def test_dict_backed_provider_keeps_patch_legal(tmp_path):
     # Same patch, but the provider has no __slots__: instances carry a
     # __dict__, so the wrap is fine (this is the sim's actual contract).
-    site = tmp_path / "collectors.py"
+    site = tmp_path / "probes.py"
     site.write_text(
         "class C:\n"
         "    def attach(self, network):\n"

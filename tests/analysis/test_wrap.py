@@ -40,10 +40,9 @@ def test_site_collection_finds_all_three_idioms():
 
 
 def test_real_probe_points_resolve():
-    """The repository's own probes/collectors must resolve today."""
+    """The repository's own probes must resolve today."""
     result = _wrap_only(
         REPO_SRC / "repro/sim/validation/probes.py",
-        REPO_SRC / "repro/telemetry/collectors.py",
         REPO_SRC / "repro/sim/routers",
         REPO_SRC / "repro/sim/network.py",
         REPO_SRC / "repro/sim/traffic.py",

@@ -134,11 +134,11 @@ class TestRefinement:
         for load in (0.1, 0.2, 0.3):
             assert estimator.query(config(load)).refinement_scheduled
         assert estimator.drain(timeout=120)
-        worst = estimator.registry.get("estimator_observed_max_rel_error")
-        assert worst.samples == 3
-        assert worst.value == worst.maximum
+        worst = estimator.counters()["estimator_observed_max_rel_error"]
+        assert estimator._observed_count == 3
+        assert worst == estimator._observed_max
         assert (
-            f"{worst.value:.1%} max observed error over 3 refinements"
+            f"{worst:.1%} max observed error over 3 refinements"
             in estimator.summary()
         )
         assert estimator._scheduled_keys == set()

@@ -70,7 +70,7 @@ class TestCsv:
             rows = list(csv.DictReader(handle))
         assert len(rows) == len(summary.windows)
         assert sum(float(row["flits_forwarded"]) for row in rows) == (
-            summary.metrics.value("flits_forwarded")
+            summary.value("flits_forwarded")
         )
 
 

@@ -15,7 +15,7 @@ of input-VC state) are disjoint and agree with the VC's buffer, route
 and output VC -- nudging the measured ratio up again.
 
 Telemetry at the default sampling rate is held to 1.3x on the *fast*
-stepper at load 0.42 (measured 1.0-1.1x): collectors only read router
+stepper at load 0.42 (measured 1.0-1.1x): a session only reads router
 counters, so the observed run keeps every compiled step; what it pays
 is the per-step attribute test, the occupancy scan every
 ``sample_period`` cycles and one counter scan per window.
