@@ -93,7 +93,9 @@ class TestGauge:
         assert summary.peak_vc_occupancy == 0.0
         assert summary.mean_vc_occupancy == 0.0
         # An unsampled gauge (a merge can carry one) exports mean 0.0.
-        path = exporters.export_csv(summary_of({"g": gauge()}), tmp_path / "g.csv")
+        path = exporters.export_csv(
+            summary_of({"g": gauge()}), tmp_path / "g.csv"
+        )
         with path.open() as handle:
             (row,) = csv.DictReader(handle)
         assert row["mean"] == "0.0"

@@ -8,7 +8,11 @@ values sum, so totals survive while early history coarsens.
 
 import pytest
 
-from repro.telemetry import TelemetryConfig, TelemetrySession, TelemetrySummary
+from repro.telemetry import (
+    TelemetryConfig,
+    TelemetrySession,
+    TelemetrySummary,
+)
 from repro.telemetry.exporters import chrome_trace_events
 
 from .fake_network import FakeNetwork, observe
@@ -101,7 +105,8 @@ class TestTimeseries:
         # Every flush that reaches max_windows halves the list, so the
         # count stays strictly below the bound.
         assert len(summary.windows) < 4
-        assert sum(w["values"]["switch_grants"] for w in summary.windows) == 80
+        grants = sum(w["values"]["switch_grants"] for w in summary.windows)
+        assert grants == 80
 
     def test_compaction_preserves_totals_and_span(self):
         network = FakeNetwork([0] * 5)
