@@ -1,8 +1,8 @@
 """WRAP: string-named wrap targets must resolve to real attributes.
 
 Validation probes instrument the simulator by monkeypatching *named*
-attributes on live objects at attach time (``sink.accept = wrapped``,
-``getattr(router, "_spec_switch_allocator", None)``).  Nothing ties
+attributes on live objects at attach time (``sink.accept =
+wrapped``).  Nothing ties
 those names to the definitions in ``sim/``: rename ``Sink.accept`` and
 the in-order probe silently stops probing -- the failure surfaces hours
 later as a vacuously passing oracle, not as a lint error.

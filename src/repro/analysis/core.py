@@ -366,10 +366,9 @@ def _derive_domains(relpath: str) -> Set[str]:
         domains.add("runtime")
     if "analysis" in parts and "src" in parts:
         domains.add("analysis")
-    if "routers" in parts or any(name.endswith(h) for h in HOT_BASENAMES):
-        if "sim" in parts:
-            domains.add("hot")
-    if any(name.endswith(w) for w in WRAP_SITE_BASENAMES):
+    if ("routers" in parts or name in HOT_BASENAMES) and "sim" in parts:
+        domains.add("hot")
+    if name in WRAP_SITE_BASENAMES:
         domains.add("wrap-site")
     if name == "cache.py" and "runtime" in parts:
         domains.add("cache-module")

@@ -62,7 +62,7 @@ def grant_conflicts(*grant_sets: Sequence[Grant]) -> List[str]:
     parallel allocators) grants each input group at most once and each
     resource at most once.  Returns one message per conflict; an empty
     list means the combined grants form a valid matching.  Used by the
-    allocator property tests and available to invariant probes.
+    allocator property tests and the speculation-legality probe.
     """
     conflicts: List[str] = []
     seen_groups: Dict[int, Grant] = {}

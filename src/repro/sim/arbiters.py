@@ -119,10 +119,6 @@ class MatrixArbiter(Arbiter):
         self._state = (self._state | self._col[winner]) & self._row_keep[winner]
         return winner
 
-    def _lower_priority(self, winner: int) -> None:
-        """Set the winner's priority lowest among all requestors."""
-        self._state = (self._state | self._col[winner]) & self._row_keep[winner]
-
     def check_invariant(self) -> bool:
         """Antisymmetry: exactly one of (i beats j), (j beats i) holds."""
         return all(

@@ -402,12 +402,12 @@ class Network:
     def force_generic_step(self, reason: str) -> None:
         """Drop every compiled step function; the generic path runs.
 
-        Called by ``ValidationSuite.attach`` and ``Tracer.attach``:
-        their probes wrap or instrument the generic methods (allocator
-        proxies, ``Sink.accept`` wraps, the ``tracer`` branches), which
-        the compiled closures would bypass.  A ``TelemetrySession`` only
-        reads ``RouterStats`` and buffers, so it never calls this
-        (unless it captures a trace).
+        Called by ``Tracer.attach`` alone: trace events come from the
+        generic methods' ``tracer`` branches, which the compiled
+        closures leave out.  Checked mode's probes and a
+        ``TelemetrySession`` read state both step paths keep, so they
+        never call this (a session that captures a trace attaches a
+        tracer).
         """
         self.generic_step_reason = reason
         self.routers_specialized = 0

@@ -19,8 +19,6 @@ speculation cannot deadlock anything; it only wastes the slot
 
 from __future__ import annotations
 
-
-
 from ..allocators import Request, SpeculativeSwitchAllocator
 from ..config import SimConfig
 from ..topology import Mesh, NUM_PORTS
@@ -37,6 +35,9 @@ class SpeculativeVCRouter(VirtualChannelRouter):
             NUM_PORTS, self.num_vcs, config.arbiter_kind,
             config.allocator_kind, config.speculation_priority,
         )
+        #: This cycle's speculative grants, wasted ones included: bit
+        #: ``(port * v + vc) * NUM_PORTS + output``, stored on both paths.
+        self.spec_grant_mask = 0
 
     def _allocation_phase(self, cycle: int) -> None:
         nonspec_requests = []
@@ -74,8 +75,13 @@ class SpeculativeVCRouter(VirtualChannelRouter):
 
         # Combine: a speculative switch grant is useful only if the same
         # head also won an output VC with a credit available.
+        spec_mask = 0
         for grant in spec_grants:
             self.stats.spec_grants += 1
+            spec_mask |= 1 << (
+                (grant.group * self.num_vcs + grant.member) * NUM_PORTS
+                + grant.resource
+            )
             ivc = self.input_vcs[grant.group][grant.member]
             if ivc.state is not _ACTIVE or ivc.out_vc is None:
                 self.stats.spec_wasted += 1  # lost the VC allocation
@@ -84,10 +90,4 @@ class SpeculativeVCRouter(VirtualChannelRouter):
                 self.stats.spec_wasted += 1  # won a VC without a credit
                 continue
             self._grant_switch(grant.group, grant.member, cycle)
-
-    @property
-    def speculation_success_rate(self) -> float:
-        """Fraction of surviving speculative grants that moved a flit."""
-        if self.stats.spec_grants == 0:
-            return 0.0
-        return 1.0 - self.stats.spec_wasted / self.stats.spec_grants
+        self.spec_grant_mask = spec_mask

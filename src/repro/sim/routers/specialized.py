@@ -41,16 +41,15 @@ costs 12-20%.
 
 The generic path remains the executable spec and the fallback:
 
-* attaching probes or a tracer calls ``Network.force_generic_step``,
-  clearing every compiled step so wrap-based instrumentation keeps
-  intercepting the generic methods (telemetry does not: its session
-  reads the ``RouterStats`` rows the ST closure keeps, so an observed
-  run executes the same compiled steps);
-* a router whose step methods were monkeypatched (instance or class
-  level) refuses to specialize -- :func:`compile_step` verifies each
-  method against the canonical function captured at import time;
-* so does a router whose allocators were proxied/subclassed (the
-  validation probes wrap the allocator instances).
+* attaching a tracer clears every compiled step: trace events come
+  from the generic methods' ``tracer`` branches.  Checked mode and
+  telemetry read state the closures keep (``pending_st``, the state
+  bitmasks, ``spec_grant_mask``, ``RouterStats``), so a checked or
+  observed run executes the same compiled steps;
+* a router whose step methods, or its allocators' methods the closures
+  inline, were monkeypatched (instance or class level) or whose
+  allocators were swapped for another type refuses to specialize --
+  :func:`compile_step` checks each against import-time captures.
 
 The closures capture per-router state and are built fresh for every
 router; nothing is cached across routers or networks.
@@ -60,8 +59,10 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from ..allocators import SeparableAllocator, SpeculativeSwitchAllocator
 from ..config import RouterKind
 from ..dateline import class_partition, o1turn_choice
+from ..matching import MaximumMatchingAllocator
 from ..topology import LOCAL, NUM_PORTS
 from .base import BaseRouter
 from .single_cycle import SingleCycleVCRouter, SingleCycleWormholeRouter
@@ -72,10 +73,11 @@ from .wormhole import WormholeRouter
 
 
 # ----------------------------------------------------------------------
-# Canonical step methods, captured at import time.  compile_step refuses
-# to specialize a router whose class resolves any of these names to a
-# different function (class-level monkeypatch) or that shadows one on
-# the instance -- the patched generic path must keep running.
+# Canonical step methods, and the allocator methods whose work the
+# closures inline, captured at import time.  compile_step refuses to
+# specialize a router when a router or allocator class resolves any of
+# these names to a different function (class-level monkeypatch) or an
+# instance shadows one -- the patched generic path must keep running.
 # ----------------------------------------------------------------------
 
 _BASE_STEP_METHODS = (
@@ -115,16 +117,27 @@ _CANONICAL = {
     VirtualChannelRouter: _capture(VirtualChannelRouter, _VC_STEP_METHODS),
     SingleCycleVCRouter: _capture(SingleCycleVCRouter, _VC_STEP_METHODS),
     SpeculativeVCRouter: _capture(SpeculativeVCRouter, _VC_STEP_METHODS),
+    SeparableAllocator: _capture(SeparableAllocator, ("allocate",)),
+    MaximumMatchingAllocator: _capture(
+        MaximumMatchingAllocator, ("allocate",)
+    ),
+    SpeculativeSwitchAllocator: _capture(
+        SpeculativeSwitchAllocator, ("allocate", "_allocate_equal")
+    ),
 }
 
 
-def _uses_canonical(router: BaseRouter, canonical) -> bool:
+def _uses_canonical(obj, cls) -> bool:
+    """``obj`` is exactly a ``cls`` whose captured methods resolve to
+    the canonical functions."""
+    if type(obj) is not cls:
+        return False
     # Looked up through the instance, never ``router.__dict__``:
     # materialising that dict turns off CPython's inline-attribute
     # access for every ``router.x`` the compiled step then executes
     # (4% of the plain VC kernel at load 0.42).
-    for name, func in canonical:
-        if getattr(getattr(router, name), "__func__", None) is not func:
+    for name, func in _CANONICAL[cls]:
+        if getattr(getattr(obj, name), "__func__", None) is not func:
             return False
     return True
 
@@ -738,6 +751,45 @@ def _make_va(router: BaseRouter, cand):
     return _make_vc_va_grouped(router, cand)
 
 
+def _make_spec_combine(router: BaseRouter):
+    """The speculative combiner the three kernels share, as the generic
+    phase's combine loop: ``combine(grants, taken_in, cycle)`` drops
+    each ``(port, vc, output)`` speculative grant whose input port is in
+    the ``taken_in`` bitmask, counts the rest and stores them in
+    ``router.spec_grant_mask``, and passes a grant to the switch only
+    if its VC won VC allocation and has a credit."""
+    v = router.num_vcs
+    all_ivcs = router._all_ivcs
+    ovc_credits = router._ovc_credits
+    stats = router.stats
+    credit_channels = router.credit_channels
+
+    def combine(grants, taken_in: int, cycle: int) -> None:
+        pending = router.pending_st
+        spec_mask = 0
+        for g, w, res in grants:
+            if taken_in >> g & 1:
+                continue
+            stats.spec_grants += 1
+            flat = g * v + w
+            spec_mask |= 1 << (flat * NUM_PORTS + res)
+            if not router._active_mask >> flat & 1:
+                stats.spec_wasted += 1  # lost the VC allocation
+                continue
+            ivc = all_ivcs[flat]
+            if ovc_credits[ivc.route * v + ivc.out_vc]._credits <= 0:
+                stats.spec_wasted += 1  # won a VC without a credit
+                continue
+            pending.append((g, w))
+            stats.sa_grants += 1
+            credit_channel = credit_channels[g]
+            if credit_channel is not None:
+                credit_channel.send(w, cycle)
+        router.spec_grant_mask = spec_mask
+
+    return combine
+
+
 def _make_spec_alloc(router: BaseRouter, cand=None):
     """Inlined speculative ``_allocation_phase`` with both separable
     switch allocators fused in (conservative priority; the ``equal``
@@ -773,6 +825,7 @@ def _make_spec_alloc(router: BaseRouter, cand=None):
     sp1 = allocator._spec._stage1
     sp2 = allocator._spec._stage2
     va = _make_vc_va(router, cand)
+    combine = _make_spec_combine(router)
     matrix = allocator._nonspec._matrix
     flat_port = tuple(flat // v for flat in range(NUM_PORTS * v))
     flat_vc = tuple(flat % v for flat in range(NUM_PORTS * v))
@@ -895,6 +948,7 @@ def _make_spec_alloc(router: BaseRouter, cand=None):
             r_members.append(flat_vc[flat])
             r_resources.append(route)
         if not r_groups:
+            router.spec_grant_mask = 0
             return  # nothing speculative to arbitrate or combine
 
         # Speculative stage 1.
@@ -927,8 +981,7 @@ def _make_spec_alloc(router: BaseRouter, cand=None):
 
         # Speculative stage 2: winners are held until after VA -- the
         # combiner needs to see whether each speculation won its VC.
-        sp_g = []
-        sp_m = []
+        sp = []
         sp_count = len(sur_g)
         if sp_count == 1:
             g = sur_g[0]
@@ -938,8 +991,7 @@ def _make_spec_alloc(router: BaseRouter, cand=None):
                 arb._state = (arb._state | arb._col[g]) & arb._row_keep[g]
             else:
                 arb.arbitrate((g,))
-            sp_g.append(g)
-            sp_m.append(sur_m[0])
+            sp.append((g, sur_m[0], res))
         elif sp_count:
             by_resource = {}
             for k in range(sp_count):
@@ -962,31 +1014,12 @@ def _make_spec_alloc(router: BaseRouter, cand=None):
                     for k in idxs:
                         if sur_g[k] == g:
                             break
-                sp_g.append(g)
-                sp_m.append(sur_m[k])
+                sp.append((g, sur_m[k], res))
 
         # Combine: non-speculative grants win absolutely -- an input
         # port claimed non-speculatively drops its speculative grant
         # before it is counted (the batched ``surviving`` filter).
-        for k in range(len(sp_g)):
-            g = sp_g[k]
-            if taken_in >> g & 1:
-                continue
-            stats.spec_grants += 1
-            w = sp_m[k]
-            flat = g * v + w
-            if not router._active_mask >> flat & 1:
-                stats.spec_wasted += 1  # lost the VC allocation
-                continue
-            ivc = all_ivcs[flat]
-            if ovc_credits[ivc.route * v + ivc.out_vc]._credits <= 0:
-                stats.spec_wasted += 1  # won a VC without a credit
-                continue
-            pending.append((g, w))
-            stats.sa_grants += 1
-            credit_channel = credit_channels[g]
-            if credit_channel is not None:
-                credit_channel.send(w, cycle)
+        combine(sp, taken_in, cycle)
 
     return alloc
 
@@ -1020,6 +1053,7 @@ def _make_spec_alloc_equal(router: BaseRouter, cand=None):
     # allocator; the secondary's state never evolves.
     allocator = router._spec_switch_allocator._nonspec
     va = _make_va(router, cand)
+    combine = _make_spec_combine(router)
     flat_port = tuple(flat // v for flat in range(NUM_PORTS * v))
     flat_vc = tuple(flat % v for flat in range(NUM_PORTS * v))
 
@@ -1079,8 +1113,7 @@ def _make_spec_alloc_equal(router: BaseRouter, cand=None):
 
         # One shared-state allocation; non-speculative winners take the
         # switch immediately, speculative winners wait for the combiner.
-        sp_g = []
-        sp_m = []
+        spec_won = []
         if groups:
             for won in allocator.allocate_grouped(
                 groups, members_lists, resources_lists
@@ -1088,8 +1121,7 @@ def _make_spec_alloc_equal(router: BaseRouter, cand=None):
                 g = won.group
                 w = won.member
                 if spec_flat_mask >> (g * v + w) & 1:
-                    sp_g.append(g)
-                    sp_m.append(w)
+                    spec_won.append(won)
                     continue
                 pending.append((g, w))
                 stats.sa_grants += 1
@@ -1097,24 +1129,8 @@ def _make_spec_alloc_equal(router: BaseRouter, cand=None):
                 if credit_channel is not None:
                     credit_channel.send(w, cycle)
 
-        # Combine: a speculative grant is useful only with a VC + credit.
-        for k in range(len(sp_g)):
-            g = sp_g[k]
-            w = sp_m[k]
-            stats.spec_grants += 1
-            flat = g * v + w
-            if not router._active_mask >> flat & 1:
-                stats.spec_wasted += 1  # lost the VC allocation
-                continue
-            ivc = all_ivcs[flat]
-            if ovc_credits[ivc.route * v + ivc.out_vc]._credits <= 0:
-                stats.spec_wasted += 1  # won a VC without a credit
-                continue
-            pending.append((g, w))
-            stats.sa_grants += 1
-            credit_channel = credit_channels[g]
-            if credit_channel is not None:
-                credit_channel.send(w, cycle)
+        # Combine: one allocator made every grant, so none is filtered.
+        combine(spec_won, 0, cycle)
 
     return alloc
 
@@ -1144,6 +1160,7 @@ def _make_spec_alloc_grouped(router: BaseRouter, cand=None):
     credit_channels = router.credit_channels
     allocator = router._spec_switch_allocator
     va = _make_vc_va_grouped(router, cand)
+    combine = _make_spec_combine(router)
     flat_port = tuple(flat // v for flat in range(NUM_PORTS * v))
     flat_vc = tuple(flat % v for flat in range(NUM_PORTS * v))
     nonspec = allocator._nonspec
@@ -1224,27 +1241,7 @@ def _make_spec_alloc_grouped(router: BaseRouter, cand=None):
                         del sp_adj[port]
             sp_grants = sp_match(sp_adj, sp_choose)
 
-        # Combine: a surviving speculative grant is useful only
-        # with a VC + credit.
-        for grant in sp_grants:
-            g = grant.group
-            if taken_in >> g & 1:
-                continue
-            w = grant.member
-            stats.spec_grants += 1
-            flat = g * v + w
-            if not router._active_mask >> flat & 1:
-                stats.spec_wasted += 1  # lost the VC allocation
-                continue
-            ivc = all_ivcs[flat]
-            if ovc_credits[ivc.route * v + ivc.out_vc]._credits <= 0:
-                stats.spec_wasted += 1  # won a VC without a credit
-                continue
-            pending.append((g, w))
-            stats.sa_grants += 1
-            credit_channel = credit_channels[g]
-            if credit_channel is not None:
-                credit_channel.send(w, cycle)
+        combine(sp_grants, taken_in, cycle)
 
     return alloc
 
@@ -1354,44 +1351,34 @@ _BUILDERS = {
 def compile_step(router: BaseRouter):
     """A specialized step closure for ``router``, or None.
 
-    Returns None (generic path) when the router is not its kind's
-    canonical class, a tracer is attached, any step method differs from
-    the canonical function captured at import time (instance- or
-    class-level monkeypatch), or an allocator was substituted.
+    Returns None (generic path) when a tracer is attached, or when the
+    router or one of its allocators is not exactly its canonical class
+    or resolves a captured method to a different function (instance-
+    or class-level monkeypatch).  The closures evolve the allocators'
+    internal state directly (fused separable stages, or the grouped
+    bitmask entry point), so any substitute -- a recording proxy, a
+    test subclass, a patched ``allocate`` -- must take the generic
+    path.
     """
     config = router.config
     router_class, builder = _BUILDERS[config.router_kind.value]
-    if type(router) is not router_class:
-        return None
-    if router.tracer is not None:
-        return None
-    if not _uses_canonical(router, _CANONICAL[router_class]):
+    if router.tracer is not None or not _uses_canonical(router, router_class):
         return None
     if isinstance(router, VirtualChannelRouter):
-        from ..allocators import SeparableAllocator
-        from ..matching import MaximumMatchingAllocator
-
-        # The closures evolve the allocators' internal state directly
-        # (fused separable stages, or the grouped bitmask entry point);
-        # any substitute -- a recording proxy, a test subclass -- must
-        # take the generic path.
-        allocator_class = (
+        kind = (
             SeparableAllocator
             if config.allocator_kind == "separable"
             else MaximumMatchingAllocator
         )
-        if type(router._vc_allocator) is not allocator_class:
-            return None
-        if type(router._switch_allocator) is not allocator_class:
-            return None
+        allocators = [(router._vc_allocator, kind),
+                      (router._switch_allocator, kind)]
         if isinstance(router, SpeculativeVCRouter):
-            from ..allocators import SpeculativeSwitchAllocator
-
-            spec_allocator = router._spec_switch_allocator
-            if type(spec_allocator) is not SpeculativeSwitchAllocator:
+            spec = router._spec_switch_allocator
+            if not _uses_canonical(spec, SpeculativeSwitchAllocator):
                 return None
-            if type(spec_allocator._nonspec) is not allocator_class:
-                return None
-            if type(spec_allocator._spec) is not allocator_class:
-                return None
-    return builder(router)
+            allocators += [(spec._nonspec, kind), (spec._spec, kind)]
+    else:
+        allocators = [(router._switch_arbiter, SeparableAllocator)]
+    if all(_uses_canonical(obj, cls) for obj, cls in allocators):
+        return builder(router)
+    return None

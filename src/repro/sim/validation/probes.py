@@ -5,11 +5,11 @@ Two probe styles share one base class:
 * *cycle probes* implement :meth:`Probe.check`, called by the
   :class:`~repro.sim.validation.suite.ValidationSuite` after every
   network step (or every ``interval`` steps) on the settled end-of-cycle
-  state;
-* *event probes* install lightweight wrappers at attach time (around the
-  speculative switch allocator, around sink ejection) and report
-  violations at the moment the illegal event happens, before the bad
-  state can propagate.
+  state.  They read state both step paths keep, so a checked run
+  executes the same compiled steps as an unchecked one;
+* the one *event probe*, :class:`InOrderDeliveryProbe`, wraps sink
+  ejection at attach time and reports a violation at the moment the
+  illegal delivery happens.
 
 Probes report through :meth:`Probe.fail`, which routes to the owning
 suite: with ``fail_fast`` (the default) the first violation raises
@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..allocators import Grant, grant_conflicts
 from ..routers.base import VCState
-from ..topology import LOCAL, OPPOSITE, PORT_NAMES
+from ..topology import LOCAL, NUM_PORTS, OPPOSITE, PORT_NAMES
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,9 @@ class Probe:
     """Base class: bind to a suite, attach to a network, check cycles."""
 
     name = "probe"
+    #: Checked after every step whatever the suite's ``interval``: the
+    #: probe compares each step with the one before.
+    every_step = False
 
     def __init__(self) -> None:
         self.suite = None          # set by ValidationSuite.attach
@@ -384,125 +388,140 @@ class VCExclusivityProbe(Probe):
                 )
 
 
-class _SpecAllocatorProxy:
-    """Wraps a router's speculative switch allocator to observe grants.
-
-    Wrapping the *instance* (rather than hooking the class) means a
-    buggy or monkeypatched ``allocate`` is still observed -- the probe
-    sees exactly the grants the router acts on.
-    """
-
-    def __init__(self, inner, probe: "SpeculationLegalityProbe",
-                 router) -> None:
-        self._inner = inner
-        self._probe = probe
-        self._router = router
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def allocate(self, nonspec_requests, spec_requests):
-        nonspec_grants, spec_grants = self._inner.allocate(
-            nonspec_requests, spec_requests
-        )
-        self._probe.observe(
-            self._router, nonspec_requests, spec_requests,
-            nonspec_grants, spec_grants,
-        )
-        return nonspec_grants, spec_grants
-
-
 class SpeculationLegalityProbe(Probe):
     """A speculative grant never displaces a non-speculative one.
 
-    Checks every speculative switch-allocation round, at the moment the
-    grants are produced:
+    Reads each speculative router's grants from the settled state, so
+    it checks whichever step ran, compiled or generic: ``pending_st``
+    holds this cycle's switch grants and ``spec_grant_mask`` every
+    speculative grant the combiner received, wasted ones included.  A
+    VC's state at the start of the cycle -- what the allocators saw --
+    is the masks this probe kept at the previous step; a grant in
+    ``pending_st`` that is not in the mask is non-speculative.  Checks:
 
-    * every grant answers a request that was actually submitted;
+    * every grant answers a request that was actually submitted: a
+      non-speculative grant goes to a VC ACTIVE across the cycle with a
+      flit and a credit; a speculative grant goes to a VC that was
+      waiting for VC allocation, ready, with a permitted output VC
+      free, for the output it routed to; and the mask holds as many
+      grants as ``spec_grants`` counted;
     * at most one grant per input port and per output port across the
       combined (non-speculative + speculative) grant set;
-    * under conservative priority, no surviving speculative grant shares
-      an input or an output with a non-speculative grant.
-
-    The last check is skipped for ``speculation_priority="equal"`` --
-    the ablation where displacement is the deliberate point.
+    * under conservative priority, no speculative grant shares an input
+      or an output with a non-speculative grant (skipped for the
+      ``equal`` ablation, where displacement is the deliberate point).
     """
 
     name = "speculation_legality"
+    every_step = True
 
     def __init__(self, enforce_priority: bool = True) -> None:
         super().__init__()
         self.enforce_priority = enforce_priority
-        self._wrapped: List[Tuple[Any, Any]] = []
+        self._routers: List[Any] = []
+        self._before: List[Tuple[int, int, int]] = []
 
     def attach(self, network) -> None:
-        self._network = network
-        self._wrapped = []
-        for router in network.routers:
-            inner = getattr(router, "_spec_switch_allocator", None)
-            if inner is None:
-                continue
-            router._spec_switch_allocator = _SpecAllocatorProxy(
-                inner, self, router
-            )
-            self._wrapped.append((router, inner))
+        from ..routers.spec_vc import SpeculativeVCRouter
+
+        self._routers = [
+            router for router in network.routers
+            if isinstance(router, SpeculativeVCRouter)
+        ]
+        self._snapshot()
 
     def detach(self, network) -> None:
-        for router, inner in self._wrapped:
-            router._spec_switch_allocator = inner
-        self._wrapped = []
+        self._routers, self._before = [], []
 
-    def observe(self, router, nonspec_requests, spec_requests,
-                nonspec_grants, spec_grants) -> None:
-        self.checks += 1
-        if not nonspec_grants and not spec_grants:
-            return
-        cycle = self._network.cycle
-        for grants, requests, kind in (
-            (nonspec_grants, nonspec_requests, "non-speculative"),
-            (spec_grants, spec_requests, "speculative"),
-        ):
-            if not grants:
+    def _snapshot(self) -> None:
+        self._before = [
+            (router._active_mask, router._va_mask, router.stats.spec_grants)
+            for router in self._routers
+        ]
+
+    def check(self, network, cycle: int) -> None:
+        before = self._before
+        self._snapshot()
+        for router, (active, va, counted) in zip(self._routers, before):
+            if (router.pending_st or router.spec_grant_mask
+                    or router.stats.spec_grants != counted):
+                self.checks += 1
+                self._check_router(router, active, va, counted, cycle)
+
+    def _check_router(self, router, active: int, va: int, counted: int,
+                      cycle: int) -> None:
+        v = router.num_vcs
+        ivcs = router._all_ivcs
+        node = router.node
+        # Output VCs free when the requests were built: free now, or
+        # held by a VC that won VC allocation this cycle.
+        won = va & router._active_mask
+        was_free = {None} | {(f // v, f % v) for f in _bits(won)}
+        spec: List[Grant] = []
+        for bit in _bits(router.spec_grant_mask):
+            flat, output = divmod(bit, NUM_PORTS)
+            grant = Grant(flat // v, flat % v, output)
+            spec.append(grant)
+            ivc = ivcs[flat]
+            if not (va >> flat & 1 and ivc.route == output
+                    and ivc.va_ready < cycle
+                    and any(router.output_vcs[output][c].held_by in was_free
+                            for c in router._candidate_vcs(ivc))):
+                self.fail(
+                    cycle,
+                    f"router {node}: speculative grant {grant} answers no "
+                    f"submitted request",
+                )
+        issued = router.stats.spec_grants - counted
+        if issued != len(spec):
+            self.fail(
+                cycle,
+                f"router {node}: {issued} speculative grants counted but "
+                f"{len(spec)} distinct ones recorded",
+            )
+
+        nonspec: List[Grant] = []
+        survived = {grant.group * v + grant.member for grant in spec}
+        both_active = active & router._active_mask
+        for port, vc in router.pending_st:
+            flat = port * v + vc
+            if flat in survived:
+                survived.discard(flat)  # won its VC and a credit
                 continue
-            keys = {(r.group, r.member, r.resource) for r in requests}
-            for grant in grants:
-                if (grant.group, grant.member, grant.resource) not in keys:
-                    self.fail(
-                        cycle,
-                        f"router {router.node}: {kind} grant {grant} answers "
-                        f"no submitted request",
-                    )
-
-        seen_inputs: set = set()
-        seen_outputs: set = set()
-        for grant in (*nonspec_grants, *spec_grants):
-            if grant.group in seen_inputs:
+            ivc = ivcs[flat]
+            grant = Grant(port, vc, ivc.route)
+            nonspec.append(grant)
+            if not (both_active >> flat & 1 and ivc.buffer
+                    and router.output_vcs[ivc.route][ivc.out_vc].credits):
                 self.fail(
                     cycle,
-                    f"router {router.node}: input port {grant.group} granted "
-                    f"twice in one cycle",
+                    f"router {node}: non-speculative grant {grant} answers "
+                    f"no submitted request",
                 )
-            seen_inputs.add(grant.group)
-            if grant.resource in seen_outputs:
-                self.fail(
-                    cycle,
-                    f"router {router.node}: output port {grant.resource} "
-                    f"granted twice in one cycle",
-                )
-            seen_outputs.add(grant.resource)
 
-        if self.enforce_priority and spec_grants and nonspec_grants:
-            taken_inputs = {g.group for g in nonspec_grants}
-            taken_outputs = {g.resource for g in nonspec_grants}
-            for grant in spec_grants:
+        for conflict in grant_conflicts(nonspec, spec):
+            self.fail(cycle, f"router {node}: {conflict}")
+
+        if self.enforce_priority and spec and nonspec:
+            taken_inputs = {g.group for g in nonspec}
+            taken_outputs = {g.resource for g in nonspec}
+            for grant in spec:
                 if grant.group in taken_inputs or (
                         grant.resource in taken_outputs):
                     self.fail(
                         cycle,
-                        f"router {router.node}: speculative grant {grant} "
+                        f"router {node}: speculative grant {grant} "
                         f"displaced a non-speculative grant (priority "
                         f"inversion)",
                     )
+
+
+def _bits(mask: int):
+    """The set bit positions of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        mask -= low
+        yield low.bit_length() - 1
 
 
 class InOrderDeliveryProbe(Probe):

@@ -17,8 +17,9 @@ class ValidationSuite:
         The probes to run; :meth:`default` builds the standard set for
         a config.
     interval:
-        Run the cycle probes every ``interval`` network steps (event
-        probes always observe every event).  ``1`` checks every cycle.
+        Run the cycle probes every ``interval`` network steps (a probe
+        marked ``every_step`` and the event probe see every step).
+        ``1`` checks every cycle.
     fail_fast:
         Raise :class:`InvariantViolation` on the first violation
         (default).  Otherwise violations accumulate and the run
@@ -40,6 +41,7 @@ class ValidationSuite:
         if interval < 1:
             raise ValueError(f"interval must be >= 1, got {interval}")
         self.probes = list(probes)
+        self._every_step = [p for p in self.probes if p.every_step]
         self.interval = interval
         self.fail_fast = fail_fast
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir else None
@@ -58,11 +60,6 @@ class ValidationSuite:
     def attach(self, network) -> None:
         if self._attached:
             raise RuntimeError("suite is already attached to a network")
-        # Probes wrap generic-path methods (allocator proxies, sink
-        # wraps); compiled step functions would bypass them.
-        force = getattr(network, "force_generic_step", None)
-        if force is not None:
-            force("checked")
         for probe in self.probes:
             probe.bind(self)
             probe.attach(network)
@@ -79,10 +76,12 @@ class ValidationSuite:
     def after_cycle(self, network) -> None:
         """Run the cycle probes on the settled end-of-step state."""
         self._steps_seen += 1
+        cycle = network.cycle
         if self._steps_seen % self.interval:
+            for probe in self._every_step:
+                probe.check(network, cycle)
             return
         self.cycles_checked += 1
-        cycle = network.cycle
         for probe in self.probes:
             probe.check(network, cycle)
 

@@ -2,7 +2,10 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import analyze
+from repro.analysis.core import _derive_domains
 from repro.analysis.checkers.det import DeterminismChecker
 from repro.analysis.reporters import render_json, render_text
 
@@ -166,3 +169,20 @@ def test_reporters_render(tmp_path):
     payload = render_json(result)
     assert '"rule": "DET002"' in payload
     assert '"new": 1' in payload
+
+
+@pytest.mark.parametrize("relpath, domains", [
+    ("src/repro/sim/validation/probes.py", {"sim", "wrap-site"}),
+    ("tests/validation/test_probes.py", set()),
+    ("src/repro/sim/network.py", {"sim", "hot"}),
+    ("src/repro/sim/routers/vc.py", {"sim", "hot"}),
+    ("tests/sim/test_network.py", {"sim"}),
+    ("tests/sim/test_allocators.py", {"sim"}),
+    ("tests/sim/test_arbiters.py", {"sim"}),
+    ("tests/sim/test_matching.py", {"sim"}),
+    ("src/repro/runtime/cache.py", {"runtime", "cache-module"}),
+])
+def test_path_domains_match_basenames_exactly(relpath, domains):
+    # A basename that merely ends like a hot module or a wrap site
+    # (``test_network.py``, ``test_probes.py``) joins neither domain.
+    assert _derive_domains(relpath) == domains

@@ -118,15 +118,15 @@ class TestSpecializationStats:
         assert exp.stats.generic_step_reasons == {}
         assert "32 routers specialized" in exp.stats.describe_specialization()
 
-    def test_checked_points_report_their_fallback_reason(self):
+    def test_checked_points_run_the_compiled_step(self):
         exp = Experiment(FAST, checked=True)
         exp.point(config())
-        assert exp.stats.routers_specialized == 0
-        assert exp.stats.routers_generic == 16
-        assert exp.stats.generic_step_reasons == {"checked": 1}
+        assert exp.stats.routers_specialized == 16
+        assert exp.stats.routers_generic == 0
+        assert exp.stats.generic_step_reasons == {}
         text = exp.stats.describe_specialization()
-        assert "16 generic" in text
-        assert "checked: 1" in text
+        assert "16 routers specialized" in text
+        assert "generic" not in text
 
 
 class TestSweep:

@@ -312,9 +312,9 @@ class TestHighLoadBattery:
         assert fast["generated"] * config.packet_length > fast["ejected"]
 
     def test_high_load_checked_run_is_clean(self):
-        """Probes see no violations at load 0.5 on the fast stepper
-        (which falls back to the generic path when checked -- this
-        guards the *fallback* wiring under saturation stress)."""
+        """Probes see no violations at load 0.5 on the fast stepper:
+        the checked run keeps its compiled steps, so this checks the
+        compiled closures under saturation stress."""
         config = SimConfig(
             router_kind=RouterKind.SPECULATIVE_VC,
             mesh_radix=4, num_vcs=2, buffers_per_vc=4,
@@ -327,6 +327,8 @@ class TestHighLoadBattery:
         result = simulate(config, measurement, checked=True)
         assert result.validation is not None
         assert result.validation["ok"], result.validation["violations"]
+        assert result.counters.routers_generic == 0
+        assert result.validation["probes"]["speculation_legality"] > 0
 
 
 class TestGeneratorFastForward:

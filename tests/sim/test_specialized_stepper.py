@@ -2,15 +2,18 @@
 
 The fast stepper compiles one step closure per router at wiring time,
 for every built-in config.  These tests pin that envelope and every
-guard that must force the generic path: the reference stepper,
-probes/tracers attached after wiring (telemetry only reads counters and
-forces nothing), monkeypatched step methods, and swapped allocator
-types.
+guard that must force the generic path: the reference stepper, a
+tracer attached after wiring (checked-mode probes and telemetry read
+state and force nothing), monkeypatched step or allocator methods, and
+swapped allocator types.
 """
 
 import pytest
 
-from repro.sim.allocators import SeparableAllocator
+from repro.sim.allocators import (
+    SeparableAllocator,
+    SpeculativeSwitchAllocator,
+)
 from repro.sim.config import RouterKind, SimConfig
 from repro.sim.network import Network
 from repro.sim.routers.spec_vc import SpeculativeVCRouter
@@ -68,13 +71,14 @@ class TestNetworkBinding:
         assert all(fn is None for fn in network._step_fns)
         assert network.routers_specialized == 0
 
-    def test_checked_attach_drops_compiled_steps(self):
+    def test_checked_attach_keeps_compiled_steps(self):
         network = Network(spec_config())
         assert network.generic_step_reason is None
         suite = ValidationSuite.default(network.config)
         suite.attach(network)
-        assert network.generic_step_reason == "checked"
-        assert all(fn is None for fn in network._step_fns)
+        assert network.generic_step_reason is None
+        assert network.routers_specialized == len(network.routers)
+        assert all(fn is not None for fn in network._step_fns)
 
     def test_telemetry_attach_keeps_compiled_steps(self):
         network = Network(spec_config())
@@ -89,6 +93,22 @@ class TestNetworkBinding:
         Tracer.attach(network)
         assert network.generic_step_reason == "trace"
         assert all(fn is None for fn in network._step_fns)
+
+
+class TestPackedRouterState:
+    @pytest.mark.parametrize("kind", list(RouterKind), ids=lambda k: k.value)
+    def test_wired_router_stays_under_shared_key_limit(self, kind):
+        """CPython 3.11 keeps at most 30 instance attributes in a
+        class's shared keys; past that every ``router.x`` the compiled
+        step executes pays a dict lookup (docs/PERFORMANCE.md, "Packed
+        router state")."""
+        config = spec_config(
+            router_kind=kind, num_vcs=2 if kind.uses_vcs else 1
+        )
+        router = Network(config).routers[5]
+        # vars() materialises the instance dict: fine on a router that
+        # never steps, never on one that does.
+        assert len(vars(router)) < 30
 
 
 class TestCompileGuards:
@@ -142,6 +162,45 @@ class TestCompileGuards:
         router._spec_switch_allocator._nonspec = RecordingAllocator(
             nonspec.num_groups, nonspec.members_per_group,
             nonspec.num_resources,
+        )
+        assert compile_step(router) is None
+
+    @pytest.mark.parametrize("allocator_kind", ["separable", "maximum"])
+    def test_class_patched_allocator_method_runs(
+        self, monkeypatch, allocator_kind
+    ):
+        """A spy on ``SpeculativeSwitchAllocator.allocate`` -- a method
+        the compiled kernels inline -- pushes every router onto the
+        generic path, so the spy really runs."""
+        real = SpeculativeSwitchAllocator.allocate
+        calls = []
+
+        def spy(self, nonspec_requests, spec_requests):
+            calls.append(len(nonspec_requests) + len(spec_requests))
+            return real(self, nonspec_requests, spec_requests)
+
+        monkeypatch.setattr(SpeculativeSwitchAllocator, "allocate", spy)
+        config = spec_config(
+            injection_fraction=0.5, seed=5, allocator_kind=allocator_kind
+        )
+        network = Network(config)
+        assert network.routers_specialized == 0
+        network.run(300)
+        assert calls
+
+    @pytest.mark.parametrize("name", ["allocate", "_allocate_equal"])
+    def test_instance_patched_spec_allocator_refuses_compile(self, name):
+        router = self._fresh_router()
+        allocator = router._spec_switch_allocator
+        real = getattr(allocator, name)
+        setattr(allocator, name, lambda *args: real(*args))
+        assert compile_step(router) is None
+
+    def test_class_patched_suballocator_refuses_compile(self, monkeypatch):
+        router = self._fresh_router()
+        monkeypatch.setattr(
+            SeparableAllocator, "allocate",
+            lambda self, requests, busy_resources=(): [],
         )
         assert compile_step(router) is None
 

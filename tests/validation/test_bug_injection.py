@@ -14,8 +14,9 @@ import pytest
 from repro.sim.allocators import SpeculativeSwitchAllocator
 from repro.sim.config import MeasurementConfig, RouterKind, SimConfig
 from repro.sim.credit import CreditCounter
-from repro.sim.engine import simulate
+from repro.sim.engine import Simulator, simulate
 from repro.sim.network import Network
+from repro.sim.routers import specialized
 from repro.sim.routers.base import BaseRouter, InputVC, VCState
 from repro.sim.routers.wormhole import WormholeRouter
 from repro.sim.topology import LOCAL, NUM_PORTS
@@ -101,8 +102,9 @@ class TestSpeculationInversion:
         """Remove the combiner's priority filtering: speculative grants
         no longer yield to non-speculative ones, so the first contended
         cycle produces an inversion (or a double-granted port) and the
-        legality probe fires at allocation time -- before the router
-        could act on the illegal grants."""
+        legality probe fires at the end of that cycle -- before the
+        illegal grants traverse the crossbar.  The patched ``allocate``
+        keeps every router on the generic path, which calls it."""
 
         def unfiltered(self, nonspec_requests, spec_requests):
             nonspec_grants = self._nonspec.allocate(nonspec_requests)
@@ -143,6 +145,72 @@ class TestSpeculationInversion:
             )
         assert excinfo.value.violation.probe == "speculation_legality"
         assert "answers no submitted request" in str(excinfo.value)
+
+
+#: One compiled speculative kernel each: (kernel builder, config overrides).
+SPEC_KERNELS = [
+    pytest.param("_make_spec_alloc", {}, id="separable"),
+    pytest.param(
+        "_make_spec_alloc_grouped", {"allocator_kind": "maximum"},
+        id="maximum",
+    ),
+    pytest.param(
+        "_make_spec_alloc_equal", {"speculation_priority": "equal"},
+        id="equal",
+    ),
+]
+
+
+class TestCompiledKernelInjection:
+    @pytest.mark.parametrize("kernel, overrides", SPEC_KERNELS)
+    def test_doubled_output_grant_trips_legality_probe(
+        self, monkeypatch, kernel, overrides
+    ):
+        """A compiled speculative kernel that also grants a taken output
+        to a second input -- pending traversal, credit and stats exactly
+        as a real grant -- is caught on the fast stepper's compiled
+        step the cycle it happens."""
+        real = getattr(specialized, kernel)
+        fired = []
+
+        def build(router, cand=None):
+            alloc = real(router, cand)
+
+            def doubled(cycle):
+                active = router._active_mask  # the non-speculative bidders
+                alloc(cycle)
+                if fired or not router.pending_st:
+                    return
+                port, vc = router.pending_st[0]
+                taken = router.input_vcs[port][vc].route
+                for ivc in router._all_ivcs:
+                    if (ivc.port != port and ivc.route == taken
+                            and active >> ivc.flat & 1 and ivc.buffer
+                            and router.output_vcs[taken][ivc.out_vc].credits
+                            and (ivc.port, ivc.vc) not in router.pending_st):
+                        router._grant_switch(ivc.port, ivc.vc, cycle)
+                        fired.append((router.node, cycle))
+                        return
+
+            return doubled
+
+        monkeypatch.setattr(specialized, kernel, build)
+        sim = Simulator(
+            tiny_config(
+                RouterKind.SPECULATIVE_VC, injection_fraction=0.5,
+                **overrides,
+            ),
+            MEAS, checked=True,
+        )
+        network = sim.network
+        assert network.routers_specialized == len(network.routers)
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.run()
+        assert fired, "the injected double grant never fired"
+        violation = excinfo.value.violation
+        assert violation.probe == "speculation_legality"
+        assert "granted twice" in violation.message
+        assert violation.cycle == fired[0][1] + 1
 
 
 class TestWatchdog:
@@ -357,12 +425,13 @@ class TestRouteTableCorruption:
     """Corrupting a router's routing table must be observable.
 
     ``_route_table`` is the router's only routing decision, read by the
-    generic route methods as well as the compiled RC closures.  Checked
-    mode runs the generic path, so a corrupted table steers real
-    packets: the first head it misroutes ejects at the wrong sink and
-    the delivery probe flags it the cycle it arrives.  If the generic
-    path ever stopped reading the table, the corruption would become
-    invisible and these tests would fail on ``fired``/``raises``.
+    generic route methods as well as the compiled RC closures.  The
+    injection wraps ``BaseRouter.cycle``, so these runs take the generic
+    path, and a corrupted table steers real packets: the first head it
+    misroutes ejects at the wrong sink and the delivery probe flags it
+    the cycle it arrives.  If the generic path ever stopped reading the
+    table, the corruption would become invisible and these tests would
+    fail on ``fired``/``raises``.
     """
 
     CENTER = TestPackedStateCorruption.CENTER
@@ -431,8 +500,9 @@ class TestMatchingAdjacencyCorruption:
     def test_flipped_adjacency_bit_trips_legality_probe(self, monkeypatch):
         """Pointing one group's adjacency bitmask at a resource nobody
         requested makes the maximum matcher emit a grant answering no
-        request; the legality probe flags it the same cycle, at the
-        allocate() boundary -- before the router can act on it."""
+        request; the legality probe flags it at the end of that cycle,
+        before the grant traverses.  The compiled kernels call the
+        patched ``_match`` too, so this runs on the compiled step."""
         from repro.sim.matching import MaximumMatchingAllocator
 
         real = MaximumMatchingAllocator._match
