@@ -48,13 +48,14 @@ SPEEDUP_FLOOR = 1.5
 SPEEDUP_FLOOR_LOAD = 0.42
 
 #: Specialization-envelope variants benched at the near-saturation
-#: load: the batched maximum-matching allocator, memoized o1turn
-#: routing and the equal-priority speculation ablation.  Their closures
-#: share less machinery with the default separable/xy fast path, so
-#: each carries its own absolute floor (lower than the default path's:
-#: maximum matching does strictly more work per cycle in both
-#: steppers).  Default + maximum + equal are the three speculative
-#: allocation kernels the compiled step keeps; each has a gated number.
+#: load: the bitmask maximum-matching allocator, o1turn routing and
+#: the equal-priority speculation ablation.  Their closures share less
+#: machinery with the default separable/xy fast path, so each carries
+#: its own absolute floor (lower than the default path's: maximum
+#: matching does strictly more work per cycle in both steppers).
+#: Default + maximum + equal run the conservative speculative kernel
+#: under both switch closures and the equal kernel; each has a gated
+#: number.
 ENVELOPE_LOAD = 0.42
 ENVELOPE_SPEEDUP_FLOOR = 1.3
 ENVELOPE_VARIANTS = (

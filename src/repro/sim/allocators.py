@@ -14,14 +14,12 @@ Separability trades a little matching efficiency for a fast, simple
 circuit -- we reproduce that behaviour exactly (including the lost
 matches), since it affects saturation throughput.
 
-Two entry points share the arbiter state: ``allocate`` (``Request``
-tuples plus an optional ``busy_resources`` mask) is the executable spec
-every generic router phase calls; ``allocate_grouped`` is the batched
-form the compiled steps feed with pre-grouped lists.
-:class:`SpeculativeSwitchAllocator` has only the ``Request`` path: the
-compiled speculative steps arbitrate on its two sub-allocators directly
-(``sim/routers/specialized.py``), which measured faster than any batched
-form of the combine (docs/PERFORMANCE.md, "Which fusions pay").
+``allocate`` (``Request`` tuples plus an optional ``busy_resources``
+mask) is the executable spec every generic router phase calls.  The
+compiled steps run the same two stages as one closure per allocator
+over flat request arrays (``_make_separable_switch`` in
+``sim/routers/specialized.py``), which evolves this allocator's arbiter
+state exactly as ``allocate`` does.
 """
 
 from __future__ import annotations
@@ -124,8 +122,9 @@ class SeparableAllocator:
             make_arbiter(arbiter_kind, num_groups) for _ in range(num_resources)
         ]
         # Matrix arbiters expose their flat-int priority state, letting
-        # allocate_grouped inline the single-candidate rotation (the
-        # dominant case under load) instead of paying an arbitrate call.
+        # the compiled switch closure inline the single-candidate
+        # rotation (the dominant case under load) instead of paying an
+        # arbitrate call.
         self._matrix = arbiter_kind == "matrix"
 
     def allocate(
@@ -186,95 +185,6 @@ class SeparableAllocator:
                 if request.group == winner_group:
                     grants.append(Grant(request.group, request.member, request.resource))
                     break
-        return grants
-
-    def allocate_grouped(
-        self,
-        groups: Sequence[int],
-        members_lists: Sequence[Sequence[int]],
-        resources_lists: Sequence[Sequence[int]],
-    ) -> List[Grant]:
-        """Batched :meth:`allocate` for pre-grouped requests.
-
-        ``groups`` lists the group ids in first-appearance (request)
-        order; ``members_lists[i]`` and ``resources_lists[i]`` are that
-        group's member/resource ids, aligned, in request order.  The
-        matching, arbiter state evolution, and grant order are
-        bit-identical to building ``Request`` tuples and calling
-        ``allocate`` -- this entry point only skips the per-request
-        tuple construction, the ``_validate`` scan, and the per-cycle
-        regrouping dict churn, which dominate allocation cost under
-        load.  Callers must submit each member at most once per group
-        (true of every router flow: one request per input VC per
-        candidate resource); there is no ``busy_resources`` mask here.
-        Used by the config-specialized steppers; the generic phases
-        keep the ``Request`` path as the executable spec.
-        """
-        if not groups:
-            return []
-        stage1 = self._stage1
-        stage2 = self._stage2
-        matrix = self._matrix
-
-        # Stage 1: per group, pick one surviving request.  A sole
-        # candidate wins unconditionally; for matrix arbiters its
-        # priority rotation is two inlined integer ops (identical to
-        # what arbitrate() would do) instead of a call.
-        survivors: List[Tuple[int, int, int]] = []
-        for group, members, resources in zip(
-            groups, members_lists, resources_lists
-        ):
-            arb = stage1[group]
-            if len(members) == 1:
-                winner_member = members[0]
-                if matrix:
-                    arb._state = (
-                        arb._state | arb._col[winner_member]
-                    ) & arb._row_keep[winner_member]
-                else:
-                    arb.arbitrate(members)
-                survivors.append((group, winner_member, resources[0]))
-            else:
-                winner_member = arb.arbitrate(members)
-                survivors.append(
-                    (group, winner_member,
-                     resources[members.index(winner_member)])
-                )
-
-        # Stage 2: per resource, pick one group among the survivors.
-        if len(survivors) == 1:
-            group, member, resource = survivors[0]
-            arb = stage2[resource]
-            if matrix:
-                arb._state = (
-                    arb._state | arb._col[group]
-                ) & arb._row_keep[group]
-            else:
-                arb.arbitrate((group,))
-            return [Grant(group, member, resource)]
-        by_resource: Dict[int, List[Tuple[int, int]]] = {}
-        for group, member, resource in survivors:
-            # repro: hot-ok[per-cycle request grouping in the reference allocator; bounded by requests]
-            by_resource.setdefault(resource, []).append((group, member))
-        grants: List[Grant] = []
-        for resource, claimants in by_resource.items():
-            arb = stage2[resource]
-            if len(claimants) == 1:
-                group, member = claimants[0]
-                if matrix:
-                    arb._state = (
-                        arb._state | arb._col[group]
-                    ) & arb._row_keep[group]
-                else:
-                    arb.arbitrate((group,))
-                grants.append(Grant(group, member, resource))
-            else:
-                # repro: hot-ok[bounded same-cycle scratch in the reference allocator]
-                winner_group = arb.arbitrate([pair[0] for pair in claimants])
-                for group, member in claimants:
-                    if group == winner_group:
-                        grants.append(Grant(group, member, resource))
-                        break
         return grants
 
     def _validate(self, requests: Sequence[Request]) -> None:

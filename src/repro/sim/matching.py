@@ -15,12 +15,11 @@ adjacency is one int (bit ``r`` set iff the group may use resource
 ``r``), and the visited set of a search is a single int, so the inner
 loop is bit arithmetic instead of set/dict churn.  Three callers --
 :meth:`MaximumMatchingAllocator.allocate` (the ``Request``-object
-executable spec, the only one with a ``busy_resources`` mask),
-:meth:`MaximumMatchingAllocator.allocate_grouped` (the batched form the
-compiled switch-allocation and equal-priority steps feed with
-pre-grouped lists) and the compiled VA / conservative speculative
-closures that build the masks during their state scans -- reduce to the
-same ``(adjacency, chooser)`` masks and share one matcher
+executable spec), the compiled switch closure
+(``_make_matching_switch`` in ``sim/routers/specialized.py``, over flat
+request arrays and a busy-output mask) and the compiled VA closure that
+builds the masks during its state scan -- reduce to the same
+``(adjacency, chooser)`` masks and share one matcher
 (:meth:`MaximumMatchingAllocator._match`), so their grants and
 rotation-state evolution are bit-identical by construction.
 
@@ -43,8 +42,8 @@ class MaximumMatchingAllocator:
 
     Drop-in replacement for
     :class:`repro.sim.allocators.SeparableAllocator` (same ``allocate``
-    and ``allocate_grouped`` signatures and matching constraints: at
-    most one grant per group and per resource).
+    signature and matching constraints: at most one grant per group and
+    per resource).
     """
 
     def __init__(
@@ -90,47 +89,6 @@ class MaximumMatchingAllocator:
             held = chooser.get(key)
             if held is None or (member - pivot) % mpg < (held - pivot) % mpg:
                 chooser[key] = member
-        return self._match(adjacency, chooser)
-
-    def allocate_grouped(
-        self,
-        groups: Sequence[int],
-        members_lists: Sequence[Sequence[int]],
-        resources_lists: Sequence[Sequence[int]],
-    ) -> List[Grant]:
-        """Batched :meth:`allocate` for pre-grouped requests.
-
-        Same contract as
-        :meth:`repro.sim.allocators.SeparableAllocator.allocate_grouped`:
-        ``groups`` in first-appearance order, ``members_lists[i]`` /
-        ``resources_lists[i]`` aligned per group.  Skips ``Request``
-        construction and ``_validate`` and builds the adjacency
-        bitmasks directly, then runs the shared matcher -- grants and
-        rotation state evolve exactly as an equivalent
-        :meth:`allocate` call.  Used by the config-specialized
-        steppers; the generic phases keep the ``Request`` path as the
-        executable spec.
-        """
-        if not groups:
-            return []
-        pivot = self._rotation % self.members_per_group
-        mpg = self.members_per_group
-        nr = self.num_resources
-
-        adjacency: Dict[int, int] = {}
-        chooser: Dict[int, int] = {}
-        for group, members, resources in zip(
-            groups, members_lists, resources_lists
-        ):
-            mask = adjacency.get(group, 0)
-            for member, resource in zip(members, resources):
-                mask |= 1 << resource
-                key = group * nr + resource
-                held = chooser.get(key)
-                if held is None or (member - pivot) % mpg < (held - pivot) % mpg:
-                    chooser[key] = member
-            if mask:
-                adjacency[group] = mask
         return self._match(adjacency, chooser)
 
     def _match(

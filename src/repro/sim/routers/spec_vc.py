@@ -31,13 +31,17 @@ class SpeculativeVCRouter(VirtualChannelRouter):
 
     def __init__(self, node: int, mesh: Mesh, config: SimConfig) -> None:
         super().__init__(node, mesh, config)
+        #: This cycle's speculative grants, wasted ones included: bit
+        #: ``(port * v + vc) * NUM_PORTS + output``, stored on both paths.
+        self.spec_grant_mask = 0
+
+    def _build_switch_allocator(self, config: SimConfig) -> None:
+        # Two allocators in parallel (Figure 7c) replace the plain
+        # router's one.
         self._spec_switch_allocator = SpeculativeSwitchAllocator(
             NUM_PORTS, self.num_vcs, config.arbiter_kind,
             config.allocator_kind, config.speculation_priority,
         )
-        #: This cycle's speculative grants, wasted ones included: bit
-        #: ``(port * v + vc) * NUM_PORTS + output``, stored on both paths.
-        self.spec_grant_mask = 0
 
     def _allocation_phase(self, cycle: int) -> None:
         nonspec_requests = []

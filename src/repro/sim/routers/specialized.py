@@ -6,38 +6,33 @@ step function specialized to the config: RC reads the router's one
 run over the router's three state bitmasks -- the only store of
 input-VC state, so a closure moves a VC between states by moving its
 bit and never touches ``ivc.state`` -- instead of scanning VC objects,
-allocator requests are built as pre-grouped parallel lists
-(``allocate_grouped``) or arbitrated inline, and every branch serving
-validation or tracing is compiled out.  The compiled closure is
+allocator requests are built as flat parallel arrays, and every branch
+serving validation or tracing is compiled out.  The compiled closure is
 bit-identical to the generic ``BaseRouter.cycle`` for the supported
 configs -- same state transitions, same arbiter state evolution, same
 stats, same channel sends in the same order -- which the high-load
 differential battery in ``tests/sim/test_fast_stepper.py`` and
 ``oracle_fast_vs_reference`` enforce.
 
-Every built-in config compiles.  Beyond the separable/xy envelope:
-
-* the maximum-matching allocator is fed ``(adjacency, chooser)``
-  bitmasks built during the SoA scans and run through its shared
-  ``_match`` kernel (no ``Request`` objects);
-* o1turn and adaptive routing read the same ``_route_table`` as
-  xy/yx, whose entries are then ``(xy port, yx port)`` pairs indexed by
-  the packet's committed order, or ``(productive ports, DOR port)``
-  pairs scored against live congestion; the generic path reads it too,
-  so checked mode observes its corruption;
-* the ``equal`` speculation ablation is one merged-request closure for
-  both allocator kinds (:func:`_make_spec_alloc_equal`): both request
-  classes share the primary allocator's state, exactly as
-  ``SpeculativeSwitchAllocator._allocate_equal``.
-
-Each phase is written once unless a measurement pays for a second
-form (docs/PERFORMANCE.md, "Which fusions pay"): VC allocation is one
-closure per allocator kind, shared by every VC-family step, and it
-hands the speculative steps their requestor set so the VC_ALLOC heads
-are scanned once; the speculative switch allocation keeps three
-kernels (fused separable, inline matcher, merged equal) because
-sending any of them through the batched ``allocate_grouped`` tier
-costs 12-20%.
+Switch allocation is written once per allocator kind, as a closure
+over one allocator's state that takes flat request arrays and a
+busy-output mask (:func:`_make_separable_switch`, the two stages of
+Fig 7b; :func:`_make_matching_switch`, the ``(adjacency, chooser)``
+bitmasks of the maximum matcher run through its shared ``_match``
+kernel).  Every compiled switch allocation calls the config's closure:
+the wormhole family's arbiter, the VC routers' switch allocator, the
+conservative speculative kernel (Fig 7c: two closures, the second with
+the first's taken outputs busy) and the ``equal`` ablation (one
+closure on the primary allocator over the merged requests, as
+``SpeculativeSwitchAllocator._allocate_equal``).  VC allocation is one
+closure per allocator kind, shared by every VC-family step; it hands
+the speculative steps their requestor set so the VC_ALLOC heads are
+scanned once.  o1turn and adaptive routing read the same
+``_route_table`` as xy/yx, whose entries are then ``(xy port, yx
+port)`` pairs indexed by the packet's committed order, or
+``(productive ports, DOR port)`` pairs scored against live congestion;
+the generic path reads it too, so checked mode observes its
+corruption.
 
 The generic path remains the executable spec and the fallback:
 
@@ -46,9 +41,10 @@ The generic path remains the executable spec and the fallback:
   telemetry read state the closures keep (``pending_st``, the state
   bitmasks, ``spec_grant_mask``, ``RouterStats``), so a checked or
   observed run executes the same compiled steps;
-* a router whose step methods, or its allocators' methods the closures
-  inline, were monkeypatched (instance or class level) or whose
-  allocators were swapped for another type refuses to specialize --
+* a router whose step methods, or its allocators' or arbiter class's
+  methods the closures inline, were monkeypatched (instance or class
+  level) or whose allocators were swapped for another type refuses to
+  specialize --
   :func:`compile_step` checks each against import-time captures.
 
 The closures capture per-router state and are built fresh for every
@@ -60,6 +56,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..allocators import SeparableAllocator, SpeculativeSwitchAllocator
+from ..arbiters import MatrixArbiter, RoundRobinArbiter
 from ..config import RouterKind
 from ..dateline import class_partition, o1turn_choice
 from ..matching import MaximumMatchingAllocator
@@ -124,7 +121,10 @@ _CANONICAL = {
     SpeculativeSwitchAllocator: _capture(
         SpeculativeSwitchAllocator, ("allocate", "_allocate_equal")
     ),
+    MatrixArbiter: _capture(MatrixArbiter, ("arbitrate",)),
+    RoundRobinArbiter: _capture(RoundRobinArbiter, ("arbitrate",)),
 }
+_ARBITERS = {"matrix": MatrixArbiter, "round_robin": RoundRobinArbiter}
 
 
 def _uses_canonical(obj, cls) -> bool:
@@ -447,6 +447,162 @@ def _make_reiterate(router: BaseRouter):
     return reiterate
 
 
+def _make_separable_switch(allocator: SeparableAllocator):
+    """``allocator.allocate(requests, busy)`` over flat request arrays.
+
+    ``switch(groups, members, resources, busy)`` takes one request per
+    index -- each group's requests contiguous, groups in request order
+    (every router scan is flat-ascending, hence port-contiguous) -- and
+    a bitmask of busy resources whose requests are dropped first.  It
+    returns the ``(group, member, resource)`` grants in grant order and
+    evolves every stage arbiter exactly as ``allocate`` does: stage 1
+    per group, stage 2 per resource in survivor order, a sole
+    candidate's matrix rotation inlined as two integer operations
+    instead of an ``arbitrate`` call.  Callers submit each member at
+    most once per group, as every router flow does."""
+    stage1 = allocator._stage1
+    stage2 = allocator._stage2
+    matrix = allocator._matrix
+
+    def switch(groups, members, resources, busy: int):
+        n = len(groups)
+        if n == 1:
+            # The sole request (the common case below saturation) wins
+            # both stages unless its resource is busy.
+            res = resources[0]
+            if busy >> res & 1:
+                return ()
+            g = groups[0]
+            w = members[0]
+            if matrix:
+                arb = stage1[g]
+                arb._state = (arb._state | arb._col[w]) & arb._row_keep[w]
+                arb = stage2[res]
+                arb._state = (arb._state | arb._col[g]) & arb._row_keep[g]
+            else:
+                stage1[g].arbitrate((w,))
+                stage2[res].arbitrate((g,))
+            return ((g, w, res),)
+
+        # Stage 1: per group, pick one member whose resource is free.
+        sur_g = []
+        sur_m = []
+        sur_r = []
+        i = 0
+        while i < n:
+            g = groups[i]
+            j = i + 1
+            while j < n and groups[j] == g:
+                j += 1
+            arb = stage1[g]
+            if j - i == 1:
+                res = resources[i]
+                if busy >> res & 1:
+                    i = j
+                    continue
+                w = members[i]
+                if matrix:
+                    arb._state = (arb._state | arb._col[w]) & arb._row_keep[w]
+                else:
+                    arb.arbitrate((w,))
+            else:
+                mem = members[i:j]
+                run = resources[i:j]
+                if busy:
+                    for k in range(j - i - 1, -1, -1):
+                        if busy >> run[k] & 1:
+                            del mem[k]
+                            del run[k]
+                    if not mem:
+                        i = j
+                        continue
+                w = arb.arbitrate(mem)
+                res = run[mem.index(w)]
+            sur_g.append(g)
+            sur_m.append(w)
+            sur_r.append(res)
+            i = j
+
+        # Stage 2: per resource, pick one surviving group.
+        if len(sur_g) == 1:
+            g = sur_g[0]
+            res = sur_r[0]
+            arb = stage2[res]
+            if matrix:
+                arb._state = (arb._state | arb._col[g]) & arb._row_keep[g]
+            else:
+                arb.arbitrate((g,))
+            return ((g, sur_m[0], res),)
+        by_resource = {}
+        for k in range(len(sur_g)):
+            # repro: hot-ok[per-cycle conflict grouping; bounded by surviving requests]
+            by_resource.setdefault(sur_r[k], []).append(k)
+        grants = []
+        for res, idxs in by_resource.items():
+            arb = stage2[res]
+            if len(idxs) == 1:
+                k = idxs[0]
+                g = sur_g[k]
+                if matrix:
+                    arb._state = (arb._state | arb._col[g]) & arb._row_keep[g]
+                else:
+                    arb.arbitrate((g,))
+            else:
+                # repro: hot-ok[bounded same-cycle scratch in the switch closure]
+                g = arb.arbitrate([sur_g[k] for k in idxs])
+                for k in idxs:
+                    if sur_g[k] == g:
+                        break
+            grants.append((g, sur_m[k], res))
+        return grants
+
+    return switch
+
+
+def _make_matching_switch(allocator: MaximumMatchingAllocator):
+    """``allocator.allocate(requests, busy)`` over the same flat arrays
+    as :func:`_make_separable_switch`: the ``(adjacency, chooser)``
+    bitmasks are built straight from them and run through the shared
+    ``_match`` kernel, so the rotation advances once per non-empty raw
+    request set -- even when ``busy`` filters every request out -- and
+    not at all on an empty one."""
+    match = allocator._match
+    mpg = allocator.members_per_group
+    nr = allocator.num_resources
+
+    def switch(groups, members, resources, busy: int):
+        if not groups:
+            return ()
+        if len(groups) == 1:
+            # What ``_match`` does with one edge: rotate, grant it.
+            allocator._rotation += 1
+            res = resources[0]
+            if busy >> res & 1:
+                return ()
+            return ((groups[0], members[0], res),)
+        pivot = allocator._rotation % mpg
+        adjacency = {}
+        chooser = {}
+        for g, w, res in zip(groups, members, resources):
+            if busy >> res & 1:
+                continue
+            adjacency[g] = adjacency.get(g, 0) | (1 << res)
+            key = g * nr + res
+            held = chooser.get(key)
+            if held is None or (w - pivot) % mpg < (held - pivot) % mpg:
+                chooser[key] = w
+        return match(adjacency, chooser)
+
+    return switch
+
+
+def _make_switch(allocator):
+    """The switch closure for ``allocator``'s kind."""
+    if type(allocator) is SeparableAllocator:
+        return _make_separable_switch(allocator)
+    return _make_matching_switch(allocator)
+
+
 def _make_wormhole_alloc(router: BaseRouter, grant, *, vct: bool):
     """Inlined wormhole/VCT ``_allocation_phase``.
 
@@ -459,8 +615,10 @@ def _make_wormhole_alloc(router: BaseRouter, grant, *, vct: bool):
     ovc_credits = router._ovc_credits
     stats = router.stats
     port_held_by = router.port_held_by
-    arbiter = router._switch_arbiter
-    member0 = (0,)
+    switch = _make_switch(router._switch_arbiter)
+    # One queue per input port: every request's member is 0, and each
+    # port requests at most once, so the switch reads only a prefix.
+    members = (0,) * NUM_PORTS
 
     def alloc(cycle: int) -> None:
         held_inputs = 0
@@ -494,38 +652,34 @@ def _make_wormhole_alloc(router: BaseRouter, grant, *, vct: bool):
                 stats.credits_stalled += 1
                 continue
             groups.append(in_port)
-            resources.append((route,))
+            resources.append(route)
 
         if groups:
-            for won in arbiter.allocate_grouped(
-                groups, [member0] * len(groups), resources
-            ):
-                in_port = won.group
+            for in_port, _, out_port in switch(groups, members, resources, 0):
                 all_ivcs[in_port].out_vc = 0
-                port_held_by[won.resource] = in_port
+                port_held_by[out_port] = in_port
                 grant(in_port, 0, cycle)
 
     return alloc
 
 
 def _make_vc_sa(router: BaseRouter, grant):
-    """Inlined ``_switch_allocation`` over the ACTIVE bitmask with
-    pre-grouped (port-contiguous, flat-ascending) requests."""
+    """Inlined ``_switch_allocation`` over the ACTIVE bitmask, through
+    the config's switch closure."""
     v = router.num_vcs
     all_ivcs = router._all_ivcs
     queues = router._ivc_queues
     ovc_credits = router._ovc_credits
     stats = router.stats
-    allocator = router._switch_allocator
+    switch = _make_switch(router._switch_allocator)
     flat_port = tuple(flat // v for flat in range(NUM_PORTS * v))
     flat_vc = tuple(flat % v for flat in range(NUM_PORTS * v))
 
     def sa(cycle: int) -> None:
         m = router._active_mask
         groups = []
-        members_lists = []
-        resources_lists = []
-        last_port = -1
+        members = []
+        resources = []
         while m:
             low = m & -m
             m -= low
@@ -537,22 +691,12 @@ def _make_vc_sa(router: BaseRouter, grant):
             if ovc_credits[route * v + ivc.out_vc]._credits <= 0:
                 stats.credits_stalled += 1
                 continue
-            port = flat_port[flat]
-            if port == last_port:
-                members_lists[-1].append(flat_vc[flat])
-                resources_lists[-1].append(route)
-            else:
-                last_port = port
-                groups.append(port)
-                # repro: hot-ok[per-request grant payload; the allocator protocol takes list-of-lists]
-                members_lists.append([flat_vc[flat]])
-                # repro: hot-ok[per-request grant payload; the allocator protocol takes list-of-lists]
-                resources_lists.append([route])
+            groups.append(flat_port[flat])
+            members.append(flat_vc[flat])
+            resources.append(route)
         if groups:
-            for won in allocator.allocate_grouped(
-                groups, members_lists, resources_lists
-            ):
-                grant(won.group, won.member, cycle)
+            for g, w, _ in switch(groups, members, resources, 0):
+                grant(g, w, cycle)
 
     return sa
 
@@ -610,7 +754,7 @@ def _make_vc_va(router: BaseRouter, cand=None):
             for candidate in cands:
                 if ovc_flat[base + candidate].held_by is None:
                     if members is None:
-                        # repro: hot-ok[per-request grant payload; the allocator protocol takes list-of-lists]
+                        # repro: hot-ok[per-head candidate list; the stage-1 arbiter takes a sequence]
                         members = [candidate]
                     else:
                         members.append(candidate)
@@ -679,16 +823,15 @@ def _make_vc_va(router: BaseRouter, cand=None):
     return va
 
 
-def _make_vc_va_grouped(router: BaseRouter, cand=None):
+def _make_vc_va_matching(router: BaseRouter, cand=None):
     """``_vc_allocation`` for the maximum-matching VC allocator: build
     the matcher's ``(adjacency, chooser)`` bitmasks directly over the
     VC_ALLOC heads (one group per head, one adjacency bit per free
     candidate VC, flat-ascending -- exactly the generic
     ``_collect_va_requests`` order) and run the shared ``_match``
-    kernel.  These are the same masks ``allocate_grouped`` would have
-    derived -- each head->candidate edge is unique, so the chooser
-    never needs the rotating rank comparison -- minus the grouped-list
-    round trip.  Grants apply in return order, as the generic loop
+    kernel.  These are the masks ``allocate`` would derive -- each
+    head->candidate edge is unique, so the chooser never needs the
+    rotating rank comparison.  Grants apply in return order, as the generic loop
     does.  Returns its bidders like :func:`_make_vc_va` (the adjacency
     dict, whose keys are the bidding heads in flat order)."""
     v = router.num_vcs
@@ -748,14 +891,14 @@ def _make_va(router: BaseRouter, cand):
     stages, or adjacency masks into the bitmask matcher)."""
     if router.config.allocator_kind == "separable":
         return _make_vc_va(router, cand)
-    return _make_vc_va_grouped(router, cand)
+    return _make_vc_va_matching(router, cand)
 
 
 def _make_spec_combine(router: BaseRouter):
-    """The speculative combiner the three kernels share, as the generic
-    phase's combine loop: ``combine(grants, taken_in, cycle)`` drops
-    each ``(port, vc, output)`` speculative grant whose input port is in
-    the ``taken_in`` bitmask, counts the rest and stores them in
+    """The speculative combiner both speculative kernels share, as the
+    generic phase's combine loop: ``combine(grants, taken_in, cycle)``
+    drops each ``(port, vc, output)`` speculative grant whose input port
+    is in the ``taken_in`` bitmask, counts the rest and stores them in
     ``router.spec_grant_mask``, and passes a grant to the switch only
     if its VC won VC allocation and has a credit."""
     v = router.num_vcs
@@ -791,54 +934,41 @@ def _make_spec_combine(router: BaseRouter):
 
 
 def _make_spec_alloc(router: BaseRouter, cand=None):
-    """Inlined speculative ``_allocation_phase`` with both separable
-    switch allocators fused in (conservative priority; the ``equal``
-    ablation and the maximum-matching allocator have their own
-    closures).
+    """Inlined speculative ``_allocation_phase`` under conservative
+    priority, either allocator kind: the two sub-allocators' switch
+    closures run as ``SpeculativeSwitchAllocator.allocate`` runs them --
+    non-speculative requests first, then speculative requests with the
+    non-speculatively taken outputs busy; the combiner then drops
+    speculative grants whose input was taken.
 
-    The switch arbitration order and priority-state evolution are
-    exactly ``SpeculativeSwitchAllocator.allocate``'s: non-speculative
-    stage 1 per input port in request order, stage 2 per output port in
-    survivor order (grants applied as each stage-2 winner is decided),
-    then the speculative stages with non-speculatively taken outputs
-    masked out before stage 1 and taken inputs filtered at combine
-    time.  Fusing the allocators in drops the per-cycle ``Grant``
-    tuples, the taken-output set/sort, and the busy re-filter list
-    churn; the batched tier measured 12-14% slower.
-
-    VC allocation is the shared :func:`_make_vc_va` closure, called
-    once the non-speculative requests are read off the ACTIVE mask; its
-    bidders are the speculative requestors.  It shares no arbiter or
-    field with the switch stages, so running it before them instead of
-    after (the reference's order) changes nothing, and the combiner
-    still sees whether each speculation won its VC.
+    VC allocation is the shared VA closure, called once the
+    non-speculative requests are read off the ACTIVE mask; its bidders
+    are the speculative requestors.  It shares no arbiter or field with
+    the switch allocators, so running it before the speculative switch
+    allocation instead of after (the reference's order) changes
+    nothing, and the combiner still sees whether each speculation won
+    its VC.
     """
     v = router.num_vcs
     all_ivcs = router._all_ivcs
     queues = router._ivc_queues
     ovc_credits = router._ovc_credits
     stats = router.stats
-    credit_channels = router.credit_channels
     allocator = router._spec_switch_allocator
-    ns1 = allocator._nonspec._stage1
-    ns2 = allocator._nonspec._stage2
-    sp1 = allocator._spec._stage1
-    sp2 = allocator._spec._stage2
-    va = _make_vc_va(router, cand)
+    credit_channels = router.credit_channels
+    nonspec = _make_switch(allocator._nonspec)
+    spec = _make_switch(allocator._spec)
+    va = _make_va(router, cand)
     combine = _make_spec_combine(router)
-    matrix = allocator._nonspec._matrix
     flat_port = tuple(flat // v for flat in range(NUM_PORTS * v))
     flat_vc = tuple(flat % v for flat in range(NUM_PORTS * v))
 
     def alloc(cycle: int) -> None:
-        pending = router.pending_st
-
-        # Non-speculative requests from ACTIVE VCs, flat-ascending
-        # (so per-port runs are contiguous), as parallel flat arrays.
+        # Non-speculative requests from ACTIVE VCs, flat-ascending.
         m = router._active_mask
-        r_groups = []
-        r_members = []
-        r_resources = []
+        groups = []
+        members = []
+        resources = []
         while m:
             low = m & -m
             m -= low
@@ -850,82 +980,14 @@ def _make_spec_alloc(router: BaseRouter, cand=None):
             if ovc_credits[route * v + ivc.out_vc]._credits <= 0:
                 stats.credits_stalled += 1
                 continue
-            r_groups.append(flat_port[flat])
-            r_members.append(flat_vc[flat])
-            r_resources.append(route)
-
-        # Non-speculative stage 1: per input port, pick one VC.
-        sur_g = []
-        sur_m = []
-        sur_r = []
-        i = 0
-        n = len(r_groups)
-        while i < n:
-            g = r_groups[i]
-            j = i + 1
-            while j < n and r_groups[j] == g:
-                j += 1
-            arb = ns1[g]
-            if j - i == 1:
-                w = r_members[i]
-                if matrix:
-                    arb._state = (arb._state | arb._col[w]) & arb._row_keep[w]
-                else:
-                    arb.arbitrate((w,))
-                res = r_resources[i]
-            else:
-                mem = r_members[i:j]
-                w = arb.arbitrate(mem)
-                res = r_resources[i + mem.index(w)]
-            sur_g.append(g)
-            sur_m.append(w)
-            sur_r.append(res)
-            i = j
-
-        # Non-speculative stage 2: per output port, pick one input;
-        # apply the grant (pending ST + credit) as it is decided.
+            groups.append(flat_port[flat])
+            members.append(flat_vc[flat])
+            resources.append(route)
         taken_in = 0
         taken_out = 0
-        ns_count = len(sur_g)
-        if ns_count == 1:
-            g = sur_g[0]
-            res = sur_r[0]
-            arb = ns2[res]
-            if matrix:
-                arb._state = (arb._state | arb._col[g]) & arb._row_keep[g]
-            else:
-                arb.arbitrate((g,))
-            w = sur_m[0]
-            taken_in = 1 << g
-            taken_out = 1 << res
-            pending.append((g, w))
-            stats.sa_grants += 1
-            credit_channel = credit_channels[g]
-            if credit_channel is not None:
-                credit_channel.send(w, cycle)
-        elif ns_count:
-            by_resource = {}
-            for k in range(ns_count):
-                # repro: hot-ok[per-cycle conflict grouping; bounded by surviving requests]
-                by_resource.setdefault(sur_r[k], []).append(k)
-            for res, idxs in by_resource.items():
-                arb = ns2[res]
-                if len(idxs) == 1:
-                    k = idxs[0]
-                    g = sur_g[k]
-                    if matrix:
-                        arb._state = (
-                            arb._state | arb._col[g]
-                        ) & arb._row_keep[g]
-                    else:
-                        arb.arbitrate((g,))
-                else:
-                    # repro: hot-ok[bounded same-cycle scratch in the fused combiner]
-                    g = arb.arbitrate([sur_g[k] for k in idxs])
-                    for k in idxs:
-                        if sur_g[k] == g:
-                            break
-                w = sur_m[k]
+        if groups:
+            pending = router.pending_st
+            for g, w, res in nonspec(groups, members, resources, 0):
                 taken_in |= 1 << g
                 taken_out |= 1 << res
                 pending.append((g, w))
@@ -934,92 +996,19 @@ def _make_spec_alloc(router: BaseRouter, cand=None):
                 if credit_channel is not None:
                     credit_channel.send(w, cycle)
 
-        # VC allocation runs in parallel with switch allocation.  Its
-        # bidders are the speculative requestors, minus those whose
-        # output was taken non-speculatively (the busy filter).
-        r_groups = []
-        r_members = []
-        r_resources = []
+        # VC allocation runs in parallel with switch allocation; its
+        # bidders are the speculative requestors.
+        groups = []
+        members = []
+        resources = []
         for flat in va(cycle):
-            route = all_ivcs[flat].route
-            if taken_out >> route & 1:
-                continue
-            r_groups.append(flat_port[flat])
-            r_members.append(flat_vc[flat])
-            r_resources.append(route)
-        if not r_groups:
+            groups.append(flat_port[flat])
+            members.append(flat_vc[flat])
+            resources.append(all_ivcs[flat].route)
+        if not groups:
             router.spec_grant_mask = 0
             return  # nothing speculative to arbitrate or combine
-
-        # Speculative stage 1.
-        sur_g = []
-        sur_m = []
-        sur_r = []
-        i = 0
-        sn = len(r_groups)
-        while i < sn:
-            g = r_groups[i]
-            j = i + 1
-            while j < sn and r_groups[j] == g:
-                j += 1
-            arb = sp1[g]
-            if j - i == 1:
-                w = r_members[i]
-                if matrix:
-                    arb._state = (arb._state | arb._col[w]) & arb._row_keep[w]
-                else:
-                    arb.arbitrate((w,))
-                res = r_resources[i]
-            else:
-                mem = r_members[i:j]
-                w = arb.arbitrate(mem)
-                res = r_resources[i + mem.index(w)]
-            sur_g.append(g)
-            sur_m.append(w)
-            sur_r.append(res)
-            i = j
-
-        # Speculative stage 2: winners are held until after VA -- the
-        # combiner needs to see whether each speculation won its VC.
-        sp = []
-        sp_count = len(sur_g)
-        if sp_count == 1:
-            g = sur_g[0]
-            res = sur_r[0]
-            arb = sp2[res]
-            if matrix:
-                arb._state = (arb._state | arb._col[g]) & arb._row_keep[g]
-            else:
-                arb.arbitrate((g,))
-            sp.append((g, sur_m[0], res))
-        elif sp_count:
-            by_resource = {}
-            for k in range(sp_count):
-                # repro: hot-ok[per-cycle conflict grouping; bounded by surviving requests]
-                by_resource.setdefault(sur_r[k], []).append(k)
-            for res, idxs in by_resource.items():
-                arb = sp2[res]
-                if len(idxs) == 1:
-                    k = idxs[0]
-                    g = sur_g[k]
-                    if matrix:
-                        arb._state = (
-                            arb._state | arb._col[g]
-                        ) & arb._row_keep[g]
-                    else:
-                        arb.arbitrate((g,))
-                else:
-                    # repro: hot-ok[bounded same-cycle scratch in the fused combiner]
-                    g = arb.arbitrate([sur_g[k] for k in idxs])
-                    for k in idxs:
-                        if sur_g[k] == g:
-                            break
-                sp.append((g, sur_m[k], res))
-
-        # Combine: non-speculative grants win absolutely -- an input
-        # port claimed non-speculatively drops its speculative grant
-        # before it is counted (the batched ``surviving`` filter).
-        combine(sp, taken_in, cycle)
+        combine(spec(groups, members, resources, taken_out), taken_in, cycle)
 
     return alloc
 
@@ -1027,45 +1016,38 @@ def _make_spec_alloc(router: BaseRouter, cand=None):
 def _make_spec_alloc_equal(router: BaseRouter, cand=None):
     """Speculative ``_allocation_phase`` for the ``equal``-priority
     ablation, either allocator kind: speculative and non-speculative
-    requests share one allocator's state.
+    requests share the *primary* allocator's switch closure.
 
     Mirrors ``SpeculativeSwitchAllocator._allocate_equal`` exactly: the
-    two request streams merge into one ``allocate_grouped`` call on the
-    *primary* allocator (groups in first-appearance order over the
-    nonspec-then-spec concatenation, each port's members nonspec
-    first), and grants are classified back by requestor -- an input VC
-    is in exactly one state per cycle, so a flat-index bitmask of the
-    speculative bidders is an exact key.  The merge is priority
-    semantics, not allocator plumbing, so it is written once and the
-    allocator kind only picks which ``allocate_grouped`` and which VA
-    closure run.  The VA closure runs between the two request scans and
-    hands over the speculative bidders (see :func:`_make_spec_alloc`);
-    speculative grants then go through the usual combiner checks (won
-    the VC?  credit available?), as in the generic phase.
+    two request streams merge into one request set (groups in
+    first-appearance order over the nonspec-then-spec concatenation,
+    each port's members nonspec first), and grants are classified back
+    by requestor -- an input VC is in exactly one state per cycle, so a
+    flat-index bitmask of the speculative bidders is an exact key.  The
+    VA closure runs between the two request scans and hands over the
+    speculative bidders (see :func:`_make_spec_alloc`); speculative
+    grants then go through the usual combiner checks (won the VC?
+    credit available?), as in the generic phase.
     """
     v = router.num_vcs
     all_ivcs = router._all_ivcs
     queues = router._ivc_queues
     ovc_credits = router._ovc_credits
     stats = router.stats
-    credit_channels = router.credit_channels
     # Equal priority funnels every request through the primary
     # allocator; the secondary's state never evolves.
-    allocator = router._spec_switch_allocator._nonspec
+    switch = _make_switch(router._spec_switch_allocator._nonspec)
+    grant = _make_grant(router)
     va = _make_va(router, cand)
     combine = _make_spec_combine(router)
     flat_port = tuple(flat // v for flat in range(NUM_PORTS * v))
     flat_vc = tuple(flat % v for flat in range(NUM_PORTS * v))
 
     def alloc(cycle: int) -> None:
-        pending = router.pending_st
-
-        # Non-speculative requests from ACTIVE VCs, one grouped list
-        # per input port (flat-ascending keeps ports contiguous).
-        port_index = [-1] * NUM_PORTS
-        groups = []
-        members_lists = []
-        resources_lists = []
+        # Requesting flats per input port, ports in first-appearance
+        # order: non-speculative ones from ACTIVE VCs first.
+        by_port = [None] * NUM_PORTS
+        ports = []
         m = router._active_mask
         while m:
             low = m & -m
@@ -1074,174 +1056,53 @@ def _make_spec_alloc_equal(router: BaseRouter, cand=None):
             if not queues[flat]:
                 continue
             ivc = all_ivcs[flat]
-            route = ivc.route
-            if ovc_credits[route * v + ivc.out_vc]._credits <= 0:
+            if ovc_credits[ivc.route * v + ivc.out_vc]._credits <= 0:
                 stats.credits_stalled += 1
                 continue
             g = flat_port[flat]
-            idx = port_index[g]
-            if idx < 0:
-                port_index[g] = len(groups)
-                groups.append(g)
-                # repro: hot-ok[per-request grant payload; the allocator protocol takes list-of-lists]
-                members_lists.append([flat_vc[flat]])
-                # repro: hot-ok[per-request grant payload; the allocator protocol takes list-of-lists]
-                resources_lists.append([route])
+            if by_port[g] is None:
+                ports.append(g)
+                # repro: hot-ok[per-port request list of the merged allocation]
+                by_port[g] = [flat]
             else:
-                members_lists[idx].append(flat_vc[flat])
-                resources_lists[idx].append(route)
+                by_port[g].append(flat)
 
         # VC allocation runs in parallel with switch allocation; its
-        # bidders' speculative requests append to the same merged
-        # structure (nonspec-first within each port).
+        # bidders' speculative requests join their port's list.
         spec_flat_mask = 0
         for flat in va(cycle):
-            route = all_ivcs[flat].route
             g = flat_port[flat]
-            idx = port_index[g]
-            if idx < 0:
-                port_index[g] = len(groups)
-                groups.append(g)
-                # repro: hot-ok[per-request grant payload; the allocator protocol takes list-of-lists]
-                members_lists.append([flat_vc[flat]])
-                # repro: hot-ok[per-request grant payload; the allocator protocol takes list-of-lists]
-                resources_lists.append([route])
+            if by_port[g] is None:
+                ports.append(g)
+                # repro: hot-ok[per-port request list of the merged allocation]
+                by_port[g] = [flat]
             else:
-                members_lists[idx].append(flat_vc[flat])
-                resources_lists[idx].append(route)
+                by_port[g].append(flat)
             spec_flat_mask |= 1 << flat
+        if not ports:
+            router.spec_grant_mask = 0
+            return
 
         # One shared-state allocation; non-speculative winners take the
         # switch immediately, speculative winners wait for the combiner.
+        groups = []
+        members = []
+        resources = []
+        for g in ports:
+            for flat in by_port[g]:
+                groups.append(g)
+                members.append(flat_vc[flat])
+                resources.append(all_ivcs[flat].route)
         spec_won = []
-        if groups:
-            for won in allocator.allocate_grouped(
-                groups, members_lists, resources_lists
-            ):
-                g = won.group
-                w = won.member
-                if spec_flat_mask >> (g * v + w) & 1:
-                    spec_won.append(won)
-                    continue
-                pending.append((g, w))
-                stats.sa_grants += 1
-                credit_channel = credit_channels[g]
-                if credit_channel is not None:
-                    credit_channel.send(w, cycle)
+        for won in switch(groups, members, resources, 0):
+            g, w, _ = won
+            if spec_flat_mask >> (g * v + w) & 1:
+                spec_won.append(won)
+            else:
+                grant(g, w, cycle)
 
         # Combine: one allocator made every grant, so none is filtered.
         combine(spec_won, 0, cycle)
-
-    return alloc
-
-
-def _make_spec_alloc_grouped(router: BaseRouter, cand=None):
-    """Speculative ``_allocation_phase`` for the maximum-matching
-    allocator kind, conservative priority (``equal`` is
-    :func:`_make_spec_alloc_equal` for both kinds).
-
-    Builds the matcher's ``(adjacency, chooser)`` bitmasks directly
-    during the mask scans and runs both ``_match`` kernels inline --
-    the same masks and rotation cadence
-    ``SpeculativeSwitchAllocator.allocate`` produces (scan order is
-    flat-ascending, i.e. request order; the busy filter drops
-    non-speculatively taken outputs from the speculative adjacency
-    *after* the chooser is built, which is equivalent because busy
-    edges are never granted and a group whose mask empties is removed
-    before the rotation-ordered group walk).  Going through grouped
-    lists instead measured 14-20% slower, below the envelope floor, so
-    the inline form stays.  The matcher VA closure supplies the
-    speculative bidders, as in :func:`_make_spec_alloc`."""
-    v = router.num_vcs
-    all_ivcs = router._all_ivcs
-    queues = router._ivc_queues
-    ovc_credits = router._ovc_credits
-    stats = router.stats
-    credit_channels = router.credit_channels
-    allocator = router._spec_switch_allocator
-    va = _make_vc_va_grouped(router, cand)
-    combine = _make_spec_combine(router)
-    flat_port = tuple(flat // v for flat in range(NUM_PORTS * v))
-    flat_vc = tuple(flat % v for flat in range(NUM_PORTS * v))
-    nonspec = allocator._nonspec
-    spec = allocator._spec
-    ns_match = nonspec._match
-    sp_match = spec._match
-    mpg = nonspec.members_per_group
-    nr = nonspec.num_resources
-
-    def alloc(cycle: int) -> None:
-        pending = router.pending_st
-
-        # Non-speculative adjacency from the ACTIVE mask.
-        ns_adj = {}
-        ns_choose = {}
-        pivot = nonspec._rotation % mpg
-        m = router._active_mask
-        while m:
-            low = m & -m
-            m -= low
-            flat = low.bit_length() - 1
-            if not queues[flat]:
-                continue
-            ivc = all_ivcs[flat]
-            route = ivc.route
-            if ovc_credits[route * v + ivc.out_vc]._credits <= 0:
-                stats.credits_stalled += 1
-                continue
-            port = flat_port[flat]
-            w = flat_vc[flat]
-            ns_adj[port] = ns_adj.get(port, 0) | (1 << route)
-            key = port * nr + route
-            held = ns_choose.get(key)
-            if held is None or (w - pivot) % mpg < (held - pivot) % mpg:
-                ns_choose[key] = w
-
-        # VC allocation runs in parallel with switch allocation; its
-        # bidders are the speculative requestors.
-        sp_adj = {}
-        sp_choose = {}
-        sp_pivot = spec._rotation % mpg
-        for flat in va(cycle):
-            route = all_ivcs[flat].route
-            port = flat_port[flat]
-            w = flat_vc[flat]
-            sp_adj[port] = sp_adj.get(port, 0) | (1 << route)
-            key = port * nr + route
-            held = sp_choose.get(key)
-            if (held is None
-                    or (w - sp_pivot) % mpg < (held - sp_pivot) % mpg):
-                sp_choose[key] = w
-
-        if ns_adj:
-            ns_grants = ns_match(ns_adj, ns_choose)
-        else:
-            ns_grants = ()
-        taken_out = 0
-        taken_in = 0
-        for grant in ns_grants:
-            g = grant.group
-            w = grant.member
-            taken_out |= 1 << grant.resource
-            taken_in |= 1 << g
-            pending.append((g, w))
-            stats.sa_grants += 1
-            credit_channel = credit_channels[g]
-            if credit_channel is not None:
-                credit_channel.send(w, cycle)
-
-        sp_grants = ()
-        if sp_adj:
-            if taken_out:
-                for port in list(sp_adj):
-                    masked = sp_adj[port] & ~taken_out
-                    if masked:
-                        sp_adj[port] = masked
-                    else:
-                        del sp_adj[port]
-            sp_grants = sp_match(sp_adj, sp_choose)
-
-        combine(sp_grants, taken_in, cycle)
 
     return alloc
 
@@ -1325,10 +1186,8 @@ def _build_spec_vc(router: BaseRouter):
     config = router.config
     if config.speculation_priority == "equal":
         alloc = _make_spec_alloc_equal(router, cand)
-    elif config.allocator_kind == "separable":
-        alloc = _make_spec_alloc(router, cand)
     else:
-        alloc = _make_spec_alloc_grouped(router, cand)
+        alloc = _make_spec_alloc(router, cand)
     rc = _make_vc_rc(router, single_cycle=False)
 
     def step(cycle: int) -> None:
@@ -1354,11 +1213,12 @@ def compile_step(router: BaseRouter):
     Returns None (generic path) when a tracer is attached, or when the
     router or one of its allocators is not exactly its canonical class
     or resolves a captured method to a different function (instance-
-    or class-level monkeypatch).  The closures evolve the allocators'
-    internal state directly (fused separable stages, or the grouped
-    bitmask entry point), so any substitute -- a recording proxy, a
-    test subclass, a patched ``allocate`` -- must take the generic
-    path.
+    or class-level monkeypatch), or when a separable allocator's
+    arbiter class has a patched ``arbitrate``.  The closures evolve the
+    allocators' internal state directly (the switch closures, the fused
+    VA stages, a sole candidate's inlined arbiter rotation), so any
+    substitute -- a recording proxy, a test subclass, a patched
+    ``allocate`` or ``arbitrate`` -- must take the generic path.
     """
     config = router.config
     router_class, builder = _BUILDERS[config.router_kind.value]
@@ -1370,15 +1230,23 @@ def compile_step(router: BaseRouter):
             if config.allocator_kind == "separable"
             else MaximumMatchingAllocator
         )
-        allocators = [(router._vc_allocator, kind),
-                      (router._switch_allocator, kind)]
+        allocators = [(router._vc_allocator, kind)]
         if isinstance(router, SpeculativeVCRouter):
             spec = router._spec_switch_allocator
             if not _uses_canonical(spec, SpeculativeSwitchAllocator):
                 return None
             allocators += [(spec._nonspec, kind), (spec._spec, kind)]
+        else:
+            allocators.append((router._switch_allocator, kind))
     else:
         allocators = [(router._switch_arbiter, SeparableAllocator)]
-    if all(_uses_canonical(obj, cls) for obj, cls in allocators):
-        return builder(router)
-    return None
+    if not all(_uses_canonical(obj, cls) for obj, cls in allocators):
+        return None
+    # Checked on the class, once: the arbiters themselves are built by
+    # ``make_arbiter`` and never swapped one by one.
+    if allocators[0][1] is SeparableAllocator:
+        arbiter_class = _ARBITERS[config.arbiter_kind]
+        for name, func in _CANONICAL[arbiter_class]:
+            if getattr(arbiter_class, name) is not func:
+                return None
+    return builder(router)

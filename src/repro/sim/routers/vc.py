@@ -66,15 +66,21 @@ class VirtualChannelRouter(BaseRouter):
             num_resources=NUM_PORTS * v,
             arbiter_kind=config.arbiter_kind,
         )
-        # Switch allocator (Figure 7b): v:1 per input port, then p:1 per
-        # output port.
+        self._build_switch_allocator(config)
+
+    def _build_switch_allocator(self, config: SimConfig) -> None:
+        """Switch allocator (Figure 7b): v:1 per input port, then p:1
+        per output port."""
+        from ..matching import make_allocator
+
         self._switch_allocator = make_allocator(
             config.allocator_kind,
             num_groups=NUM_PORTS,
-            members_per_group=v,
+            members_per_group=self.num_vcs,
             num_resources=NUM_PORTS,
             arbiter_kind=config.arbiter_kind,
         )
+
     # ------------------------------------------------------------------
 
     def _after_routing(self, ivc: InputVC, cycle: int) -> None:

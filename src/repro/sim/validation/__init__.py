@@ -9,7 +9,8 @@ figure.  This package makes those invariants executable:
   :class:`~repro.sim.engine.Simulator` runs every cycle in checked
   mode: flit conservation (network-wide and per router), credit counts
   matching downstream free-buffer counts, output-VC exclusivity,
-  speculation legality, per-packet in-order delivery, and a
+  switch-grant and speculation legality, per-packet in-order delivery,
+  and a
   deadlock/livelock watchdog that dumps a network snapshot on trip.
 * :mod:`~repro.sim.validation.suite` -- :class:`ValidationSuite`, the
   probe container the engine drives (``checked=True`` builds the
@@ -43,6 +44,7 @@ from .probes import (
     InvariantViolation,
     Probe,
     SpeculationLegalityProbe,
+    SwitchLegalityProbe,
     VCExclusivityProbe,
     Violation,
     WatchdogProbe,
@@ -56,6 +58,7 @@ __all__ = [
     "InvariantViolation",
     "Probe",
     "SpeculationLegalityProbe",
+    "SwitchLegalityProbe",
     "VCExclusivityProbe",
     "ValidationSuite",
     "Violation",

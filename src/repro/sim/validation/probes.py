@@ -388,16 +388,99 @@ class VCExclusivityProbe(Probe):
                 )
 
 
-class SpeculationLegalityProbe(Probe):
+class SwitchLegalityProbe(Probe):
+    """Every switch grant answers a request, and the grants form a
+    matching.
+
+    Reads each pipelined router's grants from the settled state, so it
+    checks whichever step ran, compiled or generic: ``pending_st``
+    holds this cycle's switch grants (a single-cycle router traverses
+    its grants within the cycle, so it has none left to read, and is
+    not watched).  A VC's state at the start of the cycle -- what the
+    allocator saw -- is the masks this probe kept at the previous step.
+    Checks:
+
+    * every grant goes to a VC ACTIVE across the cycle with a flit and
+      a credit for its output VC;
+    * at most one grant per input port and per output port.
+
+    The compiled switch traversal has no duplicate-output check, so
+    this probe is what catches a doubled grant on the fast stepper.
+    """
+
+    name = "switch_legality"
+    every_step = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._routers: List[Any] = []
+        self._before: List[Any] = []
+
+    def _watches(self, router) -> bool:
+        from ..routers.spec_vc import SpeculativeVCRouter
+
+        return not (router.config.router_kind.is_single_cycle
+                    or isinstance(router, SpeculativeVCRouter))
+
+    def attach(self, network) -> None:
+        self._routers = [
+            router for router in network.routers if self._watches(router)
+        ]
+        self._snapshot()
+
+    def detach(self, network) -> None:
+        self._routers, self._before = [], []
+
+    def _snapshot(self) -> None:
+        self._before = [router._active_mask for router in self._routers]
+
+    def check(self, network, cycle: int) -> None:
+        before = self._before
+        self._snapshot()
+        for router, active in zip(self._routers, before):
+            if router.pending_st:
+                self.checks += 1
+                self._check_router(router, active, cycle)
+
+    def _check_router(self, router, active: int, cycle: int) -> None:
+        v = router.num_vcs
+        ivcs = router._all_ivcs
+        both_active = active & router._active_mask
+        grants: List[Grant] = []
+        for port, vc in router.pending_st:
+            ivc = ivcs[port * v + vc]
+            grant = Grant(port, vc, ivc.route)
+            grants.append(grant)
+            if not self._answers(router, ivc, both_active):
+                self._unanswered(router, grant, cycle)
+        for conflict in grant_conflicts(grants):
+            self.fail(cycle, f"router {router.node}: {conflict}")
+
+    @staticmethod
+    def _answers(router, ivc, both_active: int) -> bool:
+        """A grant to ``ivc`` answers a request: the VC was ACTIVE
+        across the cycle, with a flit and a credit for its output VC."""
+        return bool(both_active >> ivc.flat & 1 and ivc.buffer
+                    and ivc.out_vc is not None
+                    and router.output_vcs[ivc.route][ivc.out_vc].credits)
+
+    def _unanswered(self, router, grant: Grant, cycle: int) -> None:
+        self.fail(
+            cycle,
+            f"router {router.node}: non-speculative grant {grant} answers "
+            f"no submitted request",
+        )
+
+
+class SpeculationLegalityProbe(SwitchLegalityProbe):
     """A speculative grant never displaces a non-speculative one.
 
-    Reads each speculative router's grants from the settled state, so
-    it checks whichever step ran, compiled or generic: ``pending_st``
+    The switch-grant checks of :class:`SwitchLegalityProbe`, on
+    speculative routers, over the combined grant set: ``pending_st``
     holds this cycle's switch grants and ``spec_grant_mask`` every
-    speculative grant the combiner received, wasted ones included.  A
-    VC's state at the start of the cycle -- what the allocators saw --
-    is the masks this probe kept at the previous step; a grant in
-    ``pending_st`` that is not in the mask is non-speculative.  Checks:
+    speculative grant the combiner received, wasted ones included; a
+    grant in ``pending_st`` that is not in the mask is
+    non-speculative.  Checks:
 
     * every grant answers a request that was actually submitted: a
       non-speculative grant goes to a VC ACTIVE across the cycle with a
@@ -413,25 +496,15 @@ class SpeculationLegalityProbe(Probe):
     """
 
     name = "speculation_legality"
-    every_step = True
 
     def __init__(self, enforce_priority: bool = True) -> None:
         super().__init__()
         self.enforce_priority = enforce_priority
-        self._routers: List[Any] = []
-        self._before: List[Tuple[int, int, int]] = []
 
-    def attach(self, network) -> None:
+    def _watches(self, router) -> bool:
         from ..routers.spec_vc import SpeculativeVCRouter
 
-        self._routers = [
-            router for router in network.routers
-            if isinstance(router, SpeculativeVCRouter)
-        ]
-        self._snapshot()
-
-    def detach(self, network) -> None:
-        self._routers, self._before = [], []
+        return isinstance(router, SpeculativeVCRouter)
 
     def _snapshot(self) -> None:
         self._before = [
@@ -446,10 +519,10 @@ class SpeculationLegalityProbe(Probe):
             if (router.pending_st or router.spec_grant_mask
                     or router.stats.spec_grants != counted):
                 self.checks += 1
-                self._check_router(router, active, va, counted, cycle)
+                self._check_spec_router(router, active, va, counted, cycle)
 
-    def _check_router(self, router, active: int, va: int, counted: int,
-                      cycle: int) -> None:
+    def _check_spec_router(self, router, active: int, va: int, counted: int,
+                           cycle: int) -> None:
         v = router.num_vcs
         ivcs = router._all_ivcs
         node = router.node
@@ -491,13 +564,8 @@ class SpeculationLegalityProbe(Probe):
             ivc = ivcs[flat]
             grant = Grant(port, vc, ivc.route)
             nonspec.append(grant)
-            if not (both_active >> flat & 1 and ivc.buffer
-                    and router.output_vcs[ivc.route][ivc.out_vc].credits):
-                self.fail(
-                    cycle,
-                    f"router {node}: non-speculative grant {grant} answers "
-                    f"no submitted request",
-                )
+            if not self._answers(router, ivc, both_active):
+                self._unanswered(router, grant, cycle)
 
         for conflict in grant_conflicts(nonspec, spec):
             self.fail(cycle, f"router {node}: {conflict}")
@@ -693,4 +761,6 @@ def default_probes(config) -> List[Probe]:
         probes.append(SpeculationLegalityProbe(
             enforce_priority=config.speculation_priority == "conservative"
         ))
+    elif not config.router_kind.is_single_cycle:
+        probes.append(SwitchLegalityProbe())
     return probes

@@ -1,4 +1,4 @@
-"""Seeded property tests: arbiters and allocators over random inputs.
+"""Property tests: arbiters and allocators over random inputs.
 
 Grant legality (a valid matching, every grant answering a real request)
 must hold for *every* request pattern, not just the structured ones the
@@ -11,6 +11,7 @@ and a hard starvation bound under arbitrary contention.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.allocators import (
     Grant,
@@ -21,6 +22,7 @@ from repro.sim.allocators import (
 )
 from repro.sim.arbiters import MatrixArbiter, RoundRobinArbiter
 from repro.sim.matching import make_allocator
+from repro.sim.routers.specialized import _make_switch
 
 GROUPS, MEMBERS, RESOURCES = 5, 4, 5
 ROUNDS = 200
@@ -95,36 +97,89 @@ def allocator_state(allocator):
     ]
 
 
-class TestGroupedEntryMatchesRequestPath:
-    """``allocate_grouped`` (the compiled steps' batched tier) against
-    ``allocate`` (the executable spec) on a twin allocator."""
+@st.composite
+def request_cycles(draw):
+    """One cycle's requests and busy-resource mask, in the shape every
+    compiled scan submits: each (group, member) at most once, each
+    group's requests contiguous; groups and members in any order (the
+    ``equal`` kernel's merged set is in first-appearance order)."""
+    requests = []
+    groups = draw(st.permutations(range(GROUPS)))
+    for group in groups[:draw(st.integers(0, GROUPS))]:
+        members = draw(st.permutations(range(MEMBERS)))
+        for member in members[:draw(st.integers(0, MEMBERS))]:
+            resource = draw(st.integers(0, RESOURCES - 1))
+            requests.append(Request(group, member, resource))
+    busy = draw(st.integers(0, (1 << RESOURCES) - 1))
+    return requests, busy
 
-    @pytest.mark.parametrize("kind,arbiter_kind", [
-        ("separable", "matrix"),
-        ("separable", "round_robin"),
-        ("maximum", "matrix"),
-    ])
-    @pytest.mark.parametrize("seed", range(20))
-    def test_same_grants_same_order_same_state(self, seed, kind, arbiter_kind):
-        rng = random.Random(seed)
-        spec, batched = (
+
+SWITCH_KINDS = pytest.mark.parametrize("kind,arbiter_kind", [
+    ("separable", "matrix"),
+    ("separable", "round_robin"),
+    ("maximum", "matrix"),
+])
+
+
+class TestSwitchClosuresMatchRequestPath:
+    """The compiled steps' switch closures (``_make_separable_switch``,
+    ``_make_matching_switch``) against ``allocate(requests, busy)``, the
+    executable spec, on a twin allocator: same grants, same grant
+    order, and every stage arbiter's state or the matcher's rotation
+    the same afterwards."""
+
+    @staticmethod
+    def _twins(kind, arbiter_kind):
+        spec, compiled = (
             make_allocator(kind, GROUPS, MEMBERS, RESOURCES, arbiter_kind)
             for _ in range(2)
         )
-        for _ in range(5):
-            requests = random_requests(rng, density=rng.choice((0.1, 0.4, 0.9)))
-            groups, members_lists, resources_lists = [], [], []
-            for request in requests:  # group-contiguous, request order
-                if not groups or groups[-1] != request.group:
-                    groups.append(request.group)
-                    members_lists.append([])
-                    resources_lists.append([])
-                members_lists[-1].append(request.member)
-                resources_lists[-1].append(request.resource)
-            assert batched.allocate_grouped(
-                groups, members_lists, resources_lists
-            ) == spec.allocate(requests)
-            assert allocator_state(batched) == allocator_state(spec)
+        return spec, compiled, _make_switch(compiled)
+
+    @staticmethod
+    def _step(spec, switch, requests, busy):
+        expected = spec.allocate(
+            requests, [r for r in range(RESOURCES) if busy >> r & 1]
+        )
+        granted = switch(
+            [r.group for r in requests], [r.member for r in requests],
+            [r.resource for r in requests], busy,
+        )
+        assert [tuple(g) for g in granted] == [tuple(g) for g in expected]
+        return granted
+
+    @SWITCH_KINDS
+    @settings(max_examples=60, deadline=None)
+    @given(cycles=st.lists(request_cycles(), min_size=1, max_size=6))
+    def test_same_grants_same_order_same_state(
+        self, kind, arbiter_kind, cycles
+    ):
+        spec, compiled, switch = self._twins(kind, arbiter_kind)
+        for requests, busy in cycles:
+            self._step(spec, switch, requests, busy)
+            assert allocator_state(compiled) == allocator_state(spec)
+
+    @SWITCH_KINDS
+    def test_all_requests_busy_grants_nothing(self, kind, arbiter_kind):
+        """A non-empty request set whose every resource is busy grants
+        nothing; the matcher's rotation still advances once, as
+        ``allocate`` advances it, and no arbiter moves."""
+        spec, compiled, switch = self._twins(kind, arbiter_kind)
+        before = allocator_state(compiled)
+        requests = [Request(0, 1, 2), Request(3, 0, 2), Request(3, 2, 4)]
+        assert not self._step(spec, switch, requests, 1 << 2 | 1 << 4)
+        assert allocator_state(compiled) == allocator_state(spec)
+        if kind == "maximum":
+            assert compiled._rotation == before + 1
+        else:
+            assert allocator_state(compiled) == before
+
+    @SWITCH_KINDS
+    def test_no_requests_advance_nothing(self, kind, arbiter_kind):
+        spec, compiled, switch = self._twins(kind, arbiter_kind)
+        before = allocator_state(compiled)
+        assert not self._step(spec, switch, [], 0)
+        assert allocator_state(compiled) == allocator_state(spec) == before
 
 
 class TestSpeculativeAllocatorProperties:

@@ -14,6 +14,7 @@ from repro.sim.allocators import (
     SeparableAllocator,
     SpeculativeSwitchAllocator,
 )
+from repro.sim.arbiters import MatrixArbiter, RoundRobinArbiter
 from repro.sim.config import RouterKind, SimConfig
 from repro.sim.network import Network
 from repro.sim.routers.spec_vc import SpeculativeVCRouter
@@ -110,6 +111,13 @@ class TestPackedRouterState:
         # never steps, never on one that does.
         assert len(vars(router)) < 30
 
+    def test_spec_router_builds_only_its_two_switch_allocators(self):
+        router = Network(spec_config()).routers[5]
+        assert isinstance(
+            router._spec_switch_allocator, SpeculativeSwitchAllocator
+        )
+        assert not hasattr(router, "_switch_allocator")
+
 
 class TestCompileGuards:
     @staticmethod
@@ -203,6 +211,37 @@ class TestCompileGuards:
             lambda self, requests, busy_resources=(): [],
         )
         assert compile_step(router) is None
+
+    @pytest.mark.parametrize("arbiter_kind", ["matrix", "round_robin"])
+    def test_class_patched_arbiter_runs_as_often_as_reference(
+        self, monkeypatch, arbiter_kind
+    ):
+        """The switch closures and fused VA stages inline a sole
+        candidate's arbiter rotation, so a spy on the arbiter class's
+        ``arbitrate`` pushes every router onto the generic path: it
+        runs exactly as often as on the reference stepper."""
+        arbiter_class = {
+            "matrix": MatrixArbiter, "round_robin": RoundRobinArbiter,
+        }[arbiter_kind]
+        real = arbiter_class.arbitrate
+        calls = []
+
+        def spy(self, requests):
+            calls.append(len(requests))
+            return real(self, requests)
+
+        monkeypatch.setattr(arbiter_class, "arbitrate", spy)
+        counts = {}
+        for stepper in ("fast", "reference"):
+            calls.clear()
+            network = Network(spec_config(
+                injection_fraction=0.5, seed=5, stepper=stepper,
+                arbiter_kind=arbiter_kind,
+            ))
+            assert network.routers_specialized == 0
+            network.run(300)
+            counts[stepper] = len(calls)
+        assert counts["fast"] == counts["reference"] > 0
 
     def test_maximum_allocator_subclass_refuses_compile(self):
         # Same exact-type discipline for the batched bitmask matcher:

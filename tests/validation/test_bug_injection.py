@@ -147,13 +147,12 @@ class TestSpeculationInversion:
         assert "answers no submitted request" in str(excinfo.value)
 
 
-#: One compiled speculative kernel each: (kernel builder, config overrides).
+#: One compiled speculative kernel per allocator kind and priority:
+#: (kernel builder, config overrides).
 SPEC_KERNELS = [
     pytest.param("_make_spec_alloc", {}, id="separable"),
-    pytest.param(
-        "_make_spec_alloc_grouped", {"allocator_kind": "maximum"},
-        id="maximum",
-    ),
+    pytest.param("_make_spec_alloc", {"allocator_kind": "maximum"},
+                 id="maximum"),
     pytest.param(
         "_make_spec_alloc_equal", {"speculation_priority": "equal"},
         id="equal",
@@ -209,6 +208,59 @@ class TestCompiledKernelInjection:
         assert fired, "the injected double grant never fired"
         violation = excinfo.value.violation
         assert violation.probe == "speculation_legality"
+        assert "granted twice" in violation.message
+        assert violation.cycle == fired[0][1] + 1
+
+    @pytest.mark.parametrize("kind, kernel", [
+        pytest.param(RouterKind.VIRTUAL_CHANNEL, "_make_vc_sa", id="vc"),
+        pytest.param(RouterKind.WORMHOLE, "_make_wormhole_alloc",
+                     id="wormhole"),
+    ])
+    def test_doubled_output_grant_trips_switch_probe(
+        self, monkeypatch, kind, kernel
+    ):
+        """The same doubled grant from the plain VC router's switch
+        allocation or the wormhole allocator: the compiled switch
+        traversal has no duplicate-output check, so the switch probe is
+        what catches it on the compiled step."""
+        real = getattr(specialized, kernel)
+        fired = []
+
+        def build(router, grant, **flags):
+            alloc = real(router, grant, **flags)
+
+            def doubled(cycle):
+                active = router._active_mask  # the bidders
+                alloc(cycle)
+                if fired or not router.pending_st:
+                    return
+                port, vc = router.pending_st[-1]
+                taken = router.input_vcs[port][vc].route
+                for ivc in router._all_ivcs:
+                    # A wormhole head gets its output VC with the grant.
+                    out_vc = 0 if ivc.out_vc is None else ivc.out_vc
+                    if (ivc.port != port and ivc.route == taken
+                            and active >> ivc.flat & 1 and ivc.buffer
+                            and router.output_vcs[taken][out_vc].credits
+                            and (ivc.port, ivc.vc) not in router.pending_st):
+                        ivc.out_vc = out_vc
+                        grant(ivc.port, ivc.vc, cycle)
+                        fired.append((router.node, cycle))
+                        return
+
+            return doubled
+
+        monkeypatch.setattr(specialized, kernel, build)
+        sim = Simulator(
+            tiny_config(kind, injection_fraction=0.5), MEAS, checked=True
+        )
+        network = sim.network
+        assert network.routers_specialized == len(network.routers)
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.run()
+        assert fired, "the injected double grant never fired"
+        violation = excinfo.value.violation
+        assert violation.probe == "switch_legality"
         assert "granted twice" in violation.message
         assert violation.cycle == fired[0][1] + 1
 
