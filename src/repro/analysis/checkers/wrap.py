@@ -41,9 +41,6 @@ class WrapSite:
     relpath: str
     line: int
     kind: str  # "getattr" | "monkeypatch" | "dict-probe" | "setattr"
-    #: True when the site *assigns* the attribute on instances (the
-    #: SLOTS checker flags these when every provider is slotted).
-    patches: bool = False
 
 
 def collect_wrap_sites(source: SourceFile) -> List[WrapSite]:
@@ -68,7 +65,6 @@ def collect_wrap_sites(source: SourceFile) -> List[WrapSite]:
                             relpath=source.relpath,
                             line=node.lineno,
                             kind=dotted,
-                            patches=dotted == "setattr",
                         ))
             elif isinstance(node, ast.Attribute) and isinstance(
                 node.value, ast.Name
@@ -94,7 +90,6 @@ def collect_wrap_sites(source: SourceFile) -> List[WrapSite]:
                 relpath=source.relpath,
                 line=stores[key],
                 kind="monkeypatch",
-                patches=True,
             ))
     return sites
 
@@ -126,20 +121,6 @@ def _dict_probe_sites(
     return sites
 
 
-def all_wrap_sites(index: ProjectIndex) -> List[WrapSite]:
-    """Every wrap site in the indexed wrap-site modules.
-
-    Computed from the completed index (not accumulated per file) so the
-    checkers stay stateless -- the parallel driver runs ``check_file``
-    concurrently and caches its findings per module.
-    """
-    sites: List[WrapSite] = []
-    for source in index.files:
-        if source.in_domain("wrap-site"):
-            sites.extend(collect_wrap_sites(source))
-    return sites
-
-
 class WrapTargetChecker(Checker):
     name = "wrap"
     rules = (
@@ -148,8 +129,15 @@ class WrapTargetChecker(Checker):
     )
 
     def finalize(self, index: ProjectIndex) -> Iterable[Finding]:
+        # Sites come from the completed index, so the checker keeps no
+        # state between files.
+        sites = [
+            site for source in index.files
+            if source.in_domain("wrap-site")
+            for site in collect_wrap_sites(source)
+        ]
         seen: Set[Tuple[str, str, int]] = set()
-        for site in all_wrap_sites(index):
+        for site in sites:
             dedupe = (site.relpath, site.attr, site.line)
             if dedupe in seen:
                 continue

@@ -56,9 +56,8 @@ from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple,
 )
 
-#: Basenames whose modules are order-sensitive hot paths: routers,
-#: allocators, arbiters, and the stepper -- anywhere unordered iteration
-#: can change which request wins a cycle and leak into results.
+#: Basenames of the per-cycle modules: routers, allocators, arbiters,
+#: and the stepper -- where the HOT rules look for their roots.
 HOT_BASENAMES = (
     "allocators.py",
     "arbiters.py",
@@ -370,8 +369,6 @@ def _derive_domains(relpath: str) -> Set[str]:
         domains.add("hot")
     if name in WRAP_SITE_BASENAMES:
         domains.add("wrap-site")
-    if name == "cache.py" and "runtime" in parts:
-        domains.add("cache-module")
     return domains
 
 

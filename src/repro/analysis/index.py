@@ -9,7 +9,7 @@ names.  Top-level functions are indexed by name so cross-file checkers
 definition wherever it lives in the analyzed set.
 
 On top of the symbol tables the index builds the whole-program
-machinery the CONC and HOT checkers need:
+machinery the HOT checker needs:
 
 * a :class:`FunctionNode` per function definition -- top-level,
   method, or nested closure -- with the call references its body makes;
@@ -196,20 +196,6 @@ class ProjectIndex:
                     fn.class_name, {}
                 ).setdefault(fn.name, fn.qualname)
 
-    def function_node(
-        self, class_name: Optional[str], name: str,
-        relpath: Optional[str] = None,
-    ) -> Optional[FunctionNode]:
-        """The unique node for ``Class.method`` / bare ``name``, if any."""
-        if class_name is not None:
-            qual = self._class_methods.get(class_name, {}).get(name)
-            return self.nodes.get(qual) if qual else None
-        candidates = [
-            self.nodes[q] for q in self._functions_by_name.get(name, ())
-            if relpath is None or self.nodes[q].relpath == relpath
-        ]
-        return candidates[0] if len(candidates) == 1 else None
-
     def resolve_call(
         self, node: FunctionNode, ref: CallRef
     ) -> List[FunctionNode]:
@@ -347,47 +333,6 @@ class ProjectIndex:
         """The unique class definition for ``name``, if unambiguous."""
         infos = self.classes.get(name, [])
         return infos[0] if len(infos) == 1 else None
-
-    def slots_chain(self, info: ClassInfo) -> Optional[Tuple[str, ...]]:
-        """Union of ``__slots__`` over ``info`` and its resolvable bases.
-
-        Returns None when instances may carry a ``__dict__``: the class
-        itself (or any base, followed transitively) lacks a literal
-        ``__slots__``, lists ``__dict__`` in it, or has a base the index
-        cannot resolve (external classes are assumed dict-backed).
-        ``object`` and ``Exception``-free leaves terminate the chain.
-        """
-        seen: Set[str] = set()
-        collected: List[str] = []
-
-        def walk(cls: ClassInfo) -> bool:
-            if cls.name in seen:
-                return True
-            seen.add(cls.name)
-            if cls.slots is None or "__dict__" in cls.slots:
-                return False
-            collected.extend(cls.slots)
-            for base in cls.bases:
-                if base == "object":
-                    continue
-                resolved = self.resolve_base(base)
-                if resolved is None:
-                    return False
-                if not walk(resolved):
-                    return False
-            return True
-
-        if not walk(info):
-            return None
-        return tuple(collected)
-
-    def properties_chain(self, info: ClassInfo) -> Set[str]:
-        props: Set[str] = set(info.properties)
-        for base in info.bases:
-            resolved = self.resolve_base(base)
-            if resolved is not None:
-                props |= self.properties_chain(resolved)
-        return props
 
 
 def _class_info(source: SourceFile, index: int) -> ClassInfo:

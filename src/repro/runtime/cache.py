@@ -113,9 +113,9 @@ def config_key(
     ``asdict()`` dumps gives (``tests/runtime/test_cache.py`` keeps that
     recipe as the reference), so keys, cache directories and manifests
     written by any earlier version stay valid.  The fields are read one
-    by one, which is what CACHE001 checks statically: a new
+    by one; that reference recipe is what checks them: a new
     ``SimConfig`` / ``MeasurementConfig`` field must be read here before
-    the lint passes.
+    those tests pass.
     """
     if measurement is None:
         measurement = MeasurementConfig()

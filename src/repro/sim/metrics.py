@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
-from ..telemetry.summary import TelemetrySummary, merge_summaries
+from ..telemetry.summary import TelemetrySummary
 from .instrumentation import RunCounters
 
 
@@ -243,16 +243,6 @@ class SweepResult:
                 break
             saturation = point.injection_fraction
         return saturation
-
-    def merged_telemetry(self) -> Optional[TelemetrySummary]:
-        """Every point's telemetry folded into one summary.
-
-        ``None`` when no point carried telemetry.  The merge sums
-        counters and histograms across points, so derived rates
-        (speculation win rate, channel utilization) become
-        whole-sweep ratios; per-point window timelines are dropped.
-        """
-        return merge_summaries(p.telemetry for p in self.points)
 
     def describe(self) -> str:
         lines = [f"{self.label}:"]

@@ -394,15 +394,18 @@ class SwitchLegalityProbe(Probe):
 
     Reads each pipelined router's grants from the settled state, so it
     checks whichever step ran, compiled or generic: ``pending_st``
-    holds this cycle's switch grants (a single-cycle router traverses
-    its grants within the cycle, so it has none left to read, and is
-    not watched).  A VC's state at the start of the cycle -- what the
-    allocator saw -- is the masks this probe kept at the previous step.
-    Checks:
+    holds this cycle's switch grants.  A VC's state at the start of the
+    cycle -- what the allocator saw -- is the masks this probe kept at
+    the previous step.  Checks:
 
     * every grant goes to a VC ACTIVE across the cycle with a flit and
       a credit for its output VC;
     * at most one grant per input port and per output port.
+
+    A single-cycle router traverses its grants within the step, so it
+    leaves no ``pending_st`` to read; for it the probe checks the
+    step's per-output delta of ``stats.forwarded_by_output``: no output
+    forwards more than one flit per cycle.
 
     The compiled switch traversal has no duplicate-output check, so
     this probe is what catches a doubled grant on the fast stepper.
@@ -415,24 +418,34 @@ class SwitchLegalityProbe(Probe):
         super().__init__()
         self._routers: List[Any] = []
         self._before: List[Any] = []
+        self._single: List[Any] = []
+        self._forwarded: List[List[int]] = []
 
     def _watches(self, router) -> bool:
         from ..routers.spec_vc import SpeculativeVCRouter
 
-        return not (router.config.router_kind.is_single_cycle
-                    or isinstance(router, SpeculativeVCRouter))
+        return not isinstance(router, SpeculativeVCRouter)
 
     def attach(self, network) -> None:
-        self._routers = [
+        watched = [
             router for router in network.routers if self._watches(router)
         ]
+        single = network.config.router_kind.is_single_cycle
+        self._routers = [] if single else watched
+        self._single = watched if single else []
         self._snapshot()
+        self._forwarded = self._forwarded_now()
 
     def detach(self, network) -> None:
         self._routers, self._before = [], []
+        self._single, self._forwarded = [], []
 
     def _snapshot(self) -> None:
         self._before = [router._active_mask for router in self._routers]
+
+    def _forwarded_now(self) -> List[List[int]]:
+        return [list(router.stats.forwarded_by_output)
+                for router in self._single]
 
     def check(self, network, cycle: int) -> None:
         before = self._before
@@ -441,6 +454,24 @@ class SwitchLegalityProbe(Probe):
             if router.pending_st:
                 self.checks += 1
                 self._check_router(router, active, cycle)
+        if self._single:
+            self._check_single_cycle(cycle)
+
+    def _check_single_cycle(self, cycle: int) -> None:
+        """At most one flit per output per step on single-cycle routers."""
+        previous = self._forwarded
+        self._forwarded = self._forwarded_now()
+        for router, old, new in zip(self._single, previous, self._forwarded):
+            if old == new:
+                continue
+            self.checks += 1
+            for port, (was, now) in enumerate(zip(old, new)):
+                if now - was > 1:
+                    self.fail(
+                        cycle,
+                        f"router {router.node}: output {port} granted twice "
+                        f"in one cycle ({now - was} flits forwarded)",
+                    )
 
     def _check_router(self, router, active: int, cycle: int) -> None:
         v = router.num_vcs
@@ -761,6 +792,6 @@ def default_probes(config) -> List[Probe]:
         probes.append(SpeculationLegalityProbe(
             enforce_priority=config.speculation_priority == "conservative"
         ))
-    elif not config.router_kind.is_single_cycle:
+    else:
         probes.append(SwitchLegalityProbe())
     return probes

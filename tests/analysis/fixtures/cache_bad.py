@@ -1,14 +1,8 @@
-"""Seeded CACHE bad example: fields that never reach the cache key."""
+"""Seeded CACHE bad example: class-level state the cache key never reads."""
 
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional
-
-
-@dataclass
-class TelemetryConfig:
-    sample_period: int = 64  # CACHE001: TelemetryConfig never keyed
 
 
 @dataclass
@@ -17,14 +11,6 @@ class SimConfig:
 
     mesh_radix: int = 8
     seed: int = 1
-    debug_label: str = ""  # CACHE001: not keyed, not exempt
-    telemetry: Optional[TelemetryConfig] = None  # CACHE001
-
-
-@dataclass
-class MeasurementConfig:
-    warmup_cycles: int = 1000
-    sample_packets: int = 2000  # CACHE001: measurement not keyed at all
 
 
 def config_key(config: SimConfig) -> str:

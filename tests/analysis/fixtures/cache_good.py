@@ -1,43 +1,23 @@
-"""Seeded CACHE good example: asdict coverage + explicit exemption."""
+"""Seeded CACHE good example: class-level state read into the key."""
 
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Optional
-
-CACHE_KEY_EXEMPT = {
-    "MeasurementConfig.progress_note",
-    "SimConfig.SCHEMA_VERSION",
-}
-
-
-@dataclass
-class TelemetryConfig:
-    sample_period: int = 64  # covered transitively via SimConfig.telemetry
 
 
 @dataclass
 class SimConfig:
-    #: Documentation-only marker; exempted above (CACHE002 otherwise).
+    #: Format marker: asdict() skips it, so the key reads it explicitly.
     SCHEMA_VERSION = 1
 
     mesh_radix: int = 8
     seed: int = 1
-    telemetry: Optional[TelemetryConfig] = None
 
 
-@dataclass
-class MeasurementConfig:
-    warmup_cycles: int = 1000
-    #: Display-only; exempted above because it never affects results.
-    progress_note: str = ""
-
-
-def config_key(config: SimConfig,
-               measurement: Optional[MeasurementConfig] = None) -> str:
+def config_key(config: SimConfig) -> str:
     payload = {
         "config": asdict(config),
-        "warmup": measurement.warmup_cycles if measurement else 0,
+        "schema": config.SCHEMA_VERSION,
     }
     canonical = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()

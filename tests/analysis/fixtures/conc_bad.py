@@ -1,6 +1,5 @@
 # repro: scope[runtime]
-"""Bad lock discipline: CONC001 (unguarded/mis-guarded writes) and
-CONC003 (wait discipline) violations."""
+"""Bad lock discipline: CONC001 unguarded and mis-guarded writes."""
 
 import threading
 
@@ -20,10 +19,3 @@ class Racy:
     def set_declared(self, v):
         self.declared = v  # CONC001: LOCKED_BY names _lock, not held
 
-    def wait_unheld(self):
-        self._cond.wait()  # CONC003: condition not held
-
-    def wait_no_loop(self):
-        with self._cond:
-            if self.value == 0:
-                self._cond.wait()  # CONC003: bare wait outside a while

@@ -1,5 +1,5 @@
 # repro: scope[runtime]
-"""Good lock discipline: every CONC rule's happy path in one module."""
+"""Good lock discipline: CONC001's happy paths in one module."""
 
 import queue
 import threading
@@ -28,20 +28,3 @@ class Server:
         # Declared THREAD_CONFINED: only ever touched by the caller.
         self._scratch.append(x)
 
-    def wait_until_set(self):
-        with self._cond:
-            while self.value == 0:
-                self._cond.wait()
-
-    def wait_until_set_predicate(self):
-        with self._cond:
-            self._cond.wait_for(lambda: self.value != 0)
-
-
-def _work(x):
-    # A pure pool worker: nothing module-level to fork per process.
-    return x * 2
-
-
-def run(pool, xs):
-    return [pool.submit(_work, x) for x in xs]

@@ -1,14 +1,9 @@
 # repro: scope[sim]
-"""Seeded DET bad example: global RNG + wall clock in sim-scoped code."""
+"""Seeded DET bad example: wall clock and entropy in sim-scoped code."""
 
 import os
-import random
 import time
-from random import randint  # DET001: binds the global RNG
-
-
-def jitter() -> float:
-    return random.random()  # DET001: module-level RNG call
+from time import perf_counter  # DET002: imports a wall clock
 
 
 def stamp() -> float:
@@ -19,5 +14,5 @@ def entropy() -> bytes:
     return os.urandom(8)  # DET002: OS entropy
 
 
-def roll() -> int:
-    return randint(1, 6)
+def elapsed(start: float) -> float:
+    return perf_counter() - start

@@ -1,20 +1,7 @@
 # repro: scope[delaymodel]
-"""Seeded PURE bad examples: global writes, module mutation, I/O."""
+"""Seeded PURE bad examples: global writes and I/O."""
 
-_RESULTS = []
-_MEMO = {}
 _CALLS = 0
-
-
-def record(delay):
-    _RESULTS.append(delay)  # PURE003: module state mutation
-    return delay
-
-
-def memoized_delay(width):
-    if width not in _MEMO:
-        _MEMO[width] = width * 3.5  # PURE003: module dict write
-    return _MEMO[width]
 
 
 def count_call():

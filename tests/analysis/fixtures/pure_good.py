@@ -1,20 +1,11 @@
 # repro: scope[delaymodel]
-"""Seeded PURE good examples: pure computation, lru_cache memoization."""
-
-import functools
+"""Seeded PURE good examples: pure computation, no I/O."""
 
 TAU_FO4 = 5.0
 
 
-@functools.lru_cache(maxsize=None)
-def memoized_delay(width):
-    return width * 3.5
-
-
 def gate_delay(logical_effort, fanout):
-    local = []
-    local.append(logical_effort * fanout)  # local mutation is fine
-    return sum(local) + TAU_FO4
+    return logical_effort * fanout + TAU_FO4
 
 
 def describe(rows):

@@ -1,25 +1,6 @@
-"""Seeded SLOTS bad examples: slot gaps and non-field dataclass state."""
+"""Seeded SLOTS bad example: non-field state on a pickled dataclass."""
 
 from dataclasses import dataclass
-
-
-class Packed:
-    __slots__ = ("length", "head")
-
-    def __init__(self, length):
-        self.length = length
-        self.head = None
-
-    def mark(self):
-        self.tagged = True  # SLOTS001: 'tagged' not in __slots__
-
-
-class PackedChild(Packed):
-    __slots__ = ("tail",)
-
-    def seal(self):
-        self.tail = None
-        self.checksum = 0  # SLOTS001: not in the chain's slots
 
 
 @dataclass

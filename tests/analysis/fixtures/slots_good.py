@@ -1,25 +1,6 @@
-"""Seeded SLOTS good examples: covered slots, field-only config state."""
+"""Seeded SLOTS good example: field-only config state."""
 
 from dataclasses import dataclass
-
-
-class Packed:
-    __slots__ = ("length", "head", "tagged")
-
-    def __init__(self, length):
-        self.length = length
-        self.head = None
-        self.tagged = False
-
-    def mark(self):
-        self.tagged = True
-
-
-class Flexible:
-    # No __slots__: instances carry a __dict__, assign freely.
-
-    def mark(self):
-        self.tagged = True
 
 
 @dataclass

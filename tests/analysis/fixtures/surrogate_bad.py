@@ -6,15 +6,7 @@ deterministic, pure functions of (config, load).  This fixture holds
 one violation of each rule class the domain inherits.
 """
 
-import random
 import time
-
-_FITS = {}
-
-
-def noisy_estimate(load):
-    jitter = random.random()  # DET001: process-global RNG
-    return load * (1.0 + jitter)
 
 
 def timed_estimate(load):
@@ -26,11 +18,6 @@ def count_fit():
     global _TOTAL  # PURE001: global rebinding
     _TOTAL = 1
     return _TOTAL
-
-
-def memo_fit(key, value):
-    _FITS[key] = value  # PURE003: module dict write
-    return _FITS
 
 
 def dump_fit(record):

@@ -20,7 +20,7 @@ def test_good_fixture_is_clean():
 
 def test_bad_fixture_unguarded_and_misguarded_writes():
     result = _conc("conc_bad.py")
-    assert rules_of(result) == ["CONC001", "CONC001", "CONC003", "CONC003"]
+    assert rules_of(result) == ["CONC001", "CONC001"]
 
 
 def test_conc001_names_the_declared_lock():
@@ -31,30 +31,6 @@ def test_conc001_names_the_declared_lock():
     assert len(declared) == 1
     assert "LOCKED_BY" in declared[0].message
     assert "_lock" in declared[0].message
-
-
-def test_conc002_thread_target_reachability():
-    result = _conc("conc_bad_thread.py")
-    assert rules_of(result) == ["CONC002"]
-    (finding,) = result.new_findings
-    assert "Worker.count" in finding.message
-    assert "_bump" in finding.message  # the write is one call away
-
-
-def test_conc003_sites():
-    result = _conc("conc_bad.py")
-    waits = [f for f in result.new_findings if f.rule == "CONC003"]
-    messages = " | ".join(f.message for f in waits)
-    assert "without holding" in messages
-    assert "while" in messages
-
-
-def test_conc004_pool_worker_global():
-    result = _conc("conc_bad_pool.py")
-    assert rules_of(result) == ["CONC004"]
-    (finding,) = result.new_findings
-    assert "_CACHE" in finding.message
-    assert "process-pool workers" in finding.message
 
 
 def test_rules_scoped_to_runtime_domain(tmp_path):

@@ -9,12 +9,10 @@ def _det_only(*paths):
     return run_analysis(*paths, checkers=[DeterminismChecker()])
 
 
-def test_bad_fixture_fires_det001_and_det002():
+def test_bad_fixture_fires_det002():
     result = _det_only("det_bad.py")
-    rules = rules_of(result)
-    assert rules.count("DET001") == 2  # from-import + random.random()
-    assert rules.count("DET002") == 2  # time.time + os.urandom
-    assert not result.ok
+    # from-import + time.time + os.urandom
+    assert rules_of(result) == ["DET002"] * 3
 
 
 def test_good_fixture_is_silent():
@@ -22,21 +20,8 @@ def test_good_fixture_is_silent():
     assert result.ok, [str(f) for f in result.new_findings]
 
 
-def test_hot_path_set_iteration_fires_det003():
-    result = _det_only("det_bad_hot.py")
-    rules = rules_of(result)
-    assert rules == ["DET003"] * 3
-    messages = " ".join(f.message for f in result.new_findings)
-    assert "hash order" in messages
-
-
-def test_hot_path_ordered_iteration_is_silent():
-    result = _det_only("det_good_hot.py")
-    assert result.ok, [str(f) for f in result.new_findings]
-
-
 def test_det_rules_scoped_to_sim_and_delaymodel(tmp_path):
-    # The same bad code outside sim/delaymodel/hot scope is not DET's
+    # The same bad code outside the sim/delaymodel scope is not DET's
     # business (benchmarks legitimately read wall clocks).
     snippet = tmp_path / "bench_something.py"
     snippet.write_text(
@@ -48,28 +33,11 @@ def test_det_rules_scoped_to_sim_and_delaymodel(tmp_path):
     assert result.ok
 
 
-def test_sole_requestor_set_membership_allowed(tmp_path):
-    # Membership tests on sets must not be flagged -- only iteration.
-    snippet = tmp_path / "allocators.py"
-    snippet.write_text(
-        "# repro: scope[sim, hot]\n"
-        "def pick(requests):\n"
-        "    active = set(requests)\n"
-        "    return [r for r in requests if r in active]\n"
-    )
-    result = run_analysis(
-        snippet, checkers=[DeterminismChecker()], root=tmp_path
-    )
-    assert result.ok, [str(f) for f in result.new_findings]
-
-
 def test_surrogate_scope_inherits_determinism_rules():
-    # The surrogate domain is deterministic code: RNG and wall-clock
-    # sources fire exactly as they would under sim/delaymodel.
+    # The surrogate domain is deterministic code: wall-clock sources
+    # fire exactly as they would under sim/delaymodel.
     result = _det_only("surrogate_bad.py")
-    rules = rules_of(result)
-    assert rules.count("DET001") == 1  # random.random()
-    assert rules.count("DET002") == 1  # time.perf_counter()
+    assert rules_of(result) == ["DET002"]  # time.perf_counter()
 
 
 def test_real_surrogate_is_deterministic():

@@ -180,7 +180,7 @@ def test_reporters_render(tmp_path):
     ("tests/sim/test_allocators.py", {"sim"}),
     ("tests/sim/test_arbiters.py", {"sim"}),
     ("tests/sim/test_matching.py", {"sim"}),
-    ("src/repro/runtime/cache.py", {"runtime", "cache-module"}),
+    ("src/repro/runtime/cache.py", {"runtime"}),
 ])
 def test_path_domains_match_basenames_exactly(relpath, domains):
     # A basename that merely ends like a hot module or a wrap site

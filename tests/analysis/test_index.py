@@ -39,14 +39,14 @@ GRAPH = (
 
 def test_bare_name_edge(tmp_path):
     index = _index(tmp_path, mod=GRAPH)
-    run = index.function_node("Engine", "run")
+    run = index.nodes["mod.py::Engine.run"]
     reached = index.reachable([run])
     assert "mod.py::helper" in reached
 
 
 def test_self_method_edge(tmp_path):
     index = _index(tmp_path, mod=GRAPH)
-    run = index.function_node("Engine", "run")
+    run = index.nodes["mod.py::Engine.run"]
     reached = index.reachable([run])
     assert "mod.py::Engine.spin" in reached
 
@@ -55,14 +55,14 @@ def test_ctor_typed_attribute_edge(tmp_path):
     # self.pump = Pump() in __init__ types the receiver of
     # self.pump.prime(), so the edge is precise, not any-provider.
     index = _index(tmp_path, mod=GRAPH)
-    run = index.function_node("Engine", "run")
+    run = index.nodes["mod.py::Engine.run"]
     reached = index.reachable([run])
     assert "mod.py::Pump.prime" in reached
 
 
 def test_reachable_keep_filter_blocks_expansion(tmp_path):
     index = _index(tmp_path, mod=GRAPH)
-    run = index.function_node("Engine", "run")
+    run = index.nodes["mod.py::Engine.run"]
     reached = index.reachable(
         [run], keep=lambda n: n.class_name == "Engine"
     )
@@ -104,11 +104,11 @@ def test_call_refs_leave_nested_defs_to_their_own_nodes(tmp_path):
             "    return inner\n"
         ),
     )
-    outer = index.function_node(None, "outer")
+    outer = index.nodes["mod.py::outer"]
     assert [(ref.kind, ref.name) for ref in outer.calls] == [
         ("bare", "from_outer"),
     ]
-    inner = index.function_node(None, "inner")
+    inner = index.nodes["mod.py::outer.<locals>.inner"]
     assert [ref.name for ref in inner.calls] == ["from_inner"]
 
 

@@ -16,8 +16,6 @@ included) and ``benchmarks`` this suite shows:
     shallowest ``self.x = Ctor()`` first, the table meets the first in
     source.  Only ``ProjectIndex.signature()`` reads the result; the
     corpus shows no attribute where the two differ.
-  - ``_self_store_line`` (SLOTS001's line): the same breadth-first
-    versus source-order choice, shown equal on the corpus.
   - wrap's ``loads`` / ``stores``: the replaced stack walk visited the
     last sibling first, so the *last* store in source order named a
     monkeypatch site.  The table keeps that (a later store overwrites)
@@ -27,8 +25,6 @@ included) and ``benchmarks`` this suite shows:
   - det's stack-order ``_walk_scope`` (and pure's): the own scope holds
     the same nodes; ``_set_typed_locals`` is a set, and findings are
     ordered by ``Finding.sort_key``, which is total.
-  - ``_thread_targets``: breadth-first versus source order of the
-    entries, shown equal on the corpus.
 """
 
 import ast
@@ -36,11 +32,9 @@ import random
 
 import pytest
 
-from repro.analysis.checkers.conc import _thread_targets
-from repro.analysis.checkers.slots import _self_store_line
 from repro.analysis.checkers.wrap import WrapSite, collect_wrap_sites
 from repro.analysis.core import SCOPE_NODES, Finding, SourceFile, call_name
-from repro.analysis.index import ProjectIndex, _self_ctor_stores
+from repro.analysis.index import _self_ctor_stores
 
 from .conftest import REPO_ROOT
 
@@ -54,14 +48,6 @@ CORPUS = sorted(
 @pytest.fixture(scope="module")
 def sources():
     return [SourceFile(path, root=REPO_ROOT) for path in CORPUS]
-
-
-@pytest.fixture(scope="module")
-def index(sources):
-    built = ProjectIndex()
-    for source in sources:
-        built.add_file(source)
-    return built
 
 
 def _ids(nodes):
@@ -95,15 +81,6 @@ def _stack_own(scope: ast.AST):
             if not isinstance(child, SCOPE_NODES)
         )
     return collected
-
-
-def _is_self_store(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.ctx, (ast.Store, ast.Del))
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    )
 
 
 def test_corpus_covers_fixtures_and_every_tree():
@@ -182,27 +159,6 @@ def test_self_ctor_stores_match_the_breadth_first_walk(sources):
     assert checked > 10
 
 
-def test_self_store_line_matches_the_breadth_first_walk(sources, index):
-    def reference(info, attr):
-        source = index.modules[info.relpath].source
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef) and node.name == info.name:
-                for sub in ast.walk(node):
-                    if _is_self_store(sub) and sub.attr == attr:
-                        return sub.lineno
-                return node.lineno
-        return info.line
-
-    checked = 0
-    for info in index.all_classes():
-        for attr in sorted(info.self_attrs):
-            assert _self_store_line(index, info, attr) == reference(
-                info, attr
-            ), f"{info.relpath}:{info.name}.{attr}"
-            checked += 1
-    assert checked > 100
-
-
 def test_wrap_sites_match_the_stack_walk(sources):
     def reference(source):
         sites = []
@@ -224,7 +180,7 @@ def test_wrap_sites_match_the_stack_walk(sources):
                         ):
                             sites.append(WrapSite(
                                 name.value, source.relpath, node.lineno,
-                                dotted, dotted == "setattr",
+                                dotted,
                             ))
                 elif isinstance(node, ast.Attribute) and isinstance(
                     node.value, ast.Name
@@ -243,8 +199,7 @@ def test_wrap_sites_match_the_stack_walk(sources):
             for key in sorted(set(loads) & set(stores)):
                 if not key[1].startswith("__"):
                     sites.append(WrapSite(
-                        key[1], source.relpath, stores[key],
-                        "monkeypatch", True,
+                        key[1], source.relpath, stores[key], "monkeypatch",
                     ))
         return sites
 
@@ -281,45 +236,11 @@ def _dict_probes(node: ast.Compare, source: SourceFile):
     ]
 
 
-def test_thread_targets_match_the_breadth_first_walk(sources, index):
-    def reference(class_node):
-        entries = []
-        for stmt in ast.walk(class_node):
-            if not isinstance(stmt, ast.Call):
-                continue
-            if call_name(stmt.func) not in ("threading.Thread", "Thread"):
-                continue
-            for keyword in stmt.keywords:
-                value = keyword.value
-                if (
-                    keyword.arg == "target"
-                    and isinstance(value, ast.Attribute)
-                    and isinstance(value.value, ast.Name)
-                    and value.value.id == "self"
-                ):
-                    resolved = index.function_node(
-                        class_node.name, value.attr
-                    )
-                    if resolved is not None:
-                        entries.append(resolved.qualname)
-        return entries
-
-    checked = 0
-    for source in sources:
-        for i, node in enumerate(source.nodes):
-            if isinstance(node, ast.ClassDef):
-                expected = reference(node)
-                found = _thread_targets(source, i, index)
-                assert [fn.qualname for fn in found] == expected
-                checked += len(expected)
-    assert checked >= 1
-
-
 def test_finding_order_is_independent_of_visit_order():
     findings = [
-        Finding("DET003", "error", "m.py", 7, message, "det")
+        Finding("HOT001", "error", "m.py", 7, message, "hot")
         for message in ("b iterates", "a iterates", "c iterates")
-    ] + [Finding("DET001", "error", "m.py", 7, "z", "det")]
+    ] + [Finding("DET002", "error", "m.py", 7, "z", "det")]
     expected = sorted(findings, key=Finding.sort_key)
     rng = random.Random(0)
     for _ in range(10):

@@ -74,7 +74,7 @@ def test_cli_warm_run_uses_the_cache(monkeypatch, tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET001", "CACHE001", "WRAP001", "SLOTS001",
+    for rule_id in ("DET002", "CACHE002", "WRAP001", "SLOTS003",
                     "PURE001", "CONC001", "HOT001", "SUP002"):
         assert rule_id in out
 

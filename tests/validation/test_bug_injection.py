@@ -215,6 +215,10 @@ class TestCompiledKernelInjection:
         pytest.param(RouterKind.VIRTUAL_CHANNEL, "_make_vc_sa", id="vc"),
         pytest.param(RouterKind.WORMHOLE, "_make_wormhole_alloc",
                      id="wormhole"),
+        pytest.param(RouterKind.SINGLE_CYCLE_VC, "_make_vc_sa",
+                     id="single_cycle_vc"),
+        pytest.param(RouterKind.SINGLE_CYCLE_WORMHOLE,
+                     "_make_wormhole_alloc", id="single_cycle_wormhole"),
     ])
     def test_doubled_output_grant_trips_switch_probe(
         self, monkeypatch, kind, kernel
@@ -222,7 +226,9 @@ class TestCompiledKernelInjection:
         """The same doubled grant from the plain VC router's switch
         allocation or the wormhole allocator: the compiled switch
         traversal has no duplicate-output check, so the switch probe is
-        what catches it on the compiled step."""
+        what catches it on the compiled step.  A single-cycle router
+        traverses both grants within the step, so the probe sees them
+        as two flits forwarded on one output."""
         real = getattr(specialized, kernel)
         fired = []
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim.config import MeasurementConfig, RouterKind, SimConfig
-from repro.sim.engine import simulate
+from repro.sim.engine import Simulator, simulate
+from repro.sim.snapshot import state_digest
 from repro.sim.validation import (
     InvariantViolation,
     ValidationSuite,
@@ -49,6 +50,22 @@ class TestCheckedRuns:
         assert unchecked.validation is None
         assert checked.validation is not None
         assert unchecked == checked
+
+    @pytest.mark.parametrize("kind", list(RouterKind), ids=lambda k: k.value)
+    def test_checked_state_digest_equals_unchecked(self, kind):
+        """Checked mode keeps the compiled step and only reads state:
+        after 400 steps near saturation the fast stepper's whole state
+        is the unchecked run's, on every router kind."""
+        config = tiny_config(kind, injection_fraction=0.42)
+        digests = []
+        for checked in (False, True):
+            sim = Simulator(config, MEAS, checked=checked)
+            network = sim.network
+            assert network.routers_specialized == len(network.routers)
+            for _ in range(400):
+                sim._step()
+            digests.append(state_digest(network))
+        assert digests[0] == digests[1]
 
     def test_spec_router_runs_speculation_probe(self):
         result = simulate(
