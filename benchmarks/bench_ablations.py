@@ -8,20 +8,14 @@
 * flow-control ranking across traffic patterns (footnote 13's premise).
 """
 
-from conftest import bench_measurement
+from conftest import narrowed, run_row, run_rows
 
-from repro.experiments.ablations import (
-    allocator_ablation,
-    arbiter_ablation,
-    buffer_depth_sweep,
-    traffic_pattern_study,
-)
+from repro.experiments.catalog import get_row
 
 
 def test_allocator_ablation(benchmark, record_result):
     result = benchmark.pedantic(
-        allocator_ablation,
-        kwargs={"loads": (0.45, 0.55), "measurement": bench_measurement()},
+        run_row, args=("allocator",), kwargs={"loads": (0.45, 0.55)},
         rounds=1, iterations=1,
     )
     separable = result.runs["separable (paper)"]
@@ -41,8 +35,7 @@ def test_allocator_ablation(benchmark, record_result):
 
 def test_arbiter_ablation(benchmark, record_result):
     result = benchmark.pedantic(
-        arbiter_ablation,
-        kwargs={"loads": (0.45,), "measurement": bench_measurement()},
+        run_row, args=("arbiter",), kwargs={"loads": (0.45,)},
         rounds=1, iterations=1,
     )
     matrix = result.runs["matrix (paper)"][0].average_latency
@@ -54,10 +47,13 @@ def test_arbiter_ablation(benchmark, record_result):
 
 
 def test_buffer_depth_sweep(benchmark, record_result):
+    curves = tuple(
+        spec for spec in get_row("buffer_depth").curves
+        if spec.config.buffers_per_vc in (2, 3, 4, 5, 8)
+    )
     result = benchmark.pedantic(
-        buffer_depth_sweep,
-        kwargs={"buffers": (2, 3, 4, 5, 8), "load": 0.5,
-                "measurement": bench_measurement()},
+        run_row, args=("buffer_depth",),
+        kwargs={"loads": (0.5,), "curves": curves},
         rounds=1, iterations=1,
     )
     latency = {
@@ -72,14 +68,18 @@ def test_buffer_depth_sweep(benchmark, record_result):
 
 
 def test_traffic_patterns(benchmark, record_result):
+    patterns = ("uniform", "transpose", "bit_complement")
     studies = benchmark.pedantic(
-        traffic_pattern_study,
-        kwargs={"patterns": ("uniform", "transpose", "bit_complement"),
-                "load": 0.3, "measurement": bench_measurement()},
+        run_rows,
+        args=tuple(
+            narrowed(f"traffic_{pattern}", loads=(0.3,))
+            for pattern in patterns
+        ),
         rounds=1, iterations=1,
     )
     sections = []
-    for pattern, result in studies.items():
+    for pattern in patterns:
+        result = studies[f"traffic_{pattern}"]
         wormhole = result.runs["wormhole (8 bufs)"][0].average_latency
         spec = result.runs["specVC (2vcsX4bufs)"][0].average_latency
         benchmark.extra_info[f"{pattern} WH"] = round(wormhole, 1)
@@ -91,11 +91,8 @@ def test_traffic_patterns(benchmark, record_result):
 
 
 def test_speculation_priority(benchmark, record_result):
-    from repro.experiments.ablations import speculation_priority_ablation
-
     result = benchmark.pedantic(
-        speculation_priority_ablation,
-        kwargs={"loads": (0.55,), "measurement": bench_measurement()},
+        run_row, args=("speculation_priority",), kwargs={"loads": (0.55,)},
         rounds=1, iterations=1,
     )
     conservative = result.runs["conservative (paper)"][0].average_latency
@@ -109,12 +106,8 @@ def test_speculation_priority(benchmark, record_result):
 
 
 def test_vc_partition(benchmark, record_result):
-    from repro.experiments.ablations import vc_partition_sweep
-
     result = benchmark.pedantic(
-        vc_partition_sweep,
-        kwargs={"load": 0.60, "measurement": bench_measurement()},
-        rounds=1, iterations=1,
+        run_row, args=("vc_partition",), rounds=1, iterations=1,
     )
     latency = {
         label: runs[0].average_latency for label, runs in result.runs.items()
@@ -129,11 +122,8 @@ def test_vc_partition(benchmark, record_result):
 
 
 def test_flow_control_trio(benchmark, record_result):
-    from repro.experiments.ablations import flow_control_trio
-
     result = benchmark.pedantic(
-        flow_control_trio,
-        kwargs={"loads": (0.45,), "measurement": bench_measurement()},
+        run_row, args=("flow_control_trio",), kwargs={"loads": (0.45,)},
         rounds=1, iterations=1,
     )
     wormhole = result.runs["wormhole"][0].average_latency
@@ -148,12 +138,8 @@ def test_flow_control_trio(benchmark, record_result):
 
 
 def test_burstiness(benchmark, record_result):
-    from repro.experiments.ablations import burstiness_study
-
     result = benchmark.pedantic(
-        burstiness_study,
-        kwargs={"load": 0.30, "measurement": bench_measurement()},
-        rounds=1, iterations=1,
+        run_row, args=("burstiness",), rounds=1, iterations=1,
     )
     for label, runs in result.runs.items():
         benchmark.extra_info[label] = round(runs[0].average_latency, 1)

@@ -5,16 +5,12 @@
   with the footnote-5 speculative handling of adaptivity.
 """
 
-from conftest import bench_measurement
-
-from repro.experiments.ablations import o1turn_study, topology_study
+from conftest import run_row
 
 
 def test_topology_extension(benchmark, record_result):
     result = benchmark.pedantic(
-        topology_study,
-        kwargs={"loads": (0.05, 0.25), "measurement": bench_measurement()},
-        rounds=1, iterations=1,
+        run_row, args=("topology",), rounds=1, iterations=1,
     )
     mesh = result.runs["8x8 mesh (paper)"][0].average_latency
     torus = result.runs["8x8 torus (dateline VCs)"][0].average_latency
@@ -27,9 +23,7 @@ def test_topology_extension(benchmark, record_result):
 
 def test_routing_policy_extension(benchmark, record_result):
     result = benchmark.pedantic(
-        o1turn_study,
-        kwargs={"load": 0.40, "measurement": bench_measurement()},
-        rounds=1, iterations=1,
+        run_row, args=("routing",), rounds=1, iterations=1,
     )
     xy = result.runs["xy (paper)"][0].average_latency
     o1turn = result.runs["o1turn"][0].average_latency
@@ -47,13 +41,8 @@ def test_routing_policy_extension(benchmark, record_result):
 def test_pipeline_depth_cost(benchmark, record_result):
     """Figure 11 closed into Section 5: what the straddling allocators'
     extra stages actually cost in network latency."""
-    from repro.experiments.ablations import pipeline_depth_study
-
     result = benchmark.pedantic(
-        pipeline_depth_study,
-        kwargs={"extras": (0, 1, 2), "loads": (0.05, 0.45),
-                "measurement": bench_measurement()},
-        rounds=1, iterations=1,
+        run_row, args=("pipeline_depth",), rounds=1, iterations=1,
     )
     zero_loads = {
         label: runs[0].average_latency for label, runs in result.runs.items()
@@ -67,12 +56,8 @@ def test_pipeline_depth_cost(benchmark, record_result):
 
 
 def test_many_vcs_extension(benchmark, record_result):
-    from repro.experiments.ablations import many_vcs_study
-
     result = benchmark.pedantic(
-        many_vcs_study,
-        kwargs={"load": 0.60, "measurement": bench_measurement()},
-        rounds=1, iterations=1,
+        run_row, args=("many_vcs",), rounds=1, iterations=1,
     )
     for label, runs in result.runs.items():
         benchmark.extra_info[label] = round(runs[0].average_latency, 1)

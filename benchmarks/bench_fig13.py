@@ -4,16 +4,14 @@ Paper shape: zero-load 29 (WH) / 36 (VC) / 30 (specVC); saturation
 ordering WH < VC < specVC (the paper quotes ~40% / ~50% / ~55%).
 """
 
-from conftest import BENCH_LOADS, attach_curves, bench_measurement
+from conftest import BENCH_LOADS, attach_curves, run_row
 
-from repro.experiments.figures import fig13
 from repro.experiments.sweep import find_saturation
 
 
 def test_fig13(benchmark, record_result):
     result = benchmark.pedantic(
-        fig13,
-        kwargs={"measurement": bench_measurement(), "loads": BENCH_LOADS},
+        run_row, args=("fig13",), kwargs={"loads": BENCH_LOADS},
         rounds=1, iterations=1,
     )
 

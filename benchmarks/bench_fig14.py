@@ -4,16 +4,14 @@ Paper shape: zero-load 29 / 35 / 29; saturation ~50% / ~65% / ~70%, the
 speculative router's headline ~40% throughput gain over wormhole.
 """
 
-from conftest import BENCH_LOADS_HIGH, attach_curves, bench_measurement
+from conftest import BENCH_LOADS_HIGH, attach_curves, run_row
 
-from repro.experiments.figures import fig14
 from repro.experiments.sweep import find_saturation
 
 
 def test_fig14(benchmark, record_result):
     result = benchmark.pedantic(
-        fig14,
-        kwargs={"measurement": bench_measurement(), "loads": BENCH_LOADS_HIGH},
+        run_row, args=("fig14",), kwargs={"loads": BENCH_LOADS_HIGH},
         rounds=1, iterations=1,
     )
 

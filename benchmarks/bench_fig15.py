@@ -6,16 +6,14 @@ shorter pipeline no longer buys throughput (only its latency advantage
 remains).
 """
 
-from conftest import BENCH_LOADS_HIGH, attach_curves, bench_measurement
+from conftest import BENCH_LOADS_HIGH, attach_curves, run_row
 
-from repro.experiments.figures import fig15
 from repro.experiments.sweep import find_saturation
 
 
 def test_fig15(benchmark, record_result):
     result = benchmark.pedantic(
-        fig15,
-        kwargs={"measurement": bench_measurement(), "loads": BENCH_LOADS_HIGH},
+        run_row, args=("fig15",), kwargs={"loads": BENCH_LOADS_HIGH},
         rounds=1, iterations=1,
     )
 

@@ -5,16 +5,14 @@ Paper shape: the unit-latency model reports ~16-cycle zero-load latency
 ignores pipeline delay and buffer turnaround.
 """
 
-from conftest import BENCH_LOADS, attach_curves, bench_measurement
+from conftest import BENCH_LOADS, attach_curves, run_row
 
-from repro.experiments.figures import fig17
 from repro.experiments.sweep import find_saturation
 
 
 def test_fig17(benchmark, record_result):
     result = benchmark.pedantic(
-        fig17,
-        kwargs={"measurement": bench_measurement(), "loads": BENCH_LOADS},
+        run_row, args=("fig17",), kwargs={"loads": BENCH_LOADS},
         rounds=1, iterations=1,
     )
 

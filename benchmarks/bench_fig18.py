@@ -5,9 +5,8 @@ speculative VC router (2 VCs x 4 buffers) ~18% of saturation throughput
 (55% -> 45%), while zero-load latency is barely affected.
 """
 
-from conftest import attach_curves, bench_measurement
+from conftest import attach_curves, run_row
 
-from repro.experiments.figures import fig18
 from repro.experiments.sweep import find_saturation
 
 LOADS = (0.05, 0.30, 0.45, 0.55, 0.62)
@@ -15,8 +14,7 @@ LOADS = (0.05, 0.30, 0.45, 0.55, 0.62)
 
 def test_fig18(benchmark, record_result):
     result = benchmark.pedantic(
-        fig18,
-        kwargs={"measurement": bench_measurement(), "loads": LOADS},
+        run_row, args=("fig18",), kwargs={"loads": LOADS},
         rounds=1, iterations=1,
     )
 

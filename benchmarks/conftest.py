@@ -14,10 +14,14 @@ run the paper's full 10k-warm-up / 100k-packet methodology (hours).
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
+from typing import Dict
 
 import pytest
 
+from repro.experiments.catalog import Row, RowResult, get_row, run
+from repro.runtime import Experiment
 from repro.sim.config import MeasurementConfig, paper_scale
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -38,6 +42,21 @@ def bench_measurement() -> MeasurementConfig:
         max_cycles=20_000,
         drain_cycles=5_000,
     )
+
+
+def narrowed(name: str, **changes) -> Row:
+    """Catalog row ``name`` with ``changes`` (loads, curves) applied."""
+    return replace(get_row(name), **changes)
+
+
+def run_rows(*rows: Row) -> Dict[str, RowResult]:
+    """Run catalog rows through one Experiment at bench scale."""
+    return run(rows, Experiment.from_env(bench_measurement()))
+
+
+def run_row(name: str, **changes) -> RowResult:
+    """Catalog row ``name``, narrowed by ``changes``, run at bench scale."""
+    return run_rows(narrowed(name, **changes))[name]
 
 
 @pytest.fixture

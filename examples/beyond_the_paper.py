@@ -15,12 +15,16 @@ speculative VC router:
    (b) describes: routing returns a single port and blocked heads
    re-iterate the routing stage.
 
+Both are rows of the experiment catalog (``topology`` and ``routing``
+in :mod:`repro.experiments.catalog`), run here through one Experiment.
+
 Run:  python examples/beyond_the_paper.py [--quick]
 """
 
 import argparse
 
-from repro.experiments.ablations import o1turn_study, topology_study
+from repro.experiments.catalog import get_row, run
+from repro.runtime import Experiment
 from repro.sim import MeasurementConfig
 
 
@@ -37,12 +41,16 @@ def main() -> None:
         drain_cycles=4_000,
     )
 
-    print(topology_study(measurement=measurement).render())
+    results = run(
+        [get_row("topology"), get_row("routing")],
+        Experiment.from_env(measurement),
+    )
+    print(results["topology"].render())
     print(
         "\n(Loads are fractions of each topology's own capacity:"
         "\n 0.5 flits/node/cycle on the mesh, 1.0 on the torus.)\n"
     )
-    print(o1turn_study(measurement=measurement).render())
+    print(results["routing"].render())
     print(
         "\nUnder transpose traffic, o1turn roughly halves the worst"
         "\nchannel load by splitting packets across XY and YX orders,"

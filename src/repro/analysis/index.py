@@ -74,9 +74,6 @@ class ClassInfo:
     is_dataclass: bool = False
     #: Dataclass fields in declaration order: name -> annotation source.
     fields: Dict[str, str] = field(default_factory=dict)
-    #: ``self.x = Ctor(...)`` assignments: attr -> dotted constructor
-    #: name (the first in source order across the methods).
-    attr_ctors: Dict[str, str] = field(default_factory=dict)
 
     def provides(self, attr: str) -> bool:
         """Does an instance of this class expose ``attr``?"""
@@ -299,7 +296,6 @@ class ProjectIndex:
                     sorted(info.class_attrs),
                     list(info.slots) if info.slots is not None else None,
                     sorted(info.fields.items()),
-                    sorted(info.attr_ctors.items()),
                     info.is_dataclass,
                 )
                 for info in self.all_classes()
@@ -363,8 +359,6 @@ def _class_info(source: SourceFile, index: int) -> ClassInfo:
                 info.methods.add(item.name)
             method = source.subtree(child)
             info.self_attrs |= _self_stores(method)
-            for attr, ctor in _self_ctor_stores(method).items():
-                info.attr_ctors.setdefault(attr, ctor)
         elif isinstance(item, ast.Assign):
             for target in item.targets:
                 if isinstance(target, ast.Name):
@@ -401,34 +395,6 @@ def _self_stores(method: List[ast.AST]) -> Set[str]:
         ):
             stores.add(node.attr)
     return stores
-
-
-def _self_ctor_stores(method: List[ast.AST]) -> Dict[str, str]:
-    """``self.x = Ctor(...)`` assignments: attr -> dotted ctor name
-    (the first assignment in source order wins)."""
-    ctors: Dict[str, str] = {}
-    for node in method:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
-        else:
-            continue
-        if not isinstance(value, ast.Call):
-            continue
-        ctor = call_name(value.func)
-        if ctor is None:
-            continue
-        for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                ctors.setdefault(target.attr, ctor)
-    return ctors
 
 
 def _function_defs(source: SourceFile) -> List[FunctionNode]:

@@ -19,7 +19,8 @@ from dataclasses import replace
 from ..runtime.experiment import Experiment
 from ..sim.config import MeasurementConfig, paper_scale
 from ..sim.instrumentation import PrintProgress
-from .report import delay_model_report, simulation_report
+from . import catalog
+from .report import delay_model_report
 
 
 def _validation_smoke() -> int:
@@ -247,14 +248,22 @@ def main(argv=None) -> int:
     experiment = Experiment.from_env(measurement, **overrides)
 
     print(delay_model_report())
+    # One run for both reports, so a point they share simulates once.
+    rows = [
+        row for row in catalog.CATALOG
+        if (args.simulate if row.figure else args.ablations and row.reported)
+    ]
+    results = catalog.run(rows, experiment)
     if args.simulate:
         print()
-        print(simulation_report(measurement, experiment=experiment))
+        print("\n\n".join(
+            results[row.name].render() for row in rows if row.figure
+        ) + "\n")
     if args.ablations:
-        from .ablations import render_all
-
         print()
-        print(render_all(measurement, experiment=experiment))
+        print("\n\n".join(
+            results[row.name].render() for row in rows if not row.figure
+        ))
     if args.simulate or args.ablations:
         stats = experiment.stats
         if stats.points_requested:

@@ -1,11 +1,12 @@
 """Export experiment results to CSV and JSON.
 
-The figure drivers return structured Python objects; downstream users
-plotting with their own tools want flat files.  These writers cover the
-three result shapes:
+The figure functions and catalog rows return structured Python objects;
+downstream users plotting with their own tools want flat files.  These
+writers cover the three result shapes:
 
 * :func:`sweep_to_csv` / :func:`figure_to_csv` -- latency-throughput
-  curves (Figures 13-15, 17, 18), one row per (curve, load) point;
+  curves (a catalog row's result, e.g. Figures 13-15, 17, 18), one row
+  per (curve, load) point;
 * :func:`fig11_to_csv` -- pipeline stage maps;
 * :func:`fig12_to_csv` -- the allocation-delay surface;
 * :func:`results_to_json` -- any of the above, losslessly.
@@ -20,7 +21,8 @@ from pathlib import Path
 from typing import List, Union
 
 from ..sim.metrics import RunResult, SweepResult
-from .figures import Fig11Result, Fig12Result, SimFigureResult
+from .catalog import RowResult
+from .figures import Fig11Result, Fig12Result
 
 PathLike = Union[str, Path]
 
@@ -57,8 +59,8 @@ def sweep_to_csv(curves: List[SweepResult], path: PathLike) -> Path:
     return path
 
 
-def figure_to_csv(figure: SimFigureResult, path: PathLike) -> Path:
-    """Write one simulation figure's curves as CSV."""
+def figure_to_csv(figure: RowResult, path: PathLike) -> Path:
+    """Write one catalog row's curves as CSV."""
     return sweep_to_csv([curve for _, curve in figure.curves], path)
 
 
@@ -107,9 +109,9 @@ def results_to_json(result, path: PathLike) -> Path:
 
 def _jsonable(value):
     """Recursively convert result objects to JSON-safe structures."""
-    if isinstance(value, SimFigureResult):
+    if isinstance(value, RowResult):
         return {
-            "figure": value.figure,
+            "figure": value.row.title,
             "curves": [
                 {
                     "label": spec.label,

@@ -1,20 +1,17 @@
-"""One reproduction driver per table/figure of the paper.
+"""The paper's Table 1 and Figures 11, 12 and 16, plus Figs 13 and 17.
 
-Each ``figNN`` function runs the experiment behind that figure and
-returns a structured result carrying both our measurements and the
-paper's reported values, plus a text rendering.  The benchmark harness
-(``benchmarks/bench_figNN.py``) calls these; EXPERIMENTS.md records the
-paper-vs-measured outcomes.
-
-The simulation figures accept a :class:`MeasurementConfig` so callers
-choose the scale; the defaults are laptop-sized, and
-:func:`repro.sim.config.paper_scale` gives the paper's full runs.
+Table 1 and Figures 11, 12 and 16 come from the delay model and the
+credit-loop timing alone, so each is a function returning a structured
+result with a text rendering.  The simulated figures are rows of
+:mod:`repro.experiments.catalog`; :func:`fig13` and :func:`fig17` run
+one such row alone at chosen loads and seed, the entry point the
+end-to-end benchmark (``benchmarks/e2e``) times.  EXPERIMENTS.md records
+the paper-vs-measured outcomes.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..delaymodel.modules import RoutingRange, speculative_allocation_delay
@@ -26,8 +23,7 @@ from ..delaymodel.pipeline import (
 )
 from ..delaymodel.table1 import Table1Row, generate_table1, render_table1
 from ..delaymodel.tau import tau_to_tau4
-from ..runtime.experiment import Experiment
-from ..sim.config import MeasurementConfig, RouterKind, SimConfig
+from ..runtime.experiment import DEFAULT_LOADS, Experiment
 from ..sim.credit import (
     NONSPECULATIVE_VC_TIMING,
     SINGLE_CYCLE_TIMING,
@@ -36,8 +32,7 @@ from ..sim.credit import (
     WORMHOLE_TIMING,
     turnaround_timeline,
 )
-from ..sim.metrics import SweepResult
-from .sweep import DEFAULT_LOADS, find_saturation
+from .catalog import RowResult, get_row, run
 
 #: Channel width used throughout the paper's pipeline figures.
 PAPER_W = 32
@@ -184,183 +179,8 @@ def fig12(
 
 
 # ---------------------------------------------------------------------------
-# Simulation figures (13, 14, 15, 17, 18).
+# Figure 16: buffer turnaround.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CurveSpec:
-    """One curve of a latency-throughput figure."""
-
-    label: str
-    config: SimConfig
-    paper_zero_load: Optional[float] = None     # cycles
-    paper_saturation: Optional[float] = None    # fraction of capacity
-
-
-@dataclass
-class SimFigureResult:
-    figure: str
-    curves: List[Tuple[CurveSpec, SweepResult]]
-
-    def render(self) -> str:
-        lines = [f"{self.figure}:"]
-        for spec, curve in self.curves:
-            lines.append(curve.describe())
-            zero_load = curve.zero_load_latency()
-            saturation = find_saturation(curve)
-            paper_bits = []
-            if spec.paper_zero_load is not None:
-                paper_bits.append(f"paper zero-load {spec.paper_zero_load:.0f}")
-            if spec.paper_saturation is not None:
-                paper_bits.append(f"paper saturation {spec.paper_saturation:.0%}")
-            paper = f" ({'; '.join(paper_bits)})" if paper_bits else ""
-            lines.append(
-                f"  -> zero-load {zero_load:.1f} cycles, "
-                f"saturation ~{saturation:.0%}{paper}"
-            )
-        return "\n".join(lines)
-
-
-def _run_figure(
-    figure: str,
-    specs: Sequence[CurveSpec],
-    measurement: Optional[MeasurementConfig],
-    loads: Sequence[float],
-    experiment: Optional[Experiment] = None,
-) -> SimFigureResult:
-    """Run every curve of a figure through one :class:`Experiment`.
-
-    With a parallel/cached experiment attached, all the figure's
-    (curve, load) points fan out as a single batch, so an entire figure
-    reproduces in one parallel wave and re-runs serve from cache.
-    """
-    if experiment is None:
-        experiment = Experiment.from_env(measurement)
-    elif measurement is not None and measurement != experiment.measurement:
-        # Same backend, plan, cache, progress, checked/telemetry modes and
-        # stats record -- only the scale differs.
-        experiment = copy.copy(experiment)
-        experiment.measurement = measurement
-    sweeps = experiment.sweeps(
-        [(spec.label, spec.config) for spec in specs], loads=loads
-    )
-    return SimFigureResult(figure, list(zip(specs, sweeps)))
-
-
-def fig13(
-    measurement: Optional[MeasurementConfig] = None,
-    loads: Sequence[float] = DEFAULT_LOADS,
-    seed: int = 1,
-    experiment: Optional[Experiment] = None,
-) -> SimFigureResult:
-    """Figure 13: 8 buffers per input port.
-
-    Paper: zero-load 29 (WH) / 36 (VC 2vcsX4bufs) / 30 (specVC);
-    saturation ~40% / ~50% / ~55% of capacity.
-    """
-    specs = [
-        CurveSpec(
-            "WH (8 bufs)",
-            SimConfig(router_kind=RouterKind.WORMHOLE, buffers_per_vc=8, seed=seed),
-            paper_zero_load=29, paper_saturation=0.40,
-        ),
-        CurveSpec(
-            "VC (2vcsX4bufs)",
-            SimConfig(
-                router_kind=RouterKind.VIRTUAL_CHANNEL,
-                num_vcs=2, buffers_per_vc=4, seed=seed,
-            ),
-            paper_zero_load=36, paper_saturation=0.50,
-        ),
-        CurveSpec(
-            "specVC (2vcsX4bufs)",
-            SimConfig(
-                router_kind=RouterKind.SPECULATIVE_VC,
-                num_vcs=2, buffers_per_vc=4, seed=seed,
-            ),
-            paper_zero_load=30, paper_saturation=0.55,
-        ),
-    ]
-    return _run_figure("Figure 13 (8 buffers per input port)", specs,
-                       measurement, loads, experiment)
-
-
-def fig14(
-    measurement: Optional[MeasurementConfig] = None,
-    loads: Sequence[float] = DEFAULT_LOADS,
-    seed: int = 1,
-    experiment: Optional[Experiment] = None,
-) -> SimFigureResult:
-    """Figure 14: 16 buffers per input port, 2 VCs.
-
-    Paper: zero-load 29 / 35 / 29; saturation ~50% / ~65% / ~70%
-    (the speculative router's 40% gain over wormhole).
-    """
-    specs = [
-        CurveSpec(
-            "WH (16 bufs)",
-            SimConfig(router_kind=RouterKind.WORMHOLE, buffers_per_vc=16, seed=seed),
-            paper_zero_load=29, paper_saturation=0.50,
-        ),
-        CurveSpec(
-            "VC (2vcsX8bufs)",
-            SimConfig(
-                router_kind=RouterKind.VIRTUAL_CHANNEL,
-                num_vcs=2, buffers_per_vc=8, seed=seed,
-            ),
-            paper_zero_load=35, paper_saturation=0.65,
-        ),
-        CurveSpec(
-            "specVC (2vcsX8bufs)",
-            SimConfig(
-                router_kind=RouterKind.SPECULATIVE_VC,
-                num_vcs=2, buffers_per_vc=8, seed=seed,
-            ),
-            paper_zero_load=29, paper_saturation=0.70,
-        ),
-    ]
-    return _run_figure("Figure 14 (16 buffers per input port, 2 VCs)", specs,
-                       measurement, loads, experiment)
-
-
-def fig15(
-    measurement: Optional[MeasurementConfig] = None,
-    loads: Sequence[float] = DEFAULT_LOADS,
-    seed: int = 1,
-    experiment: Optional[Experiment] = None,
-) -> SimFigureResult:
-    """Figure 15: 16 buffers per input port, 4 VCs.
-
-    Paper: with 4 VCs x 4 buffers both VC routers reach ~70% -- enough
-    buffering covers the credit loop, so speculation's shorter pipeline
-    no longer buys throughput.
-    """
-    specs = [
-        CurveSpec(
-            "WH (16 bufs)",
-            SimConfig(router_kind=RouterKind.WORMHOLE, buffers_per_vc=16, seed=seed),
-            paper_zero_load=29, paper_saturation=0.50,
-        ),
-        CurveSpec(
-            "VC (4vcsX4bufs)",
-            SimConfig(
-                router_kind=RouterKind.VIRTUAL_CHANNEL,
-                num_vcs=4, buffers_per_vc=4, seed=seed,
-            ),
-            paper_zero_load=35, paper_saturation=0.70,
-        ),
-        CurveSpec(
-            "specVC (4vcsX4bufs)",
-            SimConfig(
-                router_kind=RouterKind.SPECULATIVE_VC,
-                num_vcs=4, buffers_per_vc=4, seed=seed,
-            ),
-            paper_zero_load=29, paper_saturation=0.70,
-        ),
-    ]
-    return _run_figure("Figure 15 (16 buffers per input port, 4 VCs)", specs,
-                       measurement, loads, experiment)
-
 
 def fig16() -> str:
     """Figure 16: the buffer-turnaround timeline, as a text table.
@@ -383,90 +203,39 @@ def fig16() -> str:
     return "\n".join(lines)
 
 
+# ---------------------------------------------------------------------------
+# Simulation figures: rows of the experiment catalog.
+# ---------------------------------------------------------------------------
+
+def fig13(
+    loads: Sequence[float] = DEFAULT_LOADS,
+    seed: int = 1,
+    experiment: Optional[Experiment] = None,
+) -> RowResult:
+    """The ``fig13`` catalog row at ``loads`` and ``seed``, run alone."""
+    return _run_row("fig13", loads, seed, experiment)
+
+
 def fig17(
-    measurement: Optional[MeasurementConfig] = None,
     loads: Sequence[float] = DEFAULT_LOADS,
     seed: int = 1,
     experiment: Optional[Experiment] = None,
-) -> SimFigureResult:
-    """Figure 17: pipelined model vs single-cycle model (8 buffers).
-
-    Paper: single-cycle routers show zero-load latency 16 (vs 29/36
-    pipelined) and the single-cycle VC router saturates at 65% vs 50%
-    (pipelined VC) / 55% (pipelined specVC) -- the unit-latency model
-    overestimates throughput by ignoring buffer turnaround.
-    """
-    specs = [
-        CurveSpec(
-            "WH (8 bufs)",
-            SimConfig(router_kind=RouterKind.WORMHOLE, buffers_per_vc=8, seed=seed),
-            paper_zero_load=29, paper_saturation=0.40,
-        ),
-        CurveSpec(
-            "VC (2vcsX4bufs)",
-            SimConfig(
-                router_kind=RouterKind.VIRTUAL_CHANNEL,
-                num_vcs=2, buffers_per_vc=4, seed=seed,
-            ),
-            paper_zero_load=36, paper_saturation=0.50,
-        ),
-        CurveSpec(
-            "specVC (2vcsX4bufs)",
-            SimConfig(
-                router_kind=RouterKind.SPECULATIVE_VC,
-                num_vcs=2, buffers_per_vc=4, seed=seed,
-            ),
-            paper_zero_load=30, paper_saturation=0.55,
-        ),
-        CurveSpec(
-            "WH single-cycle (8 bufs)",
-            SimConfig(
-                router_kind=RouterKind.SINGLE_CYCLE_WORMHOLE,
-                buffers_per_vc=8, seed=seed,
-            ),
-            paper_zero_load=16,
-        ),
-        CurveSpec(
-            "VC single-cycle (2vcsX4bufs)",
-            SimConfig(
-                router_kind=RouterKind.SINGLE_CYCLE_VC,
-                num_vcs=2, buffers_per_vc=4, seed=seed,
-            ),
-            paper_zero_load=16, paper_saturation=0.65,
-        ),
-    ]
-    return _run_figure("Figure 17 (single-cycle vs pipelined models)", specs,
-                       measurement, loads, experiment)
+) -> RowResult:
+    """The ``fig17`` catalog row at ``loads`` and ``seed``, run alone."""
+    return _run_row("fig17", loads, seed, experiment)
 
 
-def fig18(
-    measurement: Optional[MeasurementConfig] = None,
-    loads: Sequence[float] = DEFAULT_LOADS,
-    seed: int = 1,
-    experiment: Optional[Experiment] = None,
-) -> SimFigureResult:
-    """Figure 18: credit propagation delay 1 vs 4 cycles (specVC 2vcsX4bufs).
-
-    Paper: raising credit propagation from 1 to 4 cycles cuts saturation
-    throughput from 55% to 45% of capacity (an 18% reduction).
-    """
-    specs = [
-        CurveSpec(
-            "specVC, 1-cycle credits",
-            SimConfig(
-                router_kind=RouterKind.SPECULATIVE_VC,
-                num_vcs=2, buffers_per_vc=4, credit_propagation=1, seed=seed,
-            ),
-            paper_zero_load=30, paper_saturation=0.55,
-        ),
-        CurveSpec(
-            "specVC, 4-cycle credits",
-            SimConfig(
-                router_kind=RouterKind.SPECULATIVE_VC,
-                num_vcs=2, buffers_per_vc=4, credit_propagation=4, seed=seed,
-            ),
-            paper_saturation=0.45,
-        ),
-    ]
-    return _run_figure("Figure 18 (credit propagation delay)", specs,
-                       measurement, loads, experiment)
+def _run_row(
+    name: str,
+    loads: Sequence[float],
+    seed: int,
+    experiment: Optional[Experiment],
+) -> RowResult:
+    row = get_row(name)
+    curves = tuple(
+        spec if spec.config.seed == seed
+        else replace(spec, config=replace(spec.config, seed=seed))
+        for spec in row.curves
+    )
+    row = replace(row, curves=curves, loads=tuple(loads))
+    return run([row], experiment)[name]

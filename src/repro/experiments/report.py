@@ -1,8 +1,9 @@
 """Plain-text report assembly for the experiment drivers.
 
-``python -m repro.experiments`` (see ``__main__.py``) uses these to
-print the full reproduction: Table 1, the pipeline figures, and --
-optionally, since they simulate -- the latency-throughput figures.
+``python -m repro.experiments`` (see ``__main__.py``) prints
+:func:`delay_model_report` -- Table 1 and the pipeline figures -- and,
+optionally, since they simulate, the catalog rows
+(:mod:`repro.experiments.catalog`).
 ``python -m repro.experiments report --telemetry`` additionally renders
 one instrumented run's :class:`~repro.telemetry.TelemetrySummary` via
 :func:`telemetry_report`.
@@ -11,9 +12,8 @@ one instrumented run's :class:`~repro.telemetry.TelemetrySummary` via
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-from ..runtime.experiment import Experiment
 from ..sim.config import MeasurementConfig, RouterKind, SimConfig
 from ..telemetry import TelemetryConfig
 from . import figures
@@ -31,31 +31,6 @@ def delay_model_report() -> str:
         "",
         figures.fig16(),
     ]
-    return "\n".join(sections)
-
-
-def simulation_report(
-    measurement: Optional[MeasurementConfig] = None,
-    loads: Optional[Sequence[float]] = None,
-    experiment: Optional[Experiment] = None,
-) -> str:
-    """Figures 13-15, 17 and 18 (runs the simulator; minutes at default scale).
-
-    Pass an :class:`Experiment` with workers/cache attached to fan each
-    figure out in parallel and reuse previously computed points.
-    """
-    kwargs = {}
-    if measurement is not None:
-        kwargs["measurement"] = measurement
-    if loads is not None:
-        kwargs["loads"] = loads
-    if experiment is not None:
-        kwargs["experiment"] = experiment
-    sections = []
-    for fig in (figures.fig13, figures.fig14, figures.fig15,
-                figures.fig17, figures.fig18):
-        sections.append(fig(**kwargs).render())
-        sections.append("")
     return "\n".join(sections)
 
 

@@ -67,6 +67,21 @@ class RouterKind(enum.Enum):
         return 0
 
 
+#: Every value each enumerated string knob of :class:`SimConfig` accepts
+#: (router kinds are :class:`RouterKind`); :meth:`SimConfig.validate`
+#: rejects anything else.  ``tests/experiments/test_catalog.py`` holds
+#: each value to an experiment-catalog row or a stated reason it has none.
+CHOICES = {
+    "allocator_kind": ("separable", "maximum"),
+    "arbiter_kind": ("matrix", "round_robin"),
+    "injection_process": ("constant", "bernoulli", "bursty"),
+    "routing_function": ("xy", "yx", "o1turn", "adaptive"),
+    "speculation_priority": ("conservative", "equal"),
+    "stepper": ("fast", "reference"),
+    "topology": ("mesh", "torus"),
+    "traffic_pattern": ("uniform", "transpose", "bit_complement", "hotspot"),
+}
+
 #: Largest per-port VC count :meth:`SimConfig.validate` accepts: beyond
 #: this the p*v-input separable allocator leaves Table 1's modelled
 #: range and the simulated arbitration is no longer meaningful.
@@ -174,11 +189,11 @@ class SimConfig:
                 "virtual-channel routers need num_vcs >= 2 "
                 f"(got {self.num_vcs})"
             )
-        if self.allocator_kind not in ("separable", "maximum"):
+        if self.allocator_kind not in CHOICES["allocator_kind"]:
             raise ValueError(
                 f"unknown allocator kind {self.allocator_kind!r}"
             )
-        if self.speculation_priority not in ("conservative", "equal"):
+        if self.speculation_priority not in CHOICES["speculation_priority"]:
             raise ValueError(
                 f"unknown speculation priority {self.speculation_priority!r}"
             )
@@ -193,13 +208,13 @@ class SimConfig:
             raise ValueError(
                 "single-cycle routers cannot have extra pipeline stages"
             )
-        if self.routing_function not in ("xy", "yx", "o1turn", "adaptive"):
+        if self.routing_function not in CHOICES["routing_function"]:
             raise ValueError(
                 f"unknown routing function {self.routing_function!r}"
             )
-        if self.topology not in ("mesh", "torus"):
+        if self.topology not in CHOICES["topology"]:
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.stepper not in ("fast", "reference"):
+        if self.stepper not in CHOICES["stepper"]:
             raise ValueError(
                 f"unknown stepper {self.stepper!r}; "
                 "choose 'fast' or 'reference'"
@@ -262,6 +277,15 @@ class SimConfig:
             )
         if self.credit_pipeline is not None and self.credit_pipeline < 0:
             raise ValueError("credit_pipeline must be >= 0")
+        # Construction leaves these to the traffic and arbiter factories;
+        # a sweep point must not reach them with a value they refuse.
+        for knob in ("arbiter_kind", "injection_process", "traffic_pattern"):
+            value = getattr(self, knob)
+            if value not in CHOICES[knob]:
+                raise ValueError(
+                    f"unknown {knob.replace('_', ' ')} {value!r}; "
+                    f"choose from {', '.join(CHOICES[knob])}"
+                )
         return self
 
     @property

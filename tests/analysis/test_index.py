@@ -52,8 +52,9 @@ def test_self_method_edge(tmp_path):
 
 
 def test_ctor_typed_attribute_edge(tmp_path):
-    # self.pump = Pump() in __init__ types the receiver of
-    # self.pump.prime(), so the edge is precise, not any-provider.
+    # The index does not type self.pump from its constructor:
+    # self.pump.prime() resolves as a method call to every class that
+    # provides prime(), and Pump is the only one here.
     index = _index(tmp_path, mod=GRAPH)
     run = index.nodes["mod.py::Engine.run"]
     reached = index.reachable([run])

@@ -47,17 +47,12 @@ SEEDS = {
         "self._sample_complete(\n            sample_size\n"
         "        ) and time.perf_counter() - t2 < 30.0:",
     ),
-    # The arbiter ablation silently runs at the default 8 buffers/VC.
+    # The one-knob study rows silently run at the default 8 buffers/VC.
     "SLOTS003": Seed(
-        "src/repro/experiments/ablations.py",
-        '    """Matrix (LRU) vs round-robin arbiters in the spec-VC '
-        'router."""\n    base = SimConfig(\n'
-        "        router_kind=RouterKind.SPECULATIVE_VC, num_vcs=2, "
-        "buffers_per_vc=4,\n        seed=seed,\n    )\n",
-        '    """Matrix (LRU) vs round-robin arbiters in the spec-VC '
-        'router."""\n    base = SimConfig(\n'
-        "        router_kind=RouterKind.SPECULATIVE_VC, num_vcs=2,\n"
-        "        seed=seed,\n    )\n    base.buffer_per_vc = 4\n",
+        "src/repro/experiments/catalog.py",
+        "_SPEC_2X4 = SimConfig(router_kind=SPEC, num_vcs=2, buffers_per_vc=4)\n",
+        "_SPEC_2X4 = SimConfig(router_kind=SPEC, num_vcs=2)\n"
+        "_SPEC_2X4.buffer_per_vc = 4\n",
         context=("src/repro/sim/config.py",),
     ),
     # Chien's delay then depends on which port counts were asked first.

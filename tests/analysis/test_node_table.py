@@ -12,10 +12,6 @@ included) and ``benchmarks`` this suite shows:
 * every site whose result depends on visit order gives the answer the
   replaced walk gave, or is order-free:
 
-  - ``_self_ctor_stores``: ``ast.walk`` (breadth-first) met the
-    shallowest ``self.x = Ctor()`` first, the table meets the first in
-    source.  Only ``ProjectIndex.signature()`` reads the result; the
-    corpus shows no attribute where the two differ.
   - wrap's ``loads`` / ``stores``: the replaced stack walk visited the
     last sibling first, so the *last* store in source order named a
     monkeypatch site.  The table keeps that (a later store overwrites)
@@ -34,7 +30,6 @@ import pytest
 
 from repro.analysis.checkers.wrap import WrapSite, collect_wrap_sites
 from repro.analysis.core import SCOPE_NODES, Finding, SourceFile, call_name
-from repro.analysis.index import _self_ctor_stores
 
 from .conftest import REPO_ROOT
 
@@ -126,37 +121,6 @@ def test_children_are_iter_child_nodes(sources):
             assert [source.nodes[c] for c in source.children(i)] == list(
                 ast.iter_child_nodes(node)
             )
-
-
-def test_self_ctor_stores_match_the_breadth_first_walk(sources):
-    def reference(method: ast.AST):
-        ctors = {}
-        for node in ast.walk(method):
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            else:
-                continue
-            if not isinstance(value, ast.Call):
-                continue
-            ctor = call_name(value.func)
-            for target in targets:
-                if ctor is not None and (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    ctors.setdefault(target.attr, ctor)
-        return ctors
-
-    checked = 0
-    for source in sources:
-        for i in source.scopes()[1:]:
-            expected = reference(source.nodes[i])
-            assert _self_ctor_stores(source.subtree(i)) == expected
-            checked += bool(expected)
-    assert checked > 10
 
 
 def test_wrap_sites_match_the_stack_walk(sources):

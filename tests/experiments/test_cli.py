@@ -2,8 +2,12 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
+
+from repro.experiments import catalog
+from repro.experiments.__main__ import main
 
 
 def run_cli(*args, timeout=300):
@@ -38,12 +42,24 @@ class TestCLI:
         assert "sample_packets must be >= 1" in result.stderr
         assert result.stdout == ""
 
-    @pytest.mark.slow
-    def test_simulate_tiny_sample(self):
-        result = run_cli("--simulate", "--sample-packets", "60", timeout=590)
-        assert result.returncode == 0
-        assert "Figure 13" in result.stdout
-        assert "zero-load" in result.stdout
+    def test_simulate_tiny_sample(self, monkeypatch, capsys):
+        """``--simulate`` over a one-row catalog: Figure 13 on a 4x4 mesh.
+
+        The full report is CI's own step (see .github/workflows/ci.yml),
+        which also checks that it simulates each distinct point once.
+        """
+        fig13 = catalog.get_row("fig13")
+        small = replace(fig13, curves=tuple(
+            replace(spec, config=replace(spec.config, mesh_radix=4))
+            for spec in fig13.curves
+        ))
+        monkeypatch.setattr(catalog, "CATALOG", (small,))
+        for name in ("REPRO_WORKERS", "REPRO_BACKEND", "REPRO_CACHE"):
+            monkeypatch.delenv(name, raising=False)
+        assert main(["--simulate", "--sample-packets", "60"]) == 0
+        stdout = capsys.readouterr().out
+        assert "Figure 13" in stdout
+        assert "zero-load" in stdout
 
     @pytest.mark.sim
     def test_checked_smoke(self):

@@ -2,10 +2,12 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import figures
+from repro.experiments.catalog import get_row, run
 from repro.experiments.export import (
     fig11_to_csv,
     fig12_to_csv,
@@ -13,6 +15,7 @@ from repro.experiments.export import (
     results_to_json,
     sweep_to_csv,
 )
+from repro.runtime import Experiment
 from repro.sim.config import MeasurementConfig
 from repro.sim.metrics import LatencyStats, RunResult, SweepResult
 
@@ -70,7 +73,7 @@ class TestFigureExports:
         assert {r["routing_range"] for r in rows} == {"Rv", "Rp", "Rpv"}
 
     def test_sim_figure_csv(self, tmp_path):
-        figure = figures.fig13(measurement=TINY, loads=(0.05,))
+        figure = figures.fig13(loads=(0.05,), experiment=Experiment(TINY))
         path = figure_to_csv(figure, tmp_path / "fig13.csv")
         with path.open() as handle:
             rows = list(csv.DictReader(handle))
@@ -98,7 +101,8 @@ class TestJSON:
         assert data["Rv,p=5,v=2"] == pytest.approx(14.7, abs=0.05)
 
     def test_sim_figure_json(self, tmp_path):
-        figure = figures.fig18(measurement=TINY, loads=(0.05,))
+        row = replace(get_row("fig18"), loads=(0.05,))
+        figure = run([row], Experiment(TINY))["fig18"]
         data = json.loads(
             results_to_json(figure, tmp_path / "f.json").read_text()
         )

@@ -1,14 +1,18 @@
-"""Tests for the figure-reproduction drivers.
+"""Tests for the figure-reproduction functions and figure rows.
 
 The delay-model figures (Table 1, Fig 11, Fig 12, Fig 16) run in full;
 the simulation figures run at miniature scale here (their full paper-
 shape assertions live in tests/experiments/test_shape.py, marked slow).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.delaymodel.modules import RoutingRange
 from repro.experiments import figures
+from repro.experiments.catalog import get_row, run
+from repro.runtime import Experiment
 from repro.sim.config import MeasurementConfig
 
 
@@ -86,11 +90,17 @@ class TestFig16:
         assert "turnaround 7 cycles" in text
 
 
+def figure(name, loads=(0.05,), experiment=None):
+    """Figure row ``name`` at ``loads``, run alone at TINY scale."""
+    row = replace(get_row(name), loads=loads)
+    return run([row], experiment or Experiment(TINY))[name]
+
+
 class TestSimFiguresSmoke:
     """Miniature-scale smoke runs of the simulation figures."""
 
     def test_fig13_runs_and_orders_zero_load(self):
-        result = figures.fig13(measurement=TINY, loads=(0.05,))
+        result = figures.fig13(loads=(0.05,), experiment=Experiment(TINY))
         rendered = result.render()
         assert "WH (8 bufs)" in rendered
         by_label = {spec.label: curve for spec, curve in result.curves}
@@ -101,22 +111,21 @@ class TestSimFiguresSmoke:
         assert abs(spec_vc - wh) < 2.0
 
     def test_fig17_unit_latency_faster(self):
-        result = figures.fig17(measurement=TINY, loads=(0.05,))
+        result = figures.fig17(loads=(0.05,), experiment=Experiment(TINY))
         by_label = {spec.label: curve for spec, curve in result.curves}
         single = by_label["VC single-cycle (2vcsX4bufs)"].zero_load_latency()
         pipelined = by_label["VC (2vcsX4bufs)"].zero_load_latency()
         assert single < 0.6 * pipelined
 
     def test_fig18_runs(self):
-        result = figures.fig18(measurement=TINY, loads=(0.05,))
+        result = figure("fig18")
         assert len(result.curves) == 2
         assert "credit" in result.render()
 
-    def test_rescaled_experiment_keeps_its_backend_and_modes(self):
-        """A ``measurement=`` that differs from the passed experiment's
-        changes the scale only: the points still run on its backend,
-        checked, with telemetry, and land in its stats."""
-        from repro.runtime import Experiment, SerialBackend
+    def test_run_keeps_the_experiments_backend_and_modes(self):
+        """A row's points run on the passed experiment's backend, at its
+        scale, checked, with telemetry, and land in its stats."""
+        from repro.runtime import SerialBackend
 
         class Recording(SerialBackend):
             batches = 0
@@ -126,11 +135,9 @@ class TestSimFiguresSmoke:
                 super().execute(jobs, on_result)
 
         experiment = Experiment(
-            backend=Recording(), checked=True, telemetry=True,
+            TINY, backend=Recording(), checked=True, telemetry=True,
         )
-        result = figures.fig13(
-            measurement=TINY, loads=(0.05,), experiment=experiment
-        )
+        result = figure("fig13", experiment=experiment)
         points = [p for _, curve in result.curves for p in curve.points]
         assert experiment.backend.batches > 0
         assert experiment.stats.points_executed == 3
@@ -140,6 +147,6 @@ class TestSimFiguresSmoke:
         assert all(p.sample_packets < 2 * TINY.sample_packets for p in points)
 
     def test_paper_references_attached(self):
-        result = figures.fig14(measurement=TINY, loads=(0.05,))
+        result = figure("fig14")
         references = [spec.paper_saturation for spec, _ in result.curves]
         assert references == [0.50, 0.65, 0.70]

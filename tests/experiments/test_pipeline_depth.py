@@ -1,8 +1,11 @@
-"""Tests for the pipeline-depth and many-VCs studies (va_extra_cycles)."""
+"""Tests for the pipeline-depth and many-VCs study rows (va_extra_cycles)."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.ablations import many_vcs_study, pipeline_depth_study
+from repro.experiments.catalog import get_row, run
+from repro.runtime import Experiment
 from repro.sim.config import MeasurementConfig
 
 pytestmark = pytest.mark.sim
@@ -15,9 +18,8 @@ FAST = MeasurementConfig(
 
 class TestPipelineDepthStudy:
     def test_each_stage_costs_one_cycle_per_hop(self):
-        result = pipeline_depth_study(
-            extras=(0, 1, 2), loads=(0.05,), measurement=FAST
-        )
+        row = replace(get_row("pipeline_depth"), loads=(0.05,))
+        result = run([row], Experiment(FAST))["pipeline_depth"]
         zero_loads = {
             label: runs[0].average_latency
             for label, runs in result.runs.items()
@@ -51,7 +53,7 @@ class TestPipelineDepthStudy:
 @pytest.fixture(scope="module")
 def many_vcs():
     # ~40 s of simulation: computed once for every test that reads it.
-    return many_vcs_study(load=0.60, measurement=FAST)
+    return run([get_row("many_vcs")], Experiment(FAST))["many_vcs"]
 
 
 class TestManyVCsStudy:
