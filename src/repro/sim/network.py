@@ -52,6 +52,7 @@ from .config import SimConfig
 from .credit import CreditCounter
 from .flit import Flit, Packet
 from .routers import BaseRouter, make_router
+from .routers.specialized import compile_step
 from .topology import LOCAL, OPPOSITE, make_topology
 from .traffic import (
     PacketSource,
@@ -392,8 +393,6 @@ class Network:
         :func:`compile_step` refuses keeps a ``None`` entry in
         ``_step_fns`` and runs the generic path.
         """
-        from .routers.specialized import compile_step
-
         self._step_fns = [compile_step(router) for router in self.routers]
         self.routers_specialized = sum(
             step_fn is not None for step_fn in self._step_fns
@@ -446,6 +445,13 @@ class Network:
             router.connect_credit(LOCAL, credit_channel)
             self._credit_links.append((credit_channel, self.sources[node], None))
 
+        #: Every place a flit can be inside the network -- input buffers,
+        #: links, ejection channels -- for the physical in-flight count.
+        self._flit_stores = [
+            *(queue for router in self.routers for queue in router._ivc_queues),
+            *(channel._in_flight for channel, _, _ in self._flit_links),
+            *(channel._in_flight for channel, _ in self._ejection_links),
+        ]
         if self.config.stepper != "fast":
             return
         # Bind every channel to the arrival wheel, naming its endpoint
@@ -583,10 +589,7 @@ class Network:
         counting what is *actually there*, so a vanished flit is
         detected instead of defined away.
         """
-        buffered = sum(r.buffered_flits() for r in self.routers)
-        on_links = sum(ch.occupancy for ch, _, _ in self._flit_links)
-        ejecting = sum(ch.occupancy for ch, _ in self._ejection_links)
-        return buffered + on_links + ejecting
+        return sum(map(len, self._flit_stores))
 
     def total_flits_injected(self) -> int:
         return self._totals.injected
@@ -608,10 +611,6 @@ class Network:
                 f"flit conservation violated: injected {injected} != "
                 f"ejected {ejected} + in flight {in_flight}"
             )
-
-    def check_credit_invariants(self) -> None:
-        for router in self.routers:
-            router.check_credit_invariant()
 
     def drained(self) -> bool:
         """True when no traffic remains anywhere in the system."""

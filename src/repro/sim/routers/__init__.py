@@ -9,6 +9,11 @@ from .spec_vc import SpeculativeVCRouter
 from .single_cycle import SingleCycleVCRouter, SingleCycleWormholeRouter
 from .vct import VirtualCutThroughRouter
 
+# Imported with the package, never lazily: ``compile_step`` compares each
+# step method against the function it captured at import, so a class
+# patched before the first network is wired still counts as patched.
+from . import specialized  # noqa: E402,F401
+
 _ROUTER_CLASSES = {
     RouterKind.WORMHOLE: WormholeRouter,
     RouterKind.VIRTUAL_CHANNEL: VirtualChannelRouter,

@@ -462,18 +462,4 @@ class BaseRouter:
     # ------------------------------------------------------------------
 
     def buffered_flits(self) -> int:
-        return sum(
-            len(ivc.buffer) for port_vcs in self.input_vcs for ivc in port_vcs
-        )
-
-    def check_credit_invariant(self) -> None:
-        """Credits never exceed capacity and never go negative."""
-        for port_vcs in self.output_vcs:
-            for ovc in port_vcs:
-                credits = ovc.credits
-                if isinstance(credits, CreditCounter):
-                    if not 0 <= credits.available <= credits.capacity:
-                        raise AssertionError(
-                            f"router {self.node} port {ovc.port} vc {ovc.vc}: "
-                            f"credit count {credits.available} out of range"
-                        )
+        return sum(map(len, self._ivc_queues))

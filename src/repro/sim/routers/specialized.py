@@ -44,8 +44,9 @@ The generic path remains the executable spec and the fallback:
 * a router whose step methods, or its allocators' or arbiter class's
   methods the closures inline, were monkeypatched (instance or class
   level) or whose allocators were swapped for another type refuses to
-  specialize --
-  :func:`compile_step` checks each against import-time captures.
+  specialize -- :func:`compile_step` checks each against captures
+  taken when :mod:`repro.sim.routers` is imported, before any class
+  can be patched.
 
 The closures capture per-router state and are built fresh for every
 router; nothing is cached across routers or networks.

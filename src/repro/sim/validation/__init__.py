@@ -7,7 +7,7 @@ figure.  This package makes those invariants executable:
 
 * :mod:`~repro.sim.validation.probes` -- pluggable invariant probes a
   :class:`~repro.sim.engine.Simulator` runs every cycle in checked
-  mode: flit conservation (network-wide and per router), credit counts
+  mode: flit conservation (network-wide), credit counts
   matching downstream free-buffer counts, output-VC exclusivity,
   switch-grant and speculation legality, per-packet in-order delivery,
   and a

@@ -20,11 +20,20 @@ accumulate in the run's validation summary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import add, attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..allocators import Grant, grant_conflicts
-from ..routers.base import VCState
+from ..config import RouterKind
+from ..credit import CreditCounter
+from ..routers.spec_vc import SpeculativeVCRouter
 from ..topology import LOCAL, NUM_PORTS, OPPOSITE, PORT_NAMES
+
+_credits_of = attrgetter("_credits")
+_held_by = attrgetter("held_by")
+_active_of = attrgetter("_active_mask")
+_va_of = attrgetter("_va_mask")
 
 
 @dataclass(frozen=True)
@@ -96,296 +105,282 @@ class Probe:
 
 
 class FlitConservationProbe(Probe):
-    """No flit is ever created or destroyed, network-wide or per router.
+    """No flit is ever created or destroyed: ``injected == ejected + in
+    flight`` (buffers + links + ejection channels) network-wide, the
+    check :meth:`Network.check_conservation` defines.
 
-    Network-wide: ``injected == ejected + in flight`` (buffers + links +
-    ejection channels).  Per router: flits accepted on input ports equal
-    flits forwarded through the crossbar plus flits still buffered.
+    A flit lost from or duplicated in an input buffer breaks that VC's
+    credit identity the same cycle (``credit_consistency``); what only
+    this probe sees is a flit lost where no credit covers it, on an
+    ejection channel.
     """
 
     name = "flit_conservation"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._routers: List[Tuple[int, Any, List[Any]]] = []
-
-    def attach(self, network) -> None:
-        self._routers = [
-            (
-                router.node,
-                router.stats,
-                [ivc.buffer for port_vcs in router.input_vcs
-                 for ivc in port_vcs],
-            )
-            for router in network.routers
-        ]
-
     def check(self, network, cycle: int) -> None:
         self.checks += 1
-        total_buffered = 0
-        for node, stats, buffers in self._routers:
-            buffered = sum(map(len, buffers))
-            total_buffered += buffered
-            if stats.flits_received - stats.flits_forwarded != buffered:
-                self.fail(
-                    cycle,
-                    f"router {node}: received {stats.flits_received} "
-                    f"!= forwarded {stats.flits_forwarded} + buffered "
-                    f"{buffered}",
-                )
-        on_links = sum(ch.occupancy for ch, _, _ in network._flit_links)
-        ejecting = sum(ch.occupancy for ch, _ in network._ejection_links)
-        in_flight = total_buffered + on_links + ejecting
-        injected = network.total_flits_injected()
-        ejected = network.total_flits_ejected()
-        if injected != ejected + in_flight:
-            self.fail(
-                cycle,
-                f"network: injected {injected} != ejected {ejected} + "
-                f"in flight {in_flight}",
-            )
+        try:
+            network.check_conservation()
+        except AssertionError as error:
+            message = str(error)
+        else:
+            return
+        self.fail(cycle, message)
 
 
 class CreditConsistencyProbe(Probe):
     """Upstream credit counters mirror downstream free-buffer counts.
 
-    For every (link, VC), at the settled end of a cycle::
+    For every input VC of every router, at the settled end of a cycle::
 
         upstream credits available
         + flits in flight on the link (for this VC)
         + credits in flight on the reverse credit channel
-        + flits buffered downstream
+        + flits buffered
         - switch grants issued this cycle but not yet traversed
 
     must equal the buffer capacity.  The last term accounts for the
     "credit on read-out" convention: the credit for a granted flit's
-    slot departs at grant time, one cycle before the flit pops.  The
-    same identity is checked for each node's injection path (source
-    credit views against the router's local input buffers).
+    slot departs at grant time, one cycle before the flit pops.  A
+    local input port's upstream is the node's source; a port at the
+    mesh edge has none, so it reads a full counter that never moves.
+
+    The terms are gathered into one list per check, indexed like the
+    routers' flat input VCs in node order: two C-level passes over the
+    counters and buffers, then a walk over the channels with something
+    in flight and this cycle's grants.
     """
 
     name = "credit_consistency"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._links: List[Tuple[Any, ...]] = []
-        self._local: List[Tuple[Any, ...]] = []
-
     def attach(self, network) -> None:
-        self._links = []
-        routers = network.routers
-        for node, port, neighbor in network.mesh.links():
-            upstream = routers[node]
-            downstream = routers[neighbor]
-            dst_port = OPPOSITE[port]
-            self._links.append((
-                [ovc.credits for ovc in upstream.output_vcs[port]],
-                upstream.output_channels[port]._in_flight,
-                downstream.credit_channels[dst_port]._in_flight,
-                [ivc.buffer for ivc in downstream.input_vcs[dst_port]],
-                neighbor,
-                dst_port,
-                f"link {node}->{neighbor} ({PORT_NAMES[port]})",
-            ))
-        self._local = [
-            (
-                source.credits,
-                router.credit_channels[LOCAL]._in_flight,
-                [ivc.buffer for ivc in router.input_vcs[LOCAL]],
-                source.node,
-            )
-            for source, router in zip(network.sources, network.routers)
-        ]
+        config = network.config
+        v = self._v = config.num_vcs
+        per_router = NUM_PORTS * v
+        upstream = {
+            (neighbor, OPPOSITE[port]): (network.routers[node], port)
+            for node, port, neighbor in network.mesh.links()
+        }
+        edge = CreditCounter(config.buffers_per_vc)
+        self._counters: List[Any] = []
+        self._queues: List[Any] = []
+        self._labels: List[str] = []
+        flits, credits = [], []
+        for router, source in zip(network.routers, network.sources):
+            self._queues += router._ivc_queues
+            for port in range(NUM_PORTS):
+                first = router.node * per_router + port * v
+                credit_channel = router.credit_channels[port]
+                if credit_channel is not None:
+                    credits.append((credit_channel._in_flight, first))
+                if port == LOCAL:
+                    self._counters += source.credits
+                    self._labels.append(f"injection at node {router.node}")
+                elif (router.node, port) in upstream:
+                    up, out = upstream[router.node, port]
+                    self._counters += [ovc.credits for ovc in up.output_vcs[out]]
+                    flits.append((up.output_channels[out]._in_flight, first))
+                    self._labels.append(
+                        f"link {up.node}->{router.node} ({PORT_NAMES[out]})"
+                    )
+                else:
+                    self._counters += [edge] * v
+                    self._labels.append(f"edge port {port} of node {router.node}")
+        # compress() walks only the entries whose deque is non-empty.
+        self._flits = (flits, [entry[0] for entry in flits])
+        self._credits = (credits, [entry[0] for entry in credits])
+        self._routers = [(router, router.node * per_router)
+                         for router in network.routers]
+        self._full = [config.buffers_per_vc] * len(self._queues)
+
+    def detach(self, network) -> None:
+        self._counters, self._queues, self._routers = [], [], []
+        self._flits = self._credits = ([], [])
 
     def check(self, network, cycle: int) -> None:
         self.checks += 1
-        capacity = network.config.buffers_per_vc
-        num_vcs = network.config.num_vcs
-        vc_range = range(num_vcs)
-        # Grants issued this cycle whose flits have not yet traversed,
-        # keyed (node, input port, vc): their credits are already in
-        # flight while the flit still occupies its buffer slot.
-        pending: Dict[Tuple[int, int, int], int] = {}
-        for router in network.routers:
-            node = router.node
+        v = self._v
+        totals = list(map(add, map(_credits_of, self._counters),
+                          map(len, self._queues)))
+        for in_flight, first in compress(*self._flits):
+            for _, flit in in_flight:
+                totals[first + flit.vcid] += 1
+        for in_flight, first in compress(*self._credits):
+            for _, vc in in_flight:
+                totals[first + vc] += 1
+        for router, base in self._routers:
             for port, vc in router.pending_st:
-                key = (node, port, vc)
-                pending[key] = pending.get(key, 0) + 1
+                totals[base + port * v + vc] -= 1
+        if totals != self._full:
+            self._report(totals, cycle)
 
-        for (credits, flit_flight, credit_flight, buffers, neighbor,
-             dst_port, label) in self._links:
-            in_flight = [0] * num_vcs
-            for _, flit in flit_flight:
-                in_flight[flit.vcid] += 1
-            credits_in_flight = [0] * num_vcs
-            for _, vc in credit_flight:
-                credits_in_flight[vc] += 1
-            for vc in vc_range:
-                total = (
-                    credits[vc].available
-                    + in_flight[vc]
-                    + credits_in_flight[vc]
-                    + len(buffers[vc])
-                    - pending.get((neighbor, dst_port, vc), 0)
+    def _report(self, totals: List[int], cycle: int) -> None:
+        capacity = self._full[0]
+        for index, total in enumerate(totals):
+            if total != capacity:
+                credits = self._counters[index]._credits
+                buffered = len(self._queues[index])
+                self.fail(
+                    cycle,
+                    f"{self._labels[index // self._v]} vc {index % self._v}: "
+                    f"credits {credits} + buffered {buffered} + in-flight "
+                    f"flits and credits - granted {total - credits - buffered}"
+                    f" = {total}, expected capacity {capacity}",
                 )
-                if total != capacity:
-                    self.fail(
-                        cycle,
-                        f"{label} vc {vc}: credits {credits[vc].available} "
-                        f"+ in-flight flits {in_flight[vc]} + in-flight "
-                        f"credits {credits_in_flight[vc]} + buffered "
-                        f"{len(buffers[vc])} - granted "
-                        f"{pending.get((neighbor, dst_port, vc), 0)} = "
-                        f"{total}, expected capacity {capacity}",
-                    )
-
-        for credits, credit_flight, buffers, node in self._local:
-            credits_in_flight = [0] * num_vcs
-            for _, vc in credit_flight:
-                credits_in_flight[vc] += 1
-            for vc in vc_range:
-                total = (
-                    credits[vc].available
-                    + credits_in_flight[vc]
-                    + len(buffers[vc])
-                    - pending.get((node, LOCAL, vc), 0)
-                )
-                if total != capacity:
-                    self.fail(
-                        cycle,
-                        f"injection at node {node} vc {vc}: source credits "
-                        f"{credits[vc].available} + in-flight credits "
-                        f"{credits_in_flight[vc]} + buffered "
-                        f"{len(buffers[vc])} - granted "
-                        f"{pending.get((node, LOCAL, vc), 0)} = {total}, "
-                        f"expected capacity {capacity}",
-                    )
 
 
 class VCExclusivityProbe(Probe):
-    """Each output VC (or held wormhole port) belongs to one packet.
+    """Each input VC's state agrees with its fields, and each held
+    output VC (or wormhole output port) belongs to exactly one packet.
 
-    VC-family routers: every held :class:`OutputVC` points back at an
-    input VC whose allocated route/out_vc agree, and no input VC holds
-    two output VCs.  Wormhole-family routers: the per-output hold state
-    is mutually consistent with the holding input's route, and no input
-    holds two output ports.
+    The three state bitmasks are the only store of input-VC state
+    (``ivc.state`` reads them), and both steppers and ``is_idle`` trust
+    them; a stray bit would silently skip (or double-process) a VC.  Per
+    router the probe builds four masks from the VCs' fields once --
+    buffered, head at the front, routed, holding an output -- and checks
+    by mask algebra that no VC is in two states and that each state's
+    fields hold:
+
+    * idle: an empty buffer, no route, no output;
+    * routing: a head at the front, no route, no output;
+    * VC allocation: a head at the front, a route, no output;
+    * active: a route and an output (a wormhole head gets its output
+      port with its first switch grant).
+
+    Then the holders: every active VC holding an output is that
+    output's recorded holder (``OutputVC.held_by``, or a wormhole
+    router's ``port_held_by``), and no other output is held.
+
+    Only a router's step and ``accept_flit`` change what this probe
+    reads, so a check right after the previous one skips each router
+    the fast stepper left asleep across the cycle that received no
+    flit: it did not step.
     """
 
     name = "vc_exclusivity"
 
+    def attach(self, network) -> None:
+        v = network.config.num_vcs
+        self._routers = []
+        for router in network.routers:
+            wormhole = hasattr(router, "port_held_by")
+            keys = [ivc.port if wormhole else (ivc.port, ivc.vc)
+                    for ivc in router._all_ivcs]
+            self._routers.append((router, router._all_ivcs,
+                                  router._ivc_queues, keys, wormhole))
+        self._v = v
+        self._bits = [1 << flat for flat in range(NUM_PORTS * v)]
+        self._awake = [True] * len(self._routers)
+        self._received = [0] * len(self._routers)
+        self._cycle = None
+
+    def detach(self, network) -> None:
+        self._routers = []
+
     def check(self, network, cycle: int) -> None:
         self.checks += 1
-        for router in network.routers:
-            holds_ports = hasattr(router, "port_held_by")
-            self._check_masks(router, cycle, holds_ports)
-            if holds_ports:
-                self._check_wormhole(router, cycle)
-            else:
-                self._check_vc(router, cycle)
+        v = self._v
+        after_last = cycle - 1 == self._cycle
+        self._cycle = cycle
+        was_awake = self._awake
+        self._awake = awake = [entry[0].active for entry in self._routers]
+        for entry, now, before in zip(self._routers, awake, was_awake):
+            router, ivcs, queues, keys, wormhole = entry
+            if not now:
+                received = sum(router.stats.received_by_input)
+                if (after_last and not before
+                        and received == self._received[router.node]):
+                    continue
+                self._received[router.node] = received
+            routing = router._routing_mask
+            va = router._va_mask
+            active = router._active_mask
+            holders = (router.port_held_by if wormhole
+                       else list(map(_held_by, router._ovc_flat)))
+            occupied = heads = routed = allocated = claimed = stray = 0
+            for ivc, queue, bit, key in zip(ivcs, queues, self._bits, keys):
+                if queue:
+                    occupied |= bit
+                    if queue[0].is_head:
+                        heads |= bit
+                route = ivc.route
+                if route is not None:
+                    routed |= bit
+                out_vc = ivc.out_vc
+                if out_vc is not None:
+                    allocated |= bit
+                    if active & bit and route is not None:
+                        if holders[route * v + out_vc] == key:
+                            claimed += 1
+                        else:
+                            stray |= bit
+            waiting = routing | va
+            if (routing & (va | active) or va & active
+                    or routed != va | active or waiting & ~heads
+                    or occupied & ~(waiting | active)
+                    or (allocated & ~active if wormhole
+                        else allocated != active)):
+                self._out_of_sync(entry, occupied, heads, routed, allocated,
+                                  cycle)
+            elif stray or len(holders) - holders.count(None) != claimed:
+                self._unclaimed(entry, holders, stray, cycle)
 
-    def _check_masks(self, router, cycle: int, holds_ports: bool) -> None:
-        """The three state bitmasks are consistent with each other and
-        with the fields beside them.
-
-        The masks are the only store of input-VC state (``ivc.state``
-        reads them), and both steppers and ``is_idle`` trust them; a
-        stray bit would silently skip (or double-process) a VC.  What a
-        single copy can still get wrong is checked here: a VC in two
-        states at once, and a state its buffer, route or output VC
-        contradict.
-        """
+    def _out_of_sync(self, entry, occupied: int, heads: int, routed: int,
+                     allocated: int, cycle: int) -> None:
+        """Name the first VC whose state its fields contradict."""
+        router, ivcs, queues, _, wormhole = entry
         routing = router._routing_mask
         va = router._va_mask
         active = router._active_mask
-        if routing & va or routing & active or va & active:
+        if routing & (va | active) or va & active:
             self.fail(
                 cycle,
                 f"router {router.node}: state bitmasks out of sync with "
                 f"each other: routing {routing:#x}, va {va:#x} and active "
                 f"{active:#x} overlap",
             )
-        for flat, queue in enumerate(router._ivc_queues):
-            ivc = router._all_ivcs[flat]
-            head_waiting = bool(queue) and queue[0].is_head
-            routed = ivc.route is not None
-            allocated = ivc.out_vc is not None
-            if active >> flat & 1:
-                ok = routed and (allocated or holds_ports)
-            elif va >> flat & 1:
-                ok = head_waiting and routed and not allocated
-            elif routing >> flat & 1:
-                ok = head_waiting and not routed and not allocated
-            else:
-                ok = not queue and not routed and not allocated
-            if not ok:
-                self.fail(
-                    cycle,
-                    f"router {router.node}: state bitmasks out of sync "
-                    f"with input VC ({ivc.port}, {ivc.vc}): "
-                    f"{ivc.state.name.lower()} with {len(queue)} flits "
-                    f"buffered ({'head' if head_waiting else 'no head'} "
-                    f"at the front), route={ivc.route} "
-                    f"out_vc={ivc.out_vc}",
-                )
+            return
+        waiting = routing | va
+        bad = (waiting & ~heads | (va | active) & ~routed | routing & routed
+               | waiting & allocated
+               | ~(waiting | active) & (occupied | routed | allocated))
+        if not wormhole:
+            bad |= active & ~allocated
+        flat = (bad & -bad).bit_length() - 1
+        ivc, queue = ivcs[flat], queues[flat]
+        head = "head" if heads >> flat & 1 else "no head"
+        self.fail(
+            cycle,
+            f"router {router.node}: state bitmasks out of sync with input "
+            f"VC ({ivc.port}, {ivc.vc}): {ivc.state.name.lower()} with "
+            f"{len(queue)} flits buffered ({head} at the front), "
+            f"route={ivc.route} out_vc={ivc.out_vc}",
+        )
 
-    def _check_vc(self, router, cycle: int) -> None:
-        active = VCState.ACTIVE
-        holders: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for ovc in router._ovc_flat:
-            holder = ovc.held_by
-            if holder is None:
-                continue
-            if holder in holders:
-                self.fail(
-                    cycle,
-                    f"router {router.node}: input VC {holder} holds two "
-                    f"output VCs ({holders[holder]} and "
-                    f"({ovc.port}, {ovc.vc}))",
-                )
-            holders[holder] = (ovc.port, ovc.vc)
-            ivc = router.input_vcs[holder[0]][holder[1]]
-            if (ivc.state is not active
-                    or ivc.route != ovc.port or ivc.out_vc != ovc.vc):
-                self.fail(
-                    cycle,
-                    f"router {router.node}: output VC "
-                    f"({ovc.port}, {ovc.vc}) held by input {holder} but "
-                    f"that VC is {ivc.state.name.lower()} with route="
-                    f"{ivc.route} out_vc={ivc.out_vc}",
-                )
-        for ivc in router._all_ivcs:
-            if ivc.state is active and ivc.out_vc is not None:
-                ovc = router.output_vcs[ivc.route][ivc.out_vc]
-                if ovc.held_by != (ivc.port, ivc.vc):
-                    self.fail(
-                        cycle,
-                        f"router {router.node}: input VC "
-                        f"({ivc.port}, {ivc.vc}) claims output VC "
-                        f"({ivc.route}, {ivc.out_vc}) held by "
-                        f"{ovc.held_by}",
-                    )
-
-    def _check_wormhole(self, router, cycle: int) -> None:
-        seen_inputs: Dict[int, int] = {}
-        for out_port, in_port in enumerate(router.port_held_by):
-            if in_port is None:
-                continue
-            if in_port in seen_inputs:
-                self.fail(
-                    cycle,
-                    f"router {router.node}: input port {in_port} holds two "
-                    f"output ports ({seen_inputs[in_port]} and {out_port})",
-                )
-            seen_inputs[in_port] = out_port
-            ivc = router.input_vcs[in_port][0]
-            if ivc.state is not VCState.ACTIVE or ivc.route != out_port:
-                self.fail(
-                    cycle,
-                    f"router {router.node}: output port {out_port} held by "
-                    f"input {in_port} but that input is {ivc.state.name.lower()} "
-                    f"with route={ivc.route}",
-                )
+    def _unclaimed(self, entry, holders, stray: int, cycle: int) -> None:
+        """Name an active VC its output does not record as the holder,
+        or an output held by no VC that claims it."""
+        router, ivcs, _, keys, _ = entry
+        v = self._v
+        if stray:
+            ivc = ivcs[(stray & -stray).bit_length() - 1]
+            slot = ivc.route * v + ivc.out_vc
+            self.fail(
+                cycle,
+                f"router {router.node}: input VC ({ivc.port}, {ivc.vc}) "
+                f"claims output {divmod(slot, v)} held by {holders[slot]}",
+            )
+            return
+        claimed = {ivc.route * v + ivc.out_vc
+                   for ivc in router._ivcs_in(router._active_mask)
+                   if ivc.out_vc is not None}
+        slot = next(slot for slot, holder in enumerate(holders)
+                    if holder is not None and slot not in claimed)
+        self.fail(
+            cycle,
+            f"router {router.node}: output {divmod(slot, v)} held by "
+            f"{holders[slot]}, which claims no such output",
+        )
 
 
 class SwitchLegalityProbe(Probe):
@@ -395,7 +390,7 @@ class SwitchLegalityProbe(Probe):
     Reads each pipelined router's grants from the settled state, so it
     checks whichever step ran, compiled or generic: ``pending_st``
     holds this cycle's switch grants.  A VC's state at the start of the
-    cycle -- what the allocator saw -- is the masks this probe kept at
+    cycle -- what the allocator saw -- is the mask this probe kept at
     the previous step.  Checks:
 
     * every grant goes to a VC ACTIVE across the cycle with a flit and
@@ -414,16 +409,7 @@ class SwitchLegalityProbe(Probe):
     name = "switch_legality"
     every_step = True
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._routers: List[Any] = []
-        self._before: List[Any] = []
-        self._single: List[Any] = []
-        self._forwarded: List[List[int]] = []
-
     def _watches(self, router) -> bool:
-        from ..routers.spec_vc import SpeculativeVCRouter
-
         return not isinstance(router, SpeculativeVCRouter)
 
     def attach(self, network) -> None:
@@ -431,17 +417,20 @@ class SwitchLegalityProbe(Probe):
             router for router in network.routers if self._watches(router)
         ]
         single = network.config.router_kind.is_single_cycle
+        self._v = network.config.num_vcs
         self._routers = [] if single else watched
+        self._grants = [(router, router._all_ivcs, router._ivc_queues,
+                         router._ovc_credits) for router in self._routers]
         self._single = watched if single else []
-        self._snapshot()
+        self._before = self._masks()
         self._forwarded = self._forwarded_now()
 
     def detach(self, network) -> None:
-        self._routers, self._before = [], []
+        self._routers, self._grants, self._before = [], [], []
         self._single, self._forwarded = [], []
 
-    def _snapshot(self) -> None:
-        self._before = [router._active_mask for router in self._routers]
+    def _masks(self) -> List[int]:
+        return list(map(_active_of, self._routers))
 
     def _forwarded_now(self) -> List[List[int]]:
         return [list(router.stats.forwarded_by_output)
@@ -449,11 +438,12 @@ class SwitchLegalityProbe(Probe):
 
     def check(self, network, cycle: int) -> None:
         before = self._before
-        self._snapshot()
-        for router, active in zip(self._routers, before):
-            if router.pending_st:
+        self._before = self._masks()
+        for entry, active in zip(self._grants, before):
+            if entry[0].pending_st:
                 self.checks += 1
-                self._check_router(router, active, cycle)
+                self._check_grants(entry, active, entry[0].pending_st, [],
+                                   cycle)
         if self._single:
             self._check_single_cycle(cycle)
 
@@ -473,34 +463,39 @@ class SwitchLegalityProbe(Probe):
                         f"in one cycle ({now - was} flits forwarded)",
                     )
 
-    def _check_router(self, router, active: int, cycle: int) -> None:
-        v = router.num_vcs
-        ivcs = router._all_ivcs
+    def _check_grants(self, entry, active: int, nonspec, spec: List[Grant],
+                      cycle: int) -> None:
+        """``nonspec`` (``(port, vc)`` pairs) must each answer a request
+        of a VC ACTIVE across the cycle with a flit and a credit; with
+        ``spec`` (checked by the caller) they must form a matching."""
+        router, ivcs, queues, credits = entry
+        v = self._v
         both_active = active & router._active_mask
-        grants: List[Grant] = []
-        for port, vc in router.pending_st:
-            ivc = ivcs[port * v + vc]
-            grant = Grant(port, vc, ivc.route)
-            grants.append(grant)
-            if not self._answers(router, ivc, both_active):
-                self._unanswered(router, grant, cycle)
-        for conflict in grant_conflicts(grants):
-            self.fail(cycle, f"router {router.node}: {conflict}")
-
-    @staticmethod
-    def _answers(router, ivc, both_active: int) -> bool:
-        """A grant to ``ivc`` answers a request: the VC was ACTIVE
-        across the cycle, with a flit and a credit for its output VC."""
-        return bool(both_active >> ivc.flat & 1 and ivc.buffer
-                    and ivc.out_vc is not None
-                    and router.output_vcs[ivc.route][ivc.out_vc].credits)
-
-    def _unanswered(self, router, grant: Grant, cycle: int) -> None:
-        self.fail(
-            cycle,
-            f"router {router.node}: non-speculative grant {grant} answers "
-            f"no submitted request",
-        )
+        inputs = outputs = 0
+        for grant in spec:
+            inputs |= 1 << grant.group
+            outputs |= 1 << grant.resource
+        for port, vc in nonspec:
+            flat = port * v + vc
+            ivc = ivcs[flat]
+            route = ivc.route
+            out_vc = ivc.out_vc
+            if not (both_active >> flat & 1 and queues[flat]
+                    and out_vc is not None and route is not None
+                    and credits[route * v + out_vc]._credits > 0):
+                self.fail(
+                    cycle,
+                    f"router {router.node}: non-speculative grant "
+                    f"{Grant(port, vc, route)} answers no submitted request",
+                )
+            inputs |= 1 << port
+            outputs |= 1 << (route or 0)
+        granted = len(nonspec) + len(spec)
+        if inputs.bit_count() != granted or outputs.bit_count() != granted:
+            grants = [Grant(port, vc, ivcs[port * v + vc].route)
+                      for port, vc in nonspec]
+            for conflict in grant_conflicts(grants, spec):
+                self.fail(cycle, f"router {router.node}: {conflict}")
 
 
 class SpeculationLegalityProbe(SwitchLegalityProbe):
@@ -517,124 +512,95 @@ class SpeculationLegalityProbe(SwitchLegalityProbe):
       non-speculative grant goes to a VC ACTIVE across the cycle with a
       flit and a credit; a speculative grant goes to a VC that was
       waiting for VC allocation, ready, with a permitted output VC
-      free, for the output it routed to; and the mask holds as many
-      grants as ``spec_grants`` counted;
+      free, for the output it routed to;
     * at most one grant per input port and per output port across the
-      combined (non-speculative + speculative) grant set;
-    * under conservative priority, no speculative grant shares an input
-      or an output with a non-speculative grant (skipped for the
-      ``equal`` ablation, where displacement is the deliberate point).
+      combined (non-speculative + speculative) grant set.  So no
+      speculative grant shares an input or an output with a
+      non-speculative one: under conservative priority that is a
+      priority inversion, and under the ``equal`` ablation one
+      allocator issues both kinds, so they form a matching too.
     """
 
     name = "speculation_legality"
 
-    def __init__(self, enforce_priority: bool = True) -> None:
-        super().__init__()
-        self.enforce_priority = enforce_priority
-
     def _watches(self, router) -> bool:
-        from ..routers.spec_vc import SpeculativeVCRouter
-
         return isinstance(router, SpeculativeVCRouter)
 
-    def _snapshot(self) -> None:
-        self._before = [
-            (router._active_mask, router._va_mask, router.stats.spec_grants)
-            for router in self._routers
-        ]
+    def _masks(self) -> Tuple[List[int], List[int]]:
+        return (list(map(_active_of, self._routers)),
+                list(map(_va_of, self._routers)))
 
     def check(self, network, cycle: int) -> None:
         before = self._before
-        self._snapshot()
-        for router, (active, va, counted) in zip(self._routers, before):
-            if (router.pending_st or router.spec_grant_mask
-                    or router.stats.spec_grants != counted):
+        self._before = self._masks()
+        for entry, active, va in zip(self._grants, *before):
+            router = entry[0]
+            if router.spec_grant_mask:
                 self.checks += 1
-                self._check_spec_router(router, active, va, counted, cycle)
+                self._check_spec_router(entry, active, va, cycle)
+            elif router.pending_st:
+                self.checks += 1
+                self._check_grants(entry, active, router.pending_st, [],
+                                   cycle)
 
-    def _check_spec_router(self, router, active: int, va: int, counted: int,
+    def _check_spec_router(self, entry, active: int, va: int,
                            cycle: int) -> None:
-        v = router.num_vcs
-        ivcs = router._all_ivcs
-        node = router.node
-        # Output VCs free when the requests were built: free now, or
-        # held by a VC that won VC allocation this cycle.
+        router, ivcs = entry[:2]
+        v = self._v
+        output_vcs = router.output_vcs
+        # An output VC was free when the requests were built if it is
+        # free now or held by a VC that won VC allocation this cycle.
         won = va & router._active_mask
-        was_free = {None} | {(f // v, f % v) for f in _bits(won)}
         spec: List[Grant] = []
-        for bit in _bits(router.spec_grant_mask):
-            flat, output = divmod(bit, NUM_PORTS)
+        survived = 0
+        mask = router.spec_grant_mask
+        while mask:
+            low = mask & -mask
+            mask -= low
+            flat, output = divmod(low.bit_length() - 1, NUM_PORTS)
             grant = Grant(flat // v, flat % v, output)
             spec.append(grant)
+            survived |= 1 << flat
             ivc = ivcs[flat]
             if not (va >> flat & 1 and ivc.route == output
                     and ivc.va_ready < cycle
-                    and any(router.output_vcs[output][c].held_by in was_free
-                            for c in router._candidate_vcs(ivc))):
+                    and any(holder is None
+                            or won >> holder[0] * v + holder[1] & 1
+                            for holder in map(_held_by, map(
+                                output_vcs[output].__getitem__,
+                                router._candidate_vcs(ivc))))):
                 self.fail(
                     cycle,
-                    f"router {node}: speculative grant {grant} answers no "
-                    f"submitted request",
+                    f"router {router.node}: speculative grant {grant} "
+                    f"answers no submitted request",
                 )
-        issued = router.stats.spec_grants - counted
-        if issued != len(spec):
-            self.fail(
-                cycle,
-                f"router {node}: {issued} speculative grants counted but "
-                f"{len(spec)} distinct ones recorded",
-            )
-
-        nonspec: List[Grant] = []
-        survived = {grant.group * v + grant.member for grant in spec}
-        both_active = active & router._active_mask
+        nonspec = []
         for port, vc in router.pending_st:
-            flat = port * v + vc
-            if flat in survived:
-                survived.discard(flat)  # won its VC and a credit
-                continue
-            ivc = ivcs[flat]
-            grant = Grant(port, vc, ivc.route)
-            nonspec.append(grant)
-            if not self._answers(router, ivc, both_active):
-                self._unanswered(router, grant, cycle)
-
-        for conflict in grant_conflicts(nonspec, spec):
-            self.fail(cycle, f"router {node}: {conflict}")
-
-        if self.enforce_priority and spec and nonspec:
-            taken_inputs = {g.group for g in nonspec}
-            taken_outputs = {g.resource for g in nonspec}
-            for grant in spec:
-                if grant.group in taken_inputs or (
-                        grant.resource in taken_outputs):
-                    self.fail(
-                        cycle,
-                        f"router {node}: speculative grant {grant} "
-                        f"displaced a non-speculative grant (priority "
-                        f"inversion)",
-                    )
-
-
-def _bits(mask: int):
-    """The set bit positions of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        mask -= low
-        yield low.bit_length() - 1
+            bit = 1 << port * v + vc
+            if survived & bit:
+                survived ^= bit  # won its VC and a credit
+            else:
+                nonspec.append((port, vc))
+        self._check_grants(entry, active, nonspec, spec, cycle)
 
 
 class InOrderDeliveryProbe(Probe):
-    """Every packet's flits eject in index order, at exactly one sink --
-    the sink at the packet's destination.  The destination check is what
-    catches a corrupted route table: a misrouted packet that ejects
-    cleanly anywhere else is flagged the cycle it arrives."""
+    """Every packet's flits eject in index order, each at its packet's
+    destination.
+
+    The wrapper around each sink's ``accept`` checks the index, then
+    runs the sink, whose own assertion is the destination check
+    (:meth:`Sink.accept`); the probe reports that assertion as its
+    violation, so a misrouted packet -- a corrupted route table -- is
+    flagged under the probe's name the cycle it arrives.  With every
+    flit at its destination a packet cannot split across sinks.
+    """
 
     name = "in_order_delivery"
 
     def __init__(self) -> None:
         super().__init__()
         self._expected: Dict[int, int] = {}
-        self._sink_of: Dict[int, int] = {}
         self._originals: List[Tuple[Any, Any]] = []
 
     def attach(self, network) -> None:
@@ -646,7 +612,11 @@ class InOrderDeliveryProbe(Probe):
 
             def wrapped(flit, cycle, _sink=sink, _original=original):
                 self._observe(_sink, flit, cycle)
-                _original(flit, cycle)
+                try:
+                    _original(flit, cycle)
+                except AssertionError as error:
+                    self.fail(cycle, str(error))
+                    raise
 
             sink.accept = wrapped
             self._originals.append((sink, shadowed))
@@ -663,21 +633,7 @@ class InOrderDeliveryProbe(Probe):
 
     def _observe(self, sink, flit, cycle: int) -> None:
         self.checks += 1
-        packet = flit.packet
-        pid = packet.packet_id
-        if sink.node != packet.destination:
-            self.fail(
-                cycle,
-                f"packet {pid} (destination {packet.destination}) ejected "
-                f"at node {sink.node}",
-            )
-        claimed = self._sink_of.setdefault(pid, sink.node)
-        if claimed != sink.node:
-            self.fail(
-                cycle,
-                f"packet {pid} ejected at node {sink.node} after earlier "
-                f"flits ejected at node {claimed}",
-            )
+        pid = flit.packet.packet_id
         expected = self._expected.get(pid, 0)
         if flit.index != expected:
             self.fail(
@@ -686,14 +642,7 @@ class InOrderDeliveryProbe(Probe):
                 f"{sink.node}, expected index {expected}",
             )
         if flit.is_tail:
-            if flit.index != packet.length - 1:
-                self.fail(
-                    cycle,
-                    f"packet {pid}: tail flit has index {flit.index}, "
-                    f"packet length is {packet.length}",
-                )
             self._expected.pop(pid, None)
-            self._sink_of.pop(pid, None)
         else:
             self._expected[pid] = expected + 1
 
@@ -725,6 +674,14 @@ class WatchdogProbe(Probe):
         self._last_forward_cycle = 0
         self._last_ejected = -1
         self._last_eject_cycle = 0
+        self._forwarded: List[List[int]] = []
+
+    def attach(self, network) -> None:
+        self._forwarded = [router.stats.forwarded_by_output
+                           for router in network.routers]
+
+    def detach(self, network) -> None:
+        self._forwarded = []
 
     def check(self, network, cycle: int) -> None:
         self.checks += 1
@@ -736,7 +693,7 @@ class WatchdogProbe(Probe):
             self._last_forward_cycle = cycle
             self._last_eject_cycle = cycle
             return
-        forwarded = sum(r.stats.flits_forwarded for r in network.routers)
+        forwarded = sum(map(sum, self._forwarded))
         if forwarded != self._last_forwarded:
             self._last_forwarded = forwarded
             self._last_forward_cycle = cycle
@@ -779,19 +736,14 @@ class WatchdogProbe(Probe):
 
 def default_probes(config) -> List[Probe]:
     """The probe set checked mode runs for ``config``."""
-    probes: List[Probe] = [
+    speculative = config.router_kind is RouterKind.SPECULATIVE_VC
+    return [
         FlitConservationProbe(),
         CreditConsistencyProbe(),
+        # Before exclusivity: a doubled wormhole grant trips both in the
+        # same cycle, and the grant is the root cause.
+        SpeculationLegalityProbe() if speculative else SwitchLegalityProbe(),
         VCExclusivityProbe(),
         InOrderDeliveryProbe(),
         WatchdogProbe(),
     ]
-    from ..config import RouterKind
-
-    if config.router_kind is RouterKind.SPECULATIVE_VC:
-        probes.append(SpeculationLegalityProbe(
-            enforce_priority=config.speculation_priority == "conservative"
-        ))
-    else:
-        probes.append(SwitchLegalityProbe())
-    return probes

@@ -13,6 +13,7 @@ from repro.sim.config import RouterKind, SimConfig
 from repro.sim.flit import Packet
 from repro.sim.network import Network
 from repro.sim.topology import EAST, LOCAL
+from repro.sim.validation import CreditConsistencyProbe, ValidationSuite
 
 
 def quiet_network(kind=RouterKind.VIRTUAL_CHANNEL, vcs=2, **kw):
@@ -91,10 +92,12 @@ class TestCreditViolations:
 
     def test_credit_invariant_check_catches_corruption(self):
         network = quiet_network()
+        credits = ValidationSuite([CreditConsistencyProbe()])
+        credits.attach(network)
         counter = network.routers[0].output_vcs[EAST][0].credits
         counter._credits = 99  # bypass the API
         with pytest.raises(AssertionError):
-            network.check_credit_invariants()
+            credits.after_cycle(network)
 
 
 class TestRouterStateViolations:

@@ -6,6 +6,7 @@ from repro.sim.config import RouterKind, SimConfig
 from repro.sim.flit import Packet
 from repro.sim.network import Network
 from repro.sim.topology import Mesh
+from repro.sim.validation import CreditConsistencyProbe, ValidationSuite
 
 ALL_KINDS = [
     (RouterKind.WORMHOLE, 1),
@@ -95,11 +96,13 @@ class TestManyPacketsIntegrity:
     @pytest.mark.parametrize("kind,vcs", ALL_KINDS)
     def test_all_packets_delivered_and_conserved(self, kind, vcs):
         network = make_network(kind, vcs, load=0.3, seed=7)
+        credits = ValidationSuite([CreditConsistencyProbe()])
+        credits.attach(network)
         for _ in range(400):
             network.step()
             if network.cycle % 16 == 0:
                 network.check_conservation()
-                network.check_credit_invariants()
+                credits.after_cycle(network)
         # stop injecting, drain
         for generator in network.generators:
             generator.rate_packets_per_cycle = 0.0

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim.config import RouterKind, SimConfig
 from repro.sim.network import Network
+from repro.sim.validation import CreditConsistencyProbe, ValidationSuite
 from repro.sim.validation.oracle import record_deliveries
 
 VC_KINDS = [
@@ -73,10 +74,12 @@ def valid_configs():
 def test_invariants_under_random_configs(config):
     network = Network(config)
     logs = record_deliveries(network)
+    credits = ValidationSuite([CreditConsistencyProbe()])
+    credits.attach(network)
     for _ in range(6):
         network.run(40)
         network.check_conservation()
-        network.check_credit_invariants()
+        credits.after_cycle(network)
 
     # Destination correctness is asserted inside Sink.accept; here we
     # check in-order, complete delivery per packet.

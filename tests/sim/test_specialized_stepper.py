@@ -8,6 +8,10 @@ state and force nothing), monkeypatched step or allocator methods, and
 swapped allocator types.
 """
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.sim.allocators import (
@@ -138,6 +142,42 @@ class TestCompileGuards:
             SpeculativeVCRouter, "_st_phase", lambda self, cycle: None
         )
         assert compile_step(router) is None
+
+    def test_class_patch_before_first_network_is_not_compiled_past(self):
+        """A class-level patch made before a process wires its first
+        network runs: ``compile_step`` compares against captures taken
+        when ``repro.sim.routers`` is imported, so the patch cannot be
+        captured as canonical.  Checked in a fresh interpreter, since
+        collection has imported every module into this one."""
+        script = textwrap.dedent("""
+            from repro.sim.config import RouterKind, SimConfig
+            from repro.sim.routers.base import BaseRouter
+
+            calls = []
+            real = BaseRouter.cycle
+
+            def patched(self, cycle):
+                calls.append(cycle)
+                real(self, cycle)
+
+            BaseRouter.cycle = patched
+            from repro.sim.network import Network
+
+            network = Network(SimConfig(
+                router_kind=RouterKind.WORMHOLE, mesh_radix=4,
+                injection_fraction=0.3, seed=1,
+            ))
+            network.run(200)
+            print(network.routers_specialized, len(calls))
+        """)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        specialized, calls = map(int, result.stdout.split())
+        assert specialized == 0
+        assert calls > 0
 
     def test_tracer_refuses_compile(self):
         router = self._fresh_router()

@@ -5,14 +5,12 @@ speculative-VC run with zero violations at bounded overhead over the
 unchecked wall time; and strictly zero overhead when disabled (the
 engine's per-step hook is a single attribute test).
 
-The bound is 4x (measured ~2.5-3x).  It was 2x (measured ~1.4x) before
-the hot-loop rework: the probes' absolute cost is unchanged, but the
-unchecked baseline they are measured against got faster, so the
-*relative* overhead grew.  The struct-of-arrays rework then added a
-real probe cost -- the exclusivity probe walks every input VC each
-checked cycle to assert that the three state bitmasks (the only copy
-of input-VC state) are disjoint and agree with the VC's buffer, route
-and output VC -- nudging the measured ratio up again.
+The bound is 4x against the reference stepper and 5x against the fast
+stepper at load 0.42; on a shared 2-vCPU box both read 1.7x (best of
+two), down from 3.1x and 3.2x before the probes gathered their reads
+into one pass per router (or one network-wide list) per check.  The
+configuration docs/TESTING.md quotes checked mode's cost at -- the fast
+stepper at load 0.4 -- is held to 2x, best of five alternating pairs.
 
 Telemetry at the default sampling rate is held to 1.3x on the *fast*
 stepper at load 0.42 (measured 1.0-1.1x): a session only reads router
@@ -113,6 +111,39 @@ class TestCheckedOverhead:
         assert fast.counters.routers_generic == 0
         assert reference.counters.generic_step_reason == "reference-stepper"
         assert fast == reference
+
+    @pytest.mark.slow
+    @pytest.mark.perf
+    def test_roadmap_config_checked_within_2x(self):
+        """Speculative VC, 2 VCs x 4 buffers on the 8x8 mesh at load
+        0.4, seed 1, 300 warm-up cycles and 500 sample packets, on the
+        fast stepper: checked within 2x of unchecked, best of five
+        pairs, the two sides alternating which runs first.  On a shared
+        2-vCPU box this read 1.59-1.84x over repeated sessions (3.0-3.05x
+        before the probes were reworked); one side is ~0.3 s, so a
+        single pair spreads wider than the margin to the bound."""
+        config = SimConfig(
+            router_kind=RouterKind.SPECULATIVE_VC, num_vcs=2,
+            buffers_per_vc=4, injection_fraction=0.4, seed=1,
+        )
+        measurement = MeasurementConfig(warmup_cycles=300, sample_packets=500)
+
+        best = {False: float("inf"), True: float("inf")}
+        results = {}
+        for round_ in range(5):
+            for checked in ((False, True) if round_ % 2 else (True, False)):
+                t0 = time.perf_counter()
+                results[checked] = simulate(config, measurement,
+                                            checked=checked)
+                best[checked] = min(best[checked], time.perf_counter() - t0)
+
+        checked = results[True]
+        assert checked.validation["ok"]
+        assert checked.counters.routers_generic == 0
+        assert checked.counters.generic_step_reason is None
+        assert checked == results[False]
+        ratio = best[True] / best[False]
+        assert ratio <= 2.0, f"checked/unchecked wall-time ratio {ratio:.2f}"
 
     def test_disabled_probes_leave_no_machinery_attached(self):
         sim = Simulator(SimConfig(
